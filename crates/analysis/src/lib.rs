@@ -21,8 +21,7 @@
 //!    across blocking calls (`lock-across-blocking`), and panic sites on
 //!    service/worker request paths (`panic-path`) — with `lint:allow`
 //!    markers, a committed baseline, and structured JSON findings; part
-//!    of the CI gate. The PR-1 `ugpc-lint` binary survives as a thin
-//!    wrapper running just the `raw-unit` rule.
+//!    of the CI gate.
 //! 4. **Protocol model checking** ([`model`]): explicit-state DFS
 //!    exploration of the serve layer's single-flight Condvar protocol
 //!    and bounded worker-pool backpressure, exhaustively checking

@@ -1,22 +1,14 @@
 //! Dynamic power capping — the paper's future-work extension (§VII),
 //! modeled on the DEPO tool it cites (refs. 24 and 25 in the paper).
 //!
-//! This module is now a **facade**: the hill-climbing controller lives
-//! canonically in [`ugpc_control::capper`] (where it drives the online
-//! mid-run control plane) and is re-exported here unchanged, so existing
-//! `ugpc_capping::DynamicCapper` users keep working. The one visible
-//! change from the move: [`DynamicCapper::observe`] takes a typed
-//! [`ObjectiveValue`] instead of a raw `f64`, making the metric being
-//! climbed explicit at every call site.
-//!
-//! [`run_dynamic`] — the standalone single-GPU epoch loop for iterative
-//! workloads (DEPO's target shape) — still lives here: it is a *capping
-//! study* driver, not part of the control plane.
+//! [`run_dynamic`] is the standalone single-GPU epoch loop for iterative
+//! workloads (DEPO's target shape), driven by the hill-climbing
+//! [`DynamicCapper`] that lives in [`ugpc_control::capper`], where it
+//! also drives the online mid-run control plane.
 
 use serde::{Deserialize, Serialize};
+use ugpc_control::{DynamicCapper, ObjectiveValue};
 use ugpc_hwsim::{GpuDevice, KernelWork, Secs, Watts};
-
-pub use ugpc_control::{DynamicCapper, ObjectiveValue};
 
 /// History of one dynamic-capping run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -72,19 +64,8 @@ mod tests {
     use ugpc_hwsim::{GpuModel, Precision};
 
     // The controller's own unit tests and proptests (range safety,
-    // reversal behavior, unimodal convergence) live with the canonical
-    // implementation in `ugpc-control`. These tests cover the facade:
-    // the re-export drives a real device study end to end.
-
-    #[test]
-    fn facade_capper_is_the_canonical_one() {
-        let gpu = GpuDevice::new(0, GpuModel::A100Sxm4_40);
-        let ctl = DynamicCapper::new(&gpu);
-        let canonical: ugpc_control::DynamicCapper = ctl;
-        assert_eq!(canonical.cap(), Watts(400.0));
-        assert_eq!(canonical.min(), gpu.spec().min_cap);
-        assert_eq!(canonical.max(), gpu.spec().tdp);
-    }
+    // reversal behavior, unimodal convergence) live with it in
+    // `ugpc-control`. These tests drive a real device study end to end.
 
     #[test]
     fn discovers_best_cap_online() {

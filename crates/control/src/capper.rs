@@ -1,11 +1,9 @@
 //! The hill-climbing sweet-spot search, one instance per GPU.
 //!
-//! This is the canonical home of the controller that used to live in
-//! `ugpc-capping::dynamic` (that module is now a facade over this one).
-//! The move came with one API change: [`DynamicCapper::observe`] takes a
-//! typed [`ObjectiveValue`] instead of a raw `f64`, so the search is
-//! generic over *which* metric it maximizes — Gflop/s/W, EDP, ED²P, or a
-//! perf-floor-constrained objective all drive the same state machine.
+//! [`DynamicCapper::observe`] takes a typed [`ObjectiveValue`] rather
+//! than a raw `f64`, so the search is generic over *which* metric it
+//! maximizes — Gflop/s/W, EDP, ED²P, or a perf-floor-constrained
+//! objective all drive the same state machine.
 
 use crate::objective::ObjectiveValue;
 use serde::{Deserialize, Serialize};

@@ -17,8 +17,9 @@
 //! - [`objective`] — higher-is-better scoring rules: Gflop/s/W, EDP,
 //!   ED²P, perf-floor-constrained efficiency; all behind the
 //!   [`Objective`] trait with a typed [`ObjectiveValue`] score.
-//! - [`capper::DynamicCapper`] — the per-device hill-climb (canonical
-//!   home; `ugpc-capping::dynamic` re-exports it).
+//! - [`capper::DynamicCapper`] — the per-device hill-climb, also behind
+//!   `ugpc-capping`'s single-GPU study and `ugpc-core`'s
+//!   between-iteration study.
 //! - [`plane::ControlPlane`] — the
 //!   [`ControlHook`](ugpc_runtime::ControlHook) implementation tying it
 //!   together, configured by a serializable [`ControllerSpec`].

@@ -12,7 +12,7 @@
 
 use crate::{RunConfig, RunReport};
 use serde::{Deserialize, Serialize};
-use ugpc_capping::{DynamicCapper, ObjectiveValue};
+use ugpc_control::{DynamicCapper, ObjectiveValue};
 use ugpc_hwsim::Node;
 use ugpc_runtime::{build_workers, simulate, DataRegistry, SimOptions, WorkerKind};
 

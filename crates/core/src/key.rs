@@ -25,7 +25,7 @@
 //! | `0x08` | `scheduler` | 1 byte: Eager=0, Random=1 (+ u64 LE seed), Dm=2, Dmda=3, Dmdas=4, EnergyAware=5 (+ f64 bits LE λ) |
 //! | `0x09` | `keep_records` | 1 byte: 0 or 1 |
 //!
-//! Controlled runs ([`crate::run_study_controlled`]) extend the encoding
+//! Controlled runs ([`crate::StudyOptions::controller`]) extend the encoding
 //! with one appended segment, so they can never alias a static run of
 //! the same configuration:
 //!

@@ -21,32 +21,25 @@
 //! assert!(capped.efficiency_gflops_w > base.efficiency_gflops_w);
 //! ```
 
-pub mod controlled;
 pub mod dynamic;
 pub mod key;
 pub mod report;
+pub mod study;
 
-pub use controlled::{
-    run_study_at_caps, run_study_controlled, run_study_controlled_explained,
-    run_study_controlled_queued_observed, try_run_study_controlled, ControlledRun,
-};
 pub use dynamic::{
     dynamic_vs_static_oracle, run_dynamic_study, DynamicIteration, DynamicStudyReport,
 };
 pub use key::CacheKey;
 pub use report::{compare, Comparison, ProfiledRun, RunReport, TracedRun};
+pub use study::{try_run_study_with, ControlOutcome, ControlledRun, Study, StudyOptions};
 
 use serde::{Deserialize, Serialize};
 use ugpc_capping::{apply_cpu_cap, apply_gpu_caps, CapConfig};
 use ugpc_hwsim::{table_ii_entry, Node, OpKind, PlatformId, Precision, Watts};
 use ugpc_linalg::{build_gemm, build_potrf};
-use ugpc_runtime::{
-    simulate_observed, DataRegistry, Observer, PerfModel, PowerTimeline, SchedPolicy, SimOptions,
-    StatsCollector, TaskGraph, TraceBuilder,
-};
+use ugpc_runtime::{DataRegistry, PowerTimeline, SchedPolicy, TaskGraph};
 
 pub use ugpc_runtime::{set_backend_override, QueueBackend};
-use ugpc_telemetry::CriticalPathProfiler;
 
 /// Everything that defines one measured run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -141,10 +134,17 @@ impl RunConfig {
     }
 
     /// Check that [`run_study`] would accept this configuration, without
-    /// running anything. Catches everything `run_study` panics on:
-    /// non-dividing tile sizes, cap configurations sized for a different
-    /// platform, and CPU caps on platforms without RAPL capping.
+    /// running anything: non-dividing tile sizes, cap configurations
+    /// sized for a different platform, and CPU caps on platforms without
+    /// RAPL capping are all rejected.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
+        self.capped_node(None).map(drop)
+    }
+
+    /// The platform node with this configuration's caps applied —
+    /// `caps_w`, explicit per-GPU watts, in place of the letter levels
+    /// when given. The one place a configuration is checked.
+    pub(crate) fn capped_node(&self, caps_w: Option<&[f64]>) -> Result<Node, InvalidConfig> {
         if self.n == 0 || self.nb == 0 {
             return Err(InvalidConfig("n and nb must be positive".into()));
         }
@@ -155,13 +155,29 @@ impl RunConfig {
             )));
         }
         let mut node = Node::new(self.platform);
-        apply_gpu_caps(&mut node, &self.gpu_config, self.op, self.precision)
-            .map_err(|e| InvalidConfig(format!("gpu caps: {e}")))?;
+        match caps_w {
+            None => apply_gpu_caps(&mut node, &self.gpu_config, self.op, self.precision)
+                .map_err(|e| InvalidConfig(format!("gpu caps: {e}")))?,
+            Some(caps) => {
+                if caps.len() != node.gpus().len() {
+                    return Err(InvalidConfig(format!(
+                        "{} explicit caps for {} GPUs",
+                        caps.len(),
+                        node.gpus().len()
+                    )));
+                }
+                for (g, &cap) in caps.iter().enumerate() {
+                    node.gpu_mut(g)
+                        .set_power_limit(Watts(cap))
+                        .map_err(|e| InvalidConfig(format!("gpu{g} cap: {e}")))?;
+                }
+            }
+        }
         if let Some((pkg, cap)) = self.cpu_cap {
             apply_cpu_cap(&mut node, pkg, cap)
                 .map_err(|e| InvalidConfig(format!("cpu cap: {e}")))?;
         }
-        Ok(())
+        Ok(node)
     }
 }
 
@@ -177,115 +193,36 @@ impl std::fmt::Display for InvalidConfig {
 
 impl std::error::Error for InvalidConfig {}
 
-/// [`run_study`], but with malformed configurations reported as errors
-/// instead of panics — the entry point services should use.
+/// One plain run, with malformed configurations reported as errors —
+/// [`try_run_study_with`] under default options.
 pub fn try_run_study(cfg: &RunConfig) -> Result<RunReport, InvalidConfig> {
-    cfg.validate()?;
-    Ok(run_study(cfg))
+    try_run_study_with(cfg, StudyOptions::default()).map(|s| s.report)
 }
 
 /// Execute one measured run: apply caps, calibrate, simulate, report.
+/// Panics on a configuration [`RunConfig::validate`] rejects.
 pub fn run_study(cfg: &RunConfig) -> RunReport {
-    run_study_observed(cfg, &mut [])
-}
-
-/// [`run_study`] with additional observers attached to the executor event
-/// stream — Perfetto sinks, power timelines, progress meters. The report
-/// itself is built by a `TraceBuilder`/`StatsCollector` pair riding the
-/// same stream, so extra observers never change the numbers (the
-/// observer-neutrality invariant, pinned by
-/// `tests/observer_differential.rs`).
-pub fn run_study_observed(cfg: &RunConfig, extra: &mut [&mut dyn Observer]) -> RunReport {
-    run_study_queued_observed(cfg, QueueBackend::resolve(), extra)
-}
-
-/// [`run_study`] with an explicit DES event-queue backend — the
-/// programmatic form of the `UGPC_QUEUE` / `repro --queue` knob. The
-/// backend is a pure performance choice: both pop in the identical
-/// `(time, sequence)` order, so the report is byte-for-byte the same
-/// whichever one runs (pinned by the backend differential suites), and
-/// the backend deliberately does **not** enter [`RunConfig::cache_key`].
-pub fn run_study_queued(cfg: &RunConfig, queue: QueueBackend) -> RunReport {
-    run_study_queued_observed(cfg, queue, &mut [])
-}
-
-/// [`run_study_observed`] with an explicit event-queue backend.
-pub fn run_study_queued_observed(
-    cfg: &RunConfig,
-    queue: QueueBackend,
-    extra: &mut [&mut dyn Observer],
-) -> RunReport {
-    let mut node = Node::new(cfg.platform);
-    apply_gpu_caps(&mut node, &cfg.gpu_config, cfg.op, cfg.precision)
-        .expect("cap configuration matches the platform");
-    if let Some((pkg, cap)) = cfg.cpu_cap {
-        apply_cpu_cap(&mut node, pkg, cap).expect("CPU cap supported on this platform");
-    }
-    let mut reg = DataRegistry::new();
-    let graph = cfg.build_graph(&mut reg);
-    let mut builder = TraceBuilder::new();
-    let mut stats = StatsCollector::new();
-    {
-        let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2 + extra.len());
-        observers.push(&mut builder);
-        observers.push(&mut stats);
-        for o in extra.iter_mut() {
-            observers.push(&mut **o);
-        }
-        let mut perf = PerfModel::new();
-        simulate_observed(
-            &mut node,
-            &graph,
-            &mut reg,
-            SimOptions {
-                policy: cfg.scheduler,
-                keep_records: cfg.keep_records,
-                queue,
-                ..Default::default()
-            },
-            &mut perf,
-            &mut observers,
-        );
-    }
-    RunReport::from_parts(cfg, &builder.into_trace(), &stats.into_stats())
-}
-
-/// One run with its critical-path energy-attribution profile: where the
-/// makespan and the busy joules went, split on-path vs off-path per
-/// (device, kernel, precision). The profiler rides the same observer
-/// stream as the report builders, so `report` is bitwise identical to a
-/// plain [`run_study`] of the same configuration.
-pub fn run_study_profiled(cfg: &RunConfig, top_k: usize) -> ProfiledRun {
-    let mut profiler = CriticalPathProfiler::new().with_top_k(top_k);
-    let report = run_study_observed(cfg, &mut [&mut profiler]);
-    ProfiledRun {
-        report,
-        profile: profiler.into_report(),
-    }
-}
-
-/// [`run_study_profiled`] with malformed configurations reported as
-/// errors.
-pub fn try_run_study_profiled(cfg: &RunConfig, top_k: usize) -> Result<ProfiledRun, InvalidConfig> {
-    cfg.validate()?;
-    Ok(run_study_profiled(cfg, top_k))
+    try_run_study(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One run with its per-device power timeline (`bins` time bins over the
 /// makespan) — the paper's Fig. 5 energy breakdown, resolved in time.
-pub fn run_study_traced(cfg: &RunConfig, bins: usize) -> TracedRun {
+pub fn try_run_study_traced(cfg: &RunConfig, bins: usize) -> Result<TracedRun, InvalidConfig> {
     let mut timeline = PowerTimeline::new(bins);
-    let report = run_study_observed(cfg, &mut [&mut timeline]);
-    TracedRun {
+    let options = StudyOptions {
+        observers: vec![&mut timeline],
+        ..Default::default()
+    };
+    let report = try_run_study_with(cfg, options)?.report;
+    Ok(TracedRun {
         report,
         power: timeline.into_profile(),
-    }
+    })
 }
 
-/// [`run_study_traced`] with malformed configurations reported as errors.
-pub fn try_run_study_traced(cfg: &RunConfig, bins: usize) -> Result<TracedRun, InvalidConfig> {
-    cfg.validate()?;
-    Ok(run_study_traced(cfg, bins))
+/// [`try_run_study_traced`], panicking on an invalid configuration.
+pub fn run_study_traced(cfg: &RunConfig, bins: usize) -> TracedRun {
+    try_run_study_traced(cfg, bins).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -371,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "CPU cap supported")]
+    #[should_panic(expected = "cpu cap")]
     fn cpu_cap_panics_on_amd() {
         let _ = run_study(
             &quick(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)

@@ -89,9 +89,9 @@ pub struct TracedRun {
 }
 
 /// A run report paired with its critical-path energy-attribution
-/// profile — what [`run_study_profiled`](crate::run_study_profiled)
-/// returns. `profile.makespan_s` is bitwise identical to
-/// `report.makespan_s`: both are copied from the executor's summary.
+/// profile, as `repro profile` records it. `profile.makespan_s` is
+/// bitwise identical to `report.makespan_s`: both are copied from the
+/// executor's summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfiledRun {
     pub report: RunReport,

@@ -1,0 +1,293 @@
+//! The one study entry point: [`try_run_study_with`] runs one measured
+//! configuration with whatever [`StudyOptions`] attaches — the online
+//! controller, explicit watt caps, observers such as a power timeline,
+//! the critical-path profiler or a Perfetto sink — and reports malformed
+//! input as [`InvalidConfig`] instead of panicking.
+//!
+//! Every other study call in the workspace (plain, traced, profiled,
+//! controlled, at explicit caps, Perfetto-instrumented) is this function
+//! with a different options value, so they share one validation path,
+//! one observer pipeline and one executor call.
+//!
+//! Identity: a controlled run never aliases a static one —
+//! [`RunConfig::controlled_cache_key`] appends the controller's canonical
+//! bytes under a fresh tag, leaving [`RunConfig::cache_key`] untouched.
+
+use crate::{InvalidConfig, RunConfig, RunReport};
+use serde::{Deserialize, Serialize};
+use ugpc_control::{ControlPlane, ControllerSpec, DecisionRecord, TickRecord};
+use ugpc_runtime::{
+    simulate_controlled, ControlHook, DataRegistry, Observer, PerfModel, SimOptions,
+    StatsCollector, TraceBuilder,
+};
+
+/// What rides one run besides the report builders, and how it executes.
+/// `StudyOptions::default()` is a plain [`crate::run_study`].
+#[derive(Default)]
+pub struct StudyOptions<'o> {
+    /// Re-cap the GPUs mid-run under this online controller, starting
+    /// from the configuration's caps ([`Study::control`]).
+    pub controller: Option<ControllerSpec>,
+    /// Explicit per-GPU watt caps applied instead of the letter levels
+    /// of `cfg.gpu_config` (the offline sweep's evaluator).
+    pub caps_w: Option<Vec<f64>>,
+    /// Observers on the executor event stream — power timelines, the
+    /// critical-path profiler, Perfetto sinks, progress meters.
+    /// Read-only witnesses: they never change a number.
+    pub observers: Vec<&'o mut dyn Observer>,
+}
+
+/// The outcome of [`try_run_study_with`]: the report, plus the
+/// controller's side of the run when one rode it.
+#[derive(Debug, Clone)]
+pub struct Study {
+    pub report: RunReport,
+    /// Present with [`StudyOptions::controller`].
+    pub control: Option<ControlOutcome>,
+}
+
+/// The controller's side of a controlled run.
+#[derive(Debug, Clone)]
+pub struct ControlOutcome {
+    /// The objective the controller maximized (its wire name).
+    pub objective: String,
+    /// Every control tick, in event-time order.
+    pub ticks: Vec<TickRecord>,
+    /// Total re-cap commands applied mid-run.
+    pub recaps: usize,
+    /// The caps the searches rested at when the run finished (W).
+    pub final_caps_w: Vec<f64>,
+    /// True if every device's search exhausted its step budget in-run.
+    pub converged: bool,
+    /// One record per (tick, device): every gate taken, every quorum
+    /// vote, every epsilon-guard outcome. Write-only instrumentation
+    /// inside [`ControlPlane`], so it never changes the run.
+    pub journal: Vec<DecisionRecord>,
+}
+
+/// The wire and file shape of one controlled run: the usual report plus
+/// the controller's telemetry (without the decision journal).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ControlledRun {
+    pub report: RunReport,
+    /// The objective the controller maximized (its wire name).
+    pub objective: String,
+    /// Every control tick, in event-time order.
+    pub ticks: Vec<TickRecord>,
+    /// Total re-cap commands applied mid-run.
+    pub recaps: usize,
+    /// The caps the searches rested at when the run finished (W).
+    pub final_caps_w: Vec<f64>,
+    /// True if every device's search exhausted its step budget in-run.
+    pub converged: bool,
+}
+
+impl Study {
+    /// The report with the controller's telemetry (`None` without a
+    /// controller).
+    pub fn controlled(self) -> Option<ControlledRun> {
+        Some(self.control?.with_report(self.report))
+    }
+}
+
+impl ControlOutcome {
+    /// The wire shape of the controlled run that produced `report`.
+    pub fn with_report(self, report: RunReport) -> ControlledRun {
+        ControlledRun {
+            report,
+            objective: self.objective,
+            ticks: self.ticks,
+            recaps: self.recaps,
+            final_caps_w: self.final_caps_w,
+            converged: self.converged,
+        }
+    }
+}
+
+/// Execute one measured run: apply caps, calibrate, simulate, report —
+/// with `options` deciding what else rides the run. Malformed
+/// configurations, controller specs and explicit caps are errors, never
+/// panics, so services can feed it wire input.
+pub fn try_run_study_with(
+    cfg: &RunConfig,
+    options: StudyOptions<'_>,
+) -> Result<Study, InvalidConfig> {
+    let StudyOptions {
+        controller,
+        caps_w,
+        mut observers,
+    } = options;
+    let mut node = cfg.capped_node(caps_w.as_deref())?;
+    let mut plane = match controller {
+        Some(spec) => {
+            spec.validate().map_err(InvalidConfig)?;
+            Some(ControlPlane::new(spec, &node))
+        }
+        None => None,
+    };
+    let mut reg = DataRegistry::new();
+    let graph = cfg.build_graph(&mut reg);
+    let mut builder = TraceBuilder::new();
+    let mut stats = StatsCollector::new();
+    {
+        let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(2 + observers.len());
+        all.push(&mut builder);
+        all.push(&mut stats);
+        for o in observers.iter_mut() {
+            all.push(&mut **o);
+        }
+        let sim = SimOptions {
+            policy: cfg.scheduler,
+            keep_records: cfg.keep_records,
+            ..Default::default()
+        };
+        simulate_controlled(
+            &mut node,
+            &graph,
+            &mut reg,
+            sim,
+            &mut PerfModel::new(),
+            &mut all,
+            plane.as_mut().map(|p| p as &mut dyn ControlHook),
+        );
+    }
+    Ok(Study {
+        report: RunReport::from_parts(cfg, &builder.into_trace(), &stats.into_stats()),
+        control: plane.map(|mut plane| ControlOutcome {
+            objective: plane.spec().objective.name().to_string(),
+            ticks: plane.ticks().to_vec(),
+            recaps: plane.recaps(),
+            final_caps_w: plane.final_caps().iter().map(|c| c.value()).collect(),
+            converged: plane.converged(),
+            journal: plane.take_journal(),
+        }),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::run_study;
+    use ugpc_control::ObjectiveKind;
+    use ugpc_hwsim::{OpKind, PlatformId, Precision};
+
+    fn cfg() -> RunConfig {
+        RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(2)
+    }
+
+    fn spec() -> ControllerSpec {
+        ControllerSpec::new(ObjectiveKind::GflopsPerWatt).with_period(0.1)
+    }
+
+    fn controlled(cfg: &RunConfig, spec: ControllerSpec) -> Study {
+        let options = StudyOptions {
+            controller: Some(spec),
+            ..Default::default()
+        };
+        try_run_study_with(cfg, options).unwrap()
+    }
+
+    fn at_caps(cfg: &RunConfig, caps_w: &[f64]) -> Result<RunReport, InvalidConfig> {
+        let options = StudyOptions {
+            caps_w: Some(caps_w.to_vec()),
+            ..Default::default()
+        };
+        try_run_study_with(cfg, options).map(|s| s.report)
+    }
+
+    #[test]
+    fn controller_recaps_mid_run_and_improves_efficiency() {
+        let baseline = run_study(&cfg());
+        let run = controlled(&cfg(), spec()).controlled().unwrap();
+        assert!(run.recaps > 0, "controller never re-capped");
+        assert!(!run.ticks.is_empty());
+        // Re-caps take effect mid-run: the controlled run's report is not
+        // the uncontrolled one.
+        assert_ne!(run.report.total_energy_j, baseline.total_energy_j);
+        // Chasing Gflop/s/W from TDP must not cost efficiency.
+        assert!(
+            run.report.efficiency_gflops_w > baseline.efficiency_gflops_w,
+            "controlled {} vs static-H {}",
+            run.report.efficiency_gflops_w,
+            baseline.efficiency_gflops_w
+        );
+        // Final caps stay within the device window and moved off TDP.
+        for &cap in &run.final_caps_w {
+            assert!((100.0..=400.0).contains(&cap), "cap {cap}");
+        }
+        assert!(run.final_caps_w.iter().any(|&c| c < 400.0));
+    }
+
+    #[test]
+    fn disabled_controller_reproduces_run_study_exactly() {
+        let run = controlled(&cfg(), spec().disabled()).controlled().unwrap();
+        assert_eq!(run.report, run_study(&cfg()));
+        assert_eq!(run.recaps, 0);
+        assert!(run.ticks.is_empty());
+    }
+
+    #[test]
+    fn controlled_runs_are_deterministic() {
+        let a = controlled(&cfg(), spec()).controlled().unwrap();
+        let b = controlled(&cfg(), spec()).controlled().unwrap();
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.final_caps_w, b.final_caps_w);
+        assert_eq!(a.recaps, b.recaps);
+    }
+
+    #[test]
+    fn explicit_caps_reproduce_the_letter_levels() {
+        // Setting each GPU's TDP explicitly is the `HHHH` static run.
+        let tdp = ugpc_hwsim::GpuSpec::of(ugpc_hwsim::GpuModel::A100Sxm4_40).tdp;
+        let at_tdp = at_caps(&cfg(), &[tdp.value(); 4]).unwrap();
+        assert_eq!(at_tdp, run_study(&cfg()));
+        // A deep uniform cap costs time and saves energy.
+        let capped = at_caps(&cfg(), &[216.0; 4]).unwrap();
+        assert!(capped.makespan_s > at_tdp.makespan_s);
+        assert!(capped.total_energy_j < at_tdp.total_energy_j);
+        // Wrong arity and out-of-window caps are errors, not panics.
+        assert!(at_caps(&cfg(), &[216.0; 2]).is_err());
+        assert!(at_caps(&cfg(), &[1000.0; 4]).is_err());
+    }
+
+    #[test]
+    fn journal_covers_every_decision() {
+        let study = controlled(&cfg(), spec());
+        let control = study.control.as_ref().unwrap();
+        // Every (tick, device) pair produced exactly one decision record,
+        // and re-cap records match the run's re-cap count.
+        let devices = control.final_caps_w.len();
+        assert_eq!(control.journal.len(), control.ticks.len() * devices);
+        assert_eq!(
+            control.journal.iter().filter(|d| d.recap).count(),
+            control.recaps
+        );
+        // With the default single-window quorum (`votes: 1`), every
+        // ungated decision fires the capper: gated decisions carry a
+        // reason and no outcome, scored ones carry both a score and an
+        // epsilon-guard outcome.
+        for d in &control.journal {
+            assert_eq!(d.gate.is_none(), d.outcome.is_some(), "{d:?}");
+            if d.outcome.is_some() {
+                assert!(d.score.is_some(), "{d:?}");
+            }
+        }
+        assert!(control.journal.iter().any(|d| d.outcome.is_some()));
+    }
+
+    #[test]
+    fn options_validate_both_layers() {
+        let run = |cfg: &RunConfig, spec: ControllerSpec| {
+            let options = StudyOptions {
+                controller: Some(spec),
+                ..Default::default()
+            };
+            try_run_study_with(cfg, options).map(|_| ())
+        };
+        assert!(run(&cfg(), spec()).is_ok());
+        assert!(run(&cfg(), spec().with_period(-1.0)).is_err());
+        let mut bad_cfg = cfg();
+        bad_cfg.nb += 1;
+        assert!(run(&bad_cfg, spec()).is_err());
+    }
+}

@@ -218,9 +218,9 @@ fn serve(addr: &str, persist: Option<&std::path::Path>) -> ExitCode {
 /// The written trace is validated before returning: it must parse as
 /// JSON and carry exactly one task slice per executed task.
 fn trace_run(dir: &std::path::Path, scale: usize) -> ExitCode {
-    use ugpc_core::{run_study_observed, RunConfig};
+    use ugpc_core::{try_run_study_with, RunConfig, StudyOptions};
     use ugpc_hwsim::{OpKind, PlatformId};
-    use ugpc_runtime::{Observer, PerfettoSink, PowerTimeline, Progress};
+    use ugpc_runtime::{PerfettoSink, PowerTimeline, Progress};
 
     let cfg = RunConfig::paper(PlatformId::Intel2V100, OpKind::Potrf, Precision::Double)
         .scaled_down(scale)
@@ -233,9 +233,16 @@ fn trace_run(dir: &std::path::Path, scale: usize) -> ExitCode {
     let mut sink = PerfettoSink::new();
     let mut timeline = PowerTimeline::new(64);
     let mut progress = Progress::every(100);
-    let report = {
-        let mut extra: [&mut dyn Observer; 3] = [&mut sink, &mut timeline, &mut progress];
-        run_study_observed(&cfg, &mut extra)
+    let options = StudyOptions {
+        observers: vec![&mut sink, &mut timeline, &mut progress],
+        ..Default::default()
+    };
+    let report = match try_run_study_with(&cfg, options) {
+        Ok(study) => study.report,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let trace_json = sink.into_json();
     let power = timeline.into_profile();
@@ -520,7 +527,7 @@ fn main() -> ExitCode {
             }
             "control" => {
                 let (s, journals) = if args.smoke {
-                    ex::control::run_smoke_explained()
+                    ex::control::run_smoke()
                 } else {
                     ex::control::run_explained(args.scale)
                 };

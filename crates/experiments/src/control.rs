@@ -26,11 +26,9 @@ use crate::format::{f, TextTable};
 use crate::power_profile::sparkline;
 use serde::{Deserialize, Serialize};
 use ugpc_control::{ControllerSpec, DecisionRecord, ObjectiveKind, WindowMetrics};
-use ugpc_core::{
-    run_study, run_study_at_caps, run_study_controlled_explained, RunConfig, RunReport,
-};
+use ugpc_core::{run_study, try_run_study_with, RunConfig, RunReport, Study, StudyOptions};
 use ugpc_hwsim::{Flops, GpuSpec, Joules, OpKind, PlatformId, PlatformSpec, Precision, Secs};
-use ugpc_runtime::{Observer, PowerProfile, PowerTimeline, QueueBackend};
+use ugpc_runtime::{PowerProfile, PowerTimeline};
 
 /// One objective's online-vs-offline comparison on one operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,6 +77,21 @@ pub struct ControlCase {
     /// The uniform caps the offline sweep visited (W).
     pub sweep_caps_w: Vec<f64>,
     pub rows: Vec<ObjectiveRow>,
+}
+
+/// One run of the study. Every configuration here is built from the
+/// platform's own specification, so a rejection is a bug in this file.
+fn study(cfg: &RunConfig, options: StudyOptions<'_>) -> Study {
+    try_run_study_with(cfg, options).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// One static run at explicit per-GPU watt caps.
+fn run_study_at_caps(cfg: &RunConfig, caps_w: &[f64]) -> RunReport {
+    let options = StudyOptions {
+        caps_w: Some(caps_w.to_vec()),
+        ..Default::default()
+    };
+    study(cfg, options).report
 }
 
 /// Per-operation controller tuning: `(votes, min_occupancy)`.
@@ -153,43 +166,26 @@ pub fn objective_value(
 
 /// GEMM + POTRF double on the 4-A100 platform, all four objectives.
 pub fn run(scale: usize) -> ControlStudy {
-    run_with(PlatformId::Amd4A100, scale, 0.1, 0.85, 32, 26)
+    run_explained(scale).0
 }
 
 /// [`run`] plus the per-run decision journals for `--explain`.
 pub fn run_explained(scale: usize) -> (ControlStudy, Vec<ExplainEntry>) {
-    run_with_explained(PlatformId::Amd4A100, scale, 0.1, 0.85, 32, 26)
+    run_with(PlatformId::Amd4A100, scale, 0.1, 0.85, 32, 26)
 }
 
 /// A fast variant for CI's `repro control --smoke`: deep scale-down,
 /// short control period, coarse sweep. Exercises every code path; the
 /// 5 % acceptance bar applies only to the committed full-scale study.
-pub fn run_smoke() -> ControlStudy {
+pub fn run_smoke() -> (ControlStudy, Vec<ExplainEntry>) {
     run_with(PlatformId::Amd4A100, 8, 0.02, 0.85, 16, 7)
 }
 
-/// [`run_smoke`] plus the per-run decision journals for `--explain`.
-pub fn run_smoke_explained() -> (ControlStudy, Vec<ExplainEntry>) {
-    run_with_explained(PlatformId::Amd4A100, 8, 0.02, 0.85, 16, 7)
-}
-
+/// The study plus the decision journal of every controlled run. The
+/// journals ride the same runs — nothing is re-simulated — and live
+/// outside [`ControlStudy`], so the study's bytes never depend on
+/// whether anyone reads them.
 pub fn run_with(
-    platform: PlatformId,
-    scale: usize,
-    period_s: f64,
-    perf_floor: f64,
-    bins: usize,
-    sweep_points: usize,
-) -> ControlStudy {
-    run_with_explained(platform, scale, period_s, perf_floor, bins, sweep_points).0
-}
-
-/// [`run_with`] returning the decision journal of every controlled run
-/// alongside the study. The journal rides the same runs — nothing is
-/// re-simulated, and the study half is identical to [`run_with`] by
-/// construction (that entry point delegates here and drops the
-/// journals).
-pub fn run_with_explained(
     platform: PlatformId,
     scale: usize,
     period_s: f64,
@@ -229,15 +225,15 @@ pub fn run_with_explained(
                     .with_votes(votes)
                     .with_min_occupancy(min_occupancy);
                 let mut timeline = PowerTimeline::new(bins);
-                let (controlled, journal) = {
-                    let mut extra: [&mut dyn Observer; 1] = [&mut timeline];
-                    run_study_controlled_explained(
-                        &cfg,
-                        &ctl_spec,
-                        QueueBackend::resolve(),
-                        &mut extra,
-                    )
-                };
+                let Study { report, control } = study(
+                    &cfg,
+                    StudyOptions {
+                        controller: Some(ctl_spec),
+                        observers: vec![&mut timeline],
+                        ..Default::default()
+                    },
+                );
+                let controlled = control.expect("controller attached");
                 let settled = run_study_at_caps(&cfg, &controlled.final_caps_w);
                 let online_value = objective_value(kind, perf_floor, &uncapped, &settled);
                 let (offline_cap_w, offline_value) = sweep_caps_w
@@ -254,7 +250,7 @@ pub fn run_with_explained(
                     recaps: controlled.recaps,
                     ticks: controlled.ticks.len(),
                     converged: controlled.converged,
-                    controlled: controlled.report,
+                    controlled: report,
                     online_value,
                     offline_cap_w,
                     offline_value,
@@ -264,7 +260,7 @@ pub fn run_with_explained(
                 let entry = ExplainEntry {
                     op: op.name().to_string(),
                     objective: kind.name().to_string(),
-                    journal,
+                    journal: controlled.journal,
                 };
                 (row, entry)
             });
@@ -428,7 +424,7 @@ mod tests {
 
     #[test]
     fn smoke_study_covers_both_ops_and_all_objectives() {
-        let study = run_smoke();
+        let (study, _) = run_smoke();
         assert_eq!(study.cases.len(), 2);
         for case in &study.cases {
             assert_eq!(case.rows.len(), ObjectiveKind::ALL.len());
@@ -452,8 +448,8 @@ mod tests {
 
     #[test]
     fn smoke_study_is_deterministic() {
-        let a = serde_json::to_string(&run_smoke()).expect("serialize");
-        let b = serde_json::to_string(&run_smoke()).expect("serialize");
+        let a = serde_json::to_string(&run_smoke().0).expect("serialize");
+        let b = serde_json::to_string(&run_smoke().0).expect("serialize");
         assert_eq!(a, b);
     }
 
@@ -474,13 +470,8 @@ mod tests {
     }
 
     #[test]
-    fn explained_study_is_identical_and_journals_every_run() {
-        let plain = serde_json::to_string(&run_smoke()).expect("serialize");
-        let (study, journals) = run_smoke_explained();
-        // Collecting the journals must not perturb the study: the plain
-        // entry point delegates to the explained one, so the two are the
-        // same bytes.
-        assert_eq!(plain, serde_json::to_string(&study).expect("serialize"));
+    fn journals_cover_every_controlled_run() {
+        let (study, journals) = run_smoke();
         // One journal per (op, objective) controlled run, in study order.
         assert_eq!(journals.len(), 2 * ObjectiveKind::ALL.len());
         for (case, chunk) in study
@@ -500,7 +491,7 @@ mod tests {
 
     #[test]
     fn explain_render_is_deterministic_and_names_gates_and_votes() {
-        let (_, journals) = run_smoke_explained();
+        let (_, journals) = run_smoke();
         let text = render_explain(&journals);
         assert_eq!(text, render_explain(&journals), "pure function of input");
         assert!(text.contains("GEMM / gflops-w"));
@@ -551,7 +542,7 @@ mod tests {
 
     #[test]
     fn render_shows_per_objective_rows_and_recap_profiles() {
-        let text = render(&run_smoke());
+        let text = render(&run_smoke().0);
         for name in ["gflops-w", "edp", "ed2p", "perf-floor"] {
             assert!(text.contains(name), "missing {name}");
         }

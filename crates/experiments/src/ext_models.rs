@@ -12,7 +12,7 @@ use crate::format::{f, pct, TextTable};
 use serde::{Deserialize, Serialize};
 use ugpc_capping::{apply_gpu_caps, CapConfig};
 use ugpc_hwsim::{Node, OpKind, PlatformId, Precision};
-use ugpc_runtime::{simulate_with_model, DataRegistry, PerfModel, SimOptions};
+use ugpc_runtime::{simulate_observed, DataRegistry, PerfModel, SimOptions, TraceBuilder};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelRow {
@@ -62,7 +62,16 @@ fn run_once(
         refine_models: refine,
         ..Default::default()
     };
-    let trace = simulate_with_model(&mut node, &op.graph, &mut reg, options, perf);
+    let mut builder = TraceBuilder::new();
+    simulate_observed(
+        &mut node,
+        &op.graph,
+        &mut reg,
+        options,
+        perf,
+        &mut [&mut builder],
+    );
+    let trace = builder.into_trace();
     ModelRow {
         label: String::new(),
         gflops: trace.perf().as_gflops(),

@@ -12,8 +12,9 @@
 use crate::format::{f, TextTable};
 use serde::{Deserialize, Serialize};
 use ugpc_capping::CapConfig;
-use ugpc_core::{run_study_profiled, ProfiledRun, RunConfig};
+use ugpc_core::{try_run_study_with, ProfiledRun, RunConfig, StudyOptions};
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
+use ugpc_telemetry::CriticalPathProfiler;
 
 /// One configuration's run + attribution profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,9 +49,20 @@ pub fn run_with(platform: PlatformId, op: OpKind, scale: usize, top_k: usize) ->
             let cfg = RunConfig::paper(platform, op, Precision::Double)
                 .scaled_down(scale)
                 .with_gpu_config(config);
+            let mut profiler = CriticalPathProfiler::new().with_top_k(top_k);
+            let options = StudyOptions {
+                observers: vec![&mut profiler],
+                ..Default::default()
+            };
+            let report = try_run_study_with(&cfg, options)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .report;
             ProfileRow {
                 config: name,
-                profiled: run_study_profiled(&cfg, top_k),
+                profiled: ProfiledRun {
+                    report,
+                    profile: profiler.into_report(),
+                },
             }
         })
         .collect();

@@ -53,7 +53,7 @@ pub use observer::{
 };
 pub use perfmodel::PerfModel;
 pub use sched::{SchedPolicy, SchedView, Scheduler};
-pub use sim::{simulate, simulate_controlled, simulate_observed, simulate_with_model, SimOptions};
+pub use sim::{simulate, simulate_controlled, simulate_observed, SimOptions};
 pub use task::{distinct_footprints, AccessMode, Footprint, KernelKind, TaskDesc, TaskId};
 pub use timeline::{PowerProfile, PowerTimeline};
 pub use trace::{RunTrace, TaskRecord, TraceBuilder};

@@ -11,7 +11,8 @@
 //! engines, residency, the ready frontier); every statistic is emitted as
 //! an [`ExecEvent`](crate::observer::ExecEvent) through the observer
 //! pipeline — [`simulate`] is a thin wrapper attaching a
-//! [`TraceBuilder`](crate::trace::TraceBuilder) to [`simulate_observed`].
+//! [`TraceBuilder`](crate::trace::TraceBuilder) to [`simulate_observed`],
+//! which is [`simulate_controlled`] without a control hook.
 
 use crate::arena::with_run_arena;
 use crate::control::{ControlHook, SimEvent};
@@ -69,33 +70,24 @@ pub fn simulate(
     data: &mut DataRegistry,
     options: SimOptions,
 ) -> RunTrace {
-    let mut perf = PerfModel::new();
-    simulate_with_model(node, graph, data, options, &mut perf)
-}
-
-/// Like [`simulate`] but reusing (and extending) a caller-provided
-/// performance model — the model must have been calibrated at the same
-/// power caps, or scheduling decisions will be based on stale estimates
-/// (which is itself an interesting experiment).
-pub fn simulate_with_model(
-    node: &mut Node,
-    graph: &TaskGraph,
-    data: &mut DataRegistry,
-    options: SimOptions,
-    perf: &mut PerfModel,
-) -> RunTrace {
     let mut builder = TraceBuilder::new();
-    {
-        let mut observers: [&mut dyn Observer; 1] = [&mut builder];
-        simulate_observed(node, graph, data, options, perf, &mut observers);
-    }
+    simulate_observed(
+        node,
+        graph,
+        data,
+        options,
+        &mut PerfModel::new(),
+        &mut [&mut builder],
+    );
     builder.into_trace()
 }
 
-/// The core executor: run `graph` on `node`, emitting the event stream to
-/// `observers` and returning the run-level summary. Observers are
-/// read-only witnesses — nothing they do can perturb virtual time,
-/// scheduling, or device state (see [`crate::observer`]).
+/// The executor without a control plane: run `graph` on `node`, emitting
+/// the event stream to `observers` and returning the run-level summary.
+/// `perf` is calibrated for every footprint it does not know yet; a model
+/// calibrated at other caps is used as is (a stale-model experiment).
+/// Observers are read-only witnesses — nothing they do can perturb
+/// virtual time, scheduling, or device state (see [`crate::observer`]).
 pub fn simulate_observed(
     node: &mut Node,
     graph: &TaskGraph,
@@ -104,18 +96,16 @@ pub fn simulate_observed(
     perf: &mut PerfModel,
     observers: &mut [&mut dyn Observer],
 ) -> RunSummary {
-    with_run_arena(|arena| {
-        simulate_in_arena(arena, node, graph, data, options, perf, observers, None)
-    })
+    simulate_controlled(node, graph, data, options, perf, observers, None)
 }
 
-/// [`simulate_observed`] with a control-plane hook attached. The hook
-/// sees the same live event stream the observers do, but — unlike
-/// observers, which are read-only witnesses — may schedule
+/// The core executor: [`simulate_observed`] with an optional control-plane
+/// hook. The hook sees the same live event stream the observers do, but —
+/// unlike observers — may schedule
 /// [`RecapEvent`](crate::control::RecapEvent)s through the DES event
 /// queue that change device power limits while the DAG executes (see
-/// [`crate::control`] for the ordering and determinism contract). A
-/// quiescent hook is outcome-neutral; an active one deliberately
+/// [`crate::control`] for the ordering and determinism contract). No hook,
+/// or a quiescent one, is outcome-neutral; an active one deliberately
 /// changes the run.
 pub fn simulate_controlled(
     node: &mut Node,
@@ -124,19 +114,10 @@ pub fn simulate_controlled(
     options: SimOptions,
     perf: &mut PerfModel,
     observers: &mut [&mut dyn Observer],
-    hook: &mut dyn ControlHook,
+    hook: Option<&mut dyn ControlHook>,
 ) -> RunSummary {
     with_run_arena(|arena| {
-        simulate_in_arena(
-            arena,
-            node,
-            graph,
-            data,
-            options,
-            perf,
-            observers,
-            Some(hook),
-        )
+        simulate_in_arena(arena, node, graph, data, options, perf, observers, hook)
     })
 }
 

@@ -15,17 +15,16 @@
 //!   queueing delay is not hidden). `--batch B` submits `batch` lines
 //!   of `B` configs instead of individual `run` lines. Reports
 //!   throughput and p50/p99/p999 latency.
-//! - **Suite mode** (`--suite`): spawns in-process servers and runs the
-//!   comparison matrix — event-loop pipelined, event-loop batched,
-//!   seed blocking baseline, and an open-loop latency probe — writing
-//!   `BENCH_serve.json` (see `--json`).
+//! - **Suite mode** (`--suite`): spawns an in-process server and runs
+//!   the comparison matrix — pipelined, batched, and an open-loop
+//!   latency probe — writing `BENCH_serve.json` (see `--json`).
 //!
 //! ```text
 //! ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N] [--threads T]
 //!                   [--unique K] [--scale S] [--require-hits]
 //!                   [--connections C] [--pipeline D] [--batch B]
-//!                   [--open-rate R] [--server-mode eventloop|blocking]
-//!                   [--suite] [--json PATH] [--introspect PATH]
+//!                   [--open-rate R] [--suite] [--json PATH]
+//!                   [--introspect PATH]
 //! ```
 //!
 //! The harness primes the cache (one warm-up run per unique config)
@@ -39,7 +38,7 @@
 //! the report — worst-K span trees, last-N spans, per-phase p50/p99
 //! decomposition — as pretty JSON to PATH; CI uploads it as the
 //! tail-latency attribution artifact. Applies to harness mode and to
-//! the event-loop leg of `--suite`.
+//! `--suite`.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -55,7 +54,7 @@ use ugpc_serve::net::{Interest, Poller};
 use ugpc_serve::protocol::encode;
 use ugpc_serve::{
     error_code, Client, ClientError, IntrospectRequest, Request, Response, RunRequest,
-    ServeOptions, Server, ServerMode,
+    ServeOptions, Server,
 };
 
 struct Args {
@@ -70,7 +69,6 @@ struct Args {
     pipeline: usize,
     batch: usize,
     open_rate: f64,
-    server_mode: ServerMode,
     suite: bool,
     json: Option<String>,
     introspect: Option<String>,
@@ -89,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
         pipeline: 1,
         batch: 0,
         open_rate: 0.0,
-        server_mode: ServerMode::EventLoop,
         suite: false,
         json: None,
         introspect: None,
@@ -117,13 +114,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<f64>()
                     .map_err(|e| format!("bad --open-rate: {e}"))?;
             }
-            "--server-mode" => {
-                args.server_mode = match val("--server-mode")?.as_str() {
-                    "eventloop" => ServerMode::EventLoop,
-                    "blocking" => ServerMode::Blocking,
-                    other => return Err(format!("unknown server mode {other:?}")),
-                };
-            }
             "--suite" => args.suite = true,
             "--json" => args.json = Some(val("--json")?),
             "--introspect" => args.introspect = Some(val("--introspect")?),
@@ -132,8 +122,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N] \
                      [--threads T] [--unique K] [--scale S] [--require-hits] \
                      [--connections C] [--pipeline D] [--batch B] [--open-rate R] \
-                     [--server-mode eventloop|blocking] [--suite] [--json PATH] \
-                     [--introspect PATH]"
+                     [--suite] [--json PATH] [--introspect PATH]"
                 );
                 std::process::exit(0);
             }
@@ -182,7 +171,6 @@ struct LoadSpec {
 
 struct LoadResult {
     label: String,
-    server_mode: &'static str,
     loop_kind: &'static str,
     connections: usize,
     pipeline: usize,
@@ -203,13 +191,12 @@ struct LoadResult {
 impl LoadResult {
     fn to_json(&self) -> String {
         format!(
-            "{{\"label\": {:?}, \"server_mode\": {:?}, \"loop\": {:?}, \
+            "{{\"label\": {:?}, \"loop\": {:?}, \
              \"connections\": {}, \"pipeline\": {}, \"batch\": {}, \"requests\": {}, \
              \"wall_s\": {:.4}, \"throughput_rps\": {:.1}, \"mean_us\": {:.2}, \
              \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {}, \
              \"errors\": {}, \"cache_hit_rate\": {:.4}, \"simulations\": {}}}",
             self.label,
-            self.server_mode,
             self.loop_kind,
             self.connections,
             self.pipeline,
@@ -292,7 +279,7 @@ fn flush_conn(poller: &Poller, conn: &mut BConn, token: u64) -> Result<(), Strin
 /// Run one load phase against a serving `addr`. Single-threaded: all
 /// connections are multiplexed over one poller, which easily saturates
 /// the (local) server on the cache-hit path.
-fn run_load(addr: &str, spec: &LoadSpec, server_mode: &'static str) -> Result<LoadResult, String> {
+fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadResult, String> {
     // Prime the cache so the timed phase measures the serving layer, not
     // the simulator.
     let mut prime = Client::connect(addr).map_err(|e| format!("prime connect: {e}"))?;
@@ -481,7 +468,6 @@ fn run_load(addr: &str, spec: &LoadSpec, server_mode: &'static str) -> Result<Lo
     };
     Ok(LoadResult {
         label: spec.label.clone(),
-        server_mode,
         loop_kind: if open { "open" } else { "closed" },
         connections: conn_count,
         pipeline: spec.pipeline,
@@ -545,18 +531,15 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
     let batch = if args.batch > 1 { args.batch } else { 16 };
     let mut results: Vec<LoadResult> = Vec::new();
 
-    // Event-loop server: pipelined, batched, then an open-loop probe.
-    // Suite servers log nowhere — at suite request rates the per-request
-    // log lines would dominate the measurement.
+    // Pipelined, batched, then an open-loop probe. The suite server logs
+    // nowhere — at suite request rates the per-request log lines would
+    // dominate the measurement.
     let server = Server::bind_with_logger(
         "127.0.0.1:0",
-        ServeOptions {
-            mode: ServerMode::EventLoop,
-            ..ServeOptions::default()
-        },
+        ServeOptions::default(),
         ugpc_telemetry::Logger::disabled(),
     )
-    .map_err(|e| format!("bind eventloop: {e}"))?;
+    .map_err(|e| format!("bind: {e}"))?;
     let handle = server.spawn();
     let addr = handle.addr().to_string();
     results.push(run_load(
@@ -571,7 +554,6 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
             scale: args.scale,
             open_rate: 0.0,
         },
-        "eventloop",
     )?);
     results.push(run_load(
         &addr,
@@ -585,7 +567,6 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
             scale: args.scale,
             open_rate: 0.0,
         },
-        "eventloop",
     )?);
     let closed_rps = results[0].throughput_rps;
     results.push(run_load(
@@ -603,7 +584,6 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
             // growth at saturation.
             open_rate: (closed_rps * 0.25).max(100.0),
         },
-        "eventloop",
     )?);
     // Drain the flight recorder while the load's span records are still
     // in the rings — the tail-latency attribution artifact.
@@ -612,66 +592,14 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
     }
     handle.stop();
 
-    // Seed blocking baseline: thread-per-connection, depth-1 turns (the
-    // seed client had no pipelining). Measured twice: at its own sweet
-    // spot (64 connections) and at the headline concurrency, which is
-    // what the speedup headline compares against — same offered
-    // concurrency, seed architecture vs event loop.
-    let server = Server::bind_with_logger(
-        "127.0.0.1:0",
-        ServeOptions {
-            mode: ServerMode::Blocking,
-            ..ServeOptions::default()
-        },
-        ugpc_telemetry::Logger::disabled(),
-    )
-    .map_err(|e| format!("bind blocking: {e}"))?;
-    let handle = server.spawn();
-    let addr = handle.addr().to_string();
-    results.push(run_load(
-        &addr,
-        &LoadSpec {
-            label: "blocking/c64/d1".to_string(),
-            connections: 64.min(connections),
-            pipeline: 1,
-            batch: 0,
-            requests: (n / 10).max(1000),
-            unique: args.unique,
-            scale: args.scale,
-            open_rate: 0.0,
-        },
-        "blocking",
-    )?);
-    results.push(run_load(
-        &addr,
-        &LoadSpec {
-            label: format!("blocking/c{connections}/d1"),
-            connections,
-            pipeline: 1,
-            batch: 0,
-            requests: (n / 10).max(1000),
-            unique: args.unique,
-            scale: args.scale,
-            open_rate: 0.0,
-        },
-        "blocking",
-    )?);
-    handle.stop();
-
-    let blocking_rps = results
-        .last()
-        .map(|r| r.throughput_rps)
-        .unwrap_or(f64::INFINITY);
-    let speedup = closed_rps / blocking_rps.max(1e-9);
     let errors: u64 = results.iter().map(|r| r.errors).sum();
     let body: Vec<String> = results
         .iter()
         .map(|r| format!("    {}", r.to_json()))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"results\": [\n{}\n  ],\n  \"speedup_vs_blocking\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"results\": [\n{}\n  ]\n}}\n",
         body.join(",\n"),
-        speedup
     );
     Ok((json, errors))
 }
@@ -773,13 +701,7 @@ fn main() -> ExitCode {
     }
 
     let spawned = if args.spawn {
-        let server = match Server::bind(
-            "127.0.0.1:0",
-            ServeOptions {
-                mode: args.server_mode,
-                ..ServeOptions::default()
-            },
-        ) {
+        let server = match Server::bind("127.0.0.1:0", ServeOptions::default()) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: bind: {e}");
@@ -798,12 +720,8 @@ fn main() -> ExitCode {
 
     if args.connections > 0 {
         // Harness mode.
-        let mode_label = match args.server_mode {
-            ServerMode::EventLoop => "eventloop",
-            ServerMode::Blocking => "blocking",
-        };
         let spec = LoadSpec {
-            label: format!("{mode_label}/c{}/d{}", args.connections, args.pipeline),
+            label: format!("eventloop/c{}/d{}", args.connections, args.pipeline),
             connections: args.connections,
             pipeline: args.pipeline,
             batch: args.batch,
@@ -812,7 +730,7 @@ fn main() -> ExitCode {
             scale: args.scale,
             open_rate: args.open_rate,
         };
-        let result = match run_load(&addr, &spec, mode_label) {
+        let result = match run_load(&addr, &spec) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");

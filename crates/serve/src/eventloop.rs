@@ -9,9 +9,9 @@
 //! connection-local sequence number when it is parsed; replies are
 //! emitted strictly in sequence order, buffered in a reorder window when
 //! simulations complete out of order. The reply *bytes* on every path
-//! are produced by the same [`Service`] entry points as the blocking
-//! transport, so the two are byte-identical by construction (the
-//! differential suite pins this).
+//! are produced by the same [`Service`] entry points as the in-process
+//! [`Service::handle_line`], so the two are byte-identical by
+//! construction (the differential suite pins this).
 //!
 //! ## Shard anatomy
 //!
@@ -25,10 +25,9 @@
 //! ## Shutdown
 //!
 //! A wire `Shutdown` sets the service flag; the observing shard pokes
-//! the acceptor loose with a loopback connect (exactly like the seed
-//! blocking transport), the acceptor wakes every shard, and each shard
-//! drains outstanding replies (bounded by a drain deadline), flushes
-//! blockingly, and exits.
+//! the acceptor loose with a loopback connect, the acceptor wakes every
+//! shard, and each shard drains outstanding replies (bounded by a drain
+//! deadline), flushes blockingly, and exits.
 //!
 //! ## Request spans
 //!
@@ -188,7 +187,7 @@ pub(crate) fn serve(listener: TcpListener, service: Arc<Service>) {
         }
     }
 
-    // The accept loop — same shape as the seed blocking transport.
+    // The accept loop: hand each connection to the next shard.
     let mut rr = 0usize;
     for stream in listener.incoming() {
         if service.shutdown_requested() {
@@ -276,8 +275,8 @@ fn shard_main(
 fn publish_depths(shard_idx: usize, service: &Arc<Service>, conns: &HashMap<u64, Conn>) {
     let (mut inflight, mut backlog) = (0u64, 0u64);
     // Sums are order-independent.
-    for c in conns.values() {
-        // lint:allow hash-iteration
+    let open = conns.values(); // lint:allow hash-iteration
+    for c in open {
         inflight += c.next_seq - c.next_emit;
         backlog += c.wbuf.len() as u64;
     }
@@ -382,8 +381,7 @@ fn read_and_process(
     while let Some(nl) = rbuf[start..].iter().position(|&b| b == b'\n') {
         let end = start + nl;
         let Ok(line) = std::str::from_utf8(&rbuf[start..end]) else {
-            // The seed transport (BufReader::lines) drops the connection
-            // on invalid UTF-8; mirror that.
+            // Invalid UTF-8 is not a request line: drop the connection.
             conn.read_closed = true;
             start = rbuf.len();
             break;
@@ -503,7 +501,7 @@ fn process_line(
         // flag; the loop observes it after this event round).
         Ok(other) => {
             let seq = conn.alloc_seq();
-            let reply = service.handle_request(other);
+            let reply = service.handle_op(other);
             service.mark_phase(&mut spans, Phase::Serialize);
             conn.pending.insert(seq, reply.into());
             record_span(service, shard_idx, spans);

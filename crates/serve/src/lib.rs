@@ -55,6 +55,6 @@ pub use protocol::{
     Request, Response, RunRequest, SpanDump,
 };
 pub use server::{Server, ServerHandle};
-pub use service::{ServeOptions, ServerMode, Service};
+pub use service::{ServeOptions, Service};
 pub use stats::{CacheStats, OpLatency, PersistStats, ShardDepths, StatsReport};
 pub use ugpc_telemetry::{Level, Logger, Registry, TraceCtx};

@@ -1,22 +1,10 @@
-//! The TCP layer, in one of two architectures selected by
-//! [`ServeOptions::mode`](crate::ServeOptions):
-//!
-//! - [`ServerMode::EventLoop`] (default) — the non-blocking sharded
-//!   readiness loop in [`crate::eventloop`], with request pipelining and
-//!   batch submission.
-//! - [`ServerMode::Blocking`] — the seed architecture kept as the
-//!   differential baseline: one OS thread per connection (requests
-//!   within a connection are served in order; concurrency comes from
-//!   concurrent connections), all simulation work funneled through the
-//!   service's bounded pool.
-//!
-//! Both exit when a `Shutdown` request arrives — the handler sets the
-//! service flag and pokes the listener with a loopback connect so
-//! `accept` returns. Both produce byte-identical reply lines (the
-//! differential suite pins this).
+//! The TCP layer: bind a listener and hand it to the non-blocking
+//! sharded event loop in [`crate::eventloop`], with request pipelining
+//! and batch submission. The server exits when a `Shutdown` request
+//! arrives — the handler sets the service flag and pokes the listener
+//! with a loopback connect so `accept` returns.
 
-use crate::service::{ServeOptions, ServerMode, Service};
-use std::io::{BufRead, BufReader, Write};
+use crate::service::{ServeOptions, Service};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,29 +52,7 @@ impl Server {
 
     /// Serve until shutdown. Blocks the calling thread.
     pub fn run(self) {
-        match self.service.options().mode {
-            ServerMode::EventLoop => crate::eventloop::serve(self.listener, self.service),
-            ServerMode::Blocking => self.run_blocking(),
-        }
-    }
-
-    /// The seed thread-per-connection accept loop.
-    fn run_blocking(self) {
-        let addr = self.local_addr();
-        for stream in self.listener.incoming() {
-            if self.service.shutdown_requested() {
-                break;
-            }
-            match stream {
-                Ok(stream) => {
-                    let service = self.service.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("ugpc-serve-conn".to_string())
-                        .spawn(move || handle_connection(&service, stream, addr));
-                }
-                Err(e) => eprintln!("[ugpc-serve] accept error: {e}"),
-            }
-        }
+        crate::eventloop::serve(self.listener, self.service);
     }
 
     /// Serve on a background thread; returns a handle that can stop the
@@ -142,45 +108,4 @@ impl Drop for ServerHandle {
             let _ = join.join();
         }
     }
-}
-
-fn handle_connection(service: &Arc<Service>, stream: TcpStream, addr: SocketAddr) {
-    // One-line request/response turns: without TCP_NODELAY, Nagle plus
-    // the peer's delayed ACK adds ~40 ms to every round trip.
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    {
-        *service.metrics.open_connections.lock() += 1;
-    }
-    service.logger.debug("connection opened", None, &[]);
-    let reader = BufReader::new(read_half);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // One wire line may yield several reply lines (batch submission).
-        let responses = service.handle_line_multi(&line);
-        let mut wrote = true;
-        for response in &responses {
-            if writer.write_all(response.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-                wrote = false;
-                break;
-            }
-        }
-        if !wrote || writer.flush().is_err() {
-            break;
-        }
-        if service.shutdown_requested() {
-            // We may have just handled the Shutdown request on this very
-            // connection: unblock the accept loop ourselves.
-            let _ = TcpStream::connect(addr);
-            break;
-        }
-    }
-    *service.metrics.open_connections.lock() -= 1;
-    service.logger.debug("connection closed", None, &[]);
 }

@@ -3,8 +3,11 @@
 //!
 //! Keeping this free of sockets means the whole service contract —
 //! single-flight, backpressure, error replies, stats — is unit-testable
-//! without TCP, and the TCP layer ([`crate::server`]) stays a thin
-//! accept-and-shuttle loop.
+//! without TCP. There is one run path: [`Service::handle_run_async`].
+//! The event loop ([`crate::eventloop`]) drives it with completion
+//! callbacks; [`Service::handle_line`] drives the same path and waits for
+//! the callback, which makes it the in-process reference the wire is
+//! differential-tested against.
 
 use crate::cache::{Begin, ResultCache};
 use crate::persist::AppendLog;
@@ -18,10 +21,8 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use ugpc_core::{
-    run_dynamic_study, run_study_observed, try_run_study, try_run_study_traced, RunConfig,
-};
-use ugpc_runtime::export::PerfettoSink;
+use ugpc_core::{run_dynamic_study, try_run_study_with, RunConfig, StudyOptions, TracedRun};
+use ugpc_runtime::{Observer, PerfettoSink, PowerTimeline};
 use ugpc_telemetry::{
     json_str, FlightRecorder, HistogramSnapshot, Level, Logger, Phase, RequestSpans, SpanTree,
     TraceCtx,
@@ -31,19 +32,6 @@ use ugpc_telemetry::{
 /// travel to the pool worker inside the job box and come back through
 /// the flight's completion callback, so both sides share this cell.
 type SpanCell = Arc<Mutex<Option<RequestSpans>>>;
-
-/// How the TCP layer serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Non-blocking event loop: an acceptor thread dispatches
-    /// connections across shard threads, each running an epoll-style
-    /// readiness loop with request pipelining and batch submission.
-    /// The default.
-    EventLoop,
-    /// The seed thread-per-connection blocking loop, kept as the
-    /// differential baseline.
-    Blocking,
-}
 
 /// Tunables for one service instance.
 #[derive(Debug, Clone)]
@@ -62,8 +50,7 @@ pub struct ServeOptions {
     /// Cap on `power_bins` (bounds the size of a traced response).
     pub max_power_bins: usize,
     /// Event-loop shard threads (connections are dispatched across
-    /// them; also sizes the per-shard latency histogram sets). Ignored
-    /// by the blocking mode, which records into shard 0.
+    /// them; also sizes the per-shard latency histogram sets).
     pub shards: usize,
     /// Requested result-cache shards (clamped by capacity — see
     /// [`ResultCache::with_options`]).
@@ -75,8 +62,6 @@ pub struct ServeOptions {
     /// disables persistence. An unopenable log is a warning, not a
     /// startup failure — the service falls back to memory-only.
     pub persist_path: Option<std::path::PathBuf>,
-    /// Which TCP serving architecture [`crate::Server`] runs.
-    pub mode: ServerMode,
     /// Attach the in-memory flight recorder (request span rings +
     /// per-phase histograms, served by `Request::Introspect`). On by
     /// default; turning it off is the differential-test axis proving
@@ -100,7 +85,6 @@ impl Default for ServeOptions {
             cache_shards: 8,
             max_batch: 64,
             persist_path: None,
-            mode: ServerMode::EventLoop,
             recorder: true,
             recorder_capacity: 256,
         }
@@ -118,8 +102,7 @@ pub struct Service {
     /// (unlike the pool's job counter, which lags the flight).
     simulations: Arc<AtomicU64>,
     /// Per-shard span rings + phase histograms; `None` when
-    /// `ServeOptions::recorder` is off (or under the blocking server,
-    /// which never records spans).
+    /// `ServeOptions::recorder` is off.
     recorder: Option<Arc<FlightRecorder>>,
     options: ServeOptions,
     shutdown: AtomicBool,
@@ -201,7 +184,7 @@ impl Service {
 
     /// Decode one wire line, counting it and producing the parse-error
     /// reply line on failure. One increment of `requests_total` per wire
-    /// line, batch or not — both transports route through here.
+    /// line, batch or not.
     pub(crate) fn decode_line(&self, line: &str) -> Result<Request, String> {
         self.metrics.requests_total.inc();
         decode::<Request>(line.trim()).map_err(|e| {
@@ -215,36 +198,32 @@ impl Service {
     }
 
     /// Handle one wire line, returning the response line (without the
-    /// trailing newline). Never panics on malformed input. Single-reply
-    /// entry point: a `Batch` line needs [`Service::handle_line_multi`]
-    /// and is answered here with a structured error.
+    /// trailing newline). Never panics on malformed input. Runs take the
+    /// event loop's path and block until their completion callback
+    /// fires, so the bytes are the wire's bytes. Single-reply entry
+    /// point: a `Batch` line is answered with a structured error.
     pub fn handle_line(self: &Arc<Self>, line: &str) -> String {
         match self.decode_line(line) {
             Err(error_line) => error_line,
-            Ok(Request::Batch(_)) => encode(&Response::Error(ErrorReply::new(
-                error_code::BAD_REQUEST,
-                "batch requests need a batch-aware transport entry point",
-            ))),
-            Ok(request) => self.handle_request(request),
+            Ok(Request::Run(run)) => self.handle_run(run),
+            Ok(request) => self.handle_op(request),
         }
     }
 
-    /// Handle one wire line that may be a `Batch`: returns one reply
-    /// line per reply slot, in order (a batch of N yields N lines; an
-    /// empty batch yields zero; everything else yields one). The
-    /// blocking transport's entry point.
-    pub fn handle_line_multi(self: &Arc<Self>, line: &str) -> Vec<String> {
-        match self.decode_line(line) {
-            Err(error_line) => vec![error_line],
-            Ok(Request::Batch(runs)) => match self.admit_batch(&runs) {
-                Err(error_line) => runs.iter().map(|_| error_line.clone()).collect(),
-                Ok(()) => runs
-                    .into_iter()
-                    .map(|run| self.handle_request(Request::Run(run)))
-                    .collect(),
-            },
-            Ok(request) => vec![self.handle_request(request)],
-        }
+    /// [`Service::handle_run_async`] on shard 0, waiting for the reply.
+    fn handle_run(self: &Arc<Self>, run: RunRequest) -> String {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let immediate = self.handle_run_async(run, 0, None, move |line, _| {
+            let _ = tx.send(line);
+        });
+        let line = match immediate {
+            Some((line, _)) => line,
+            // A dropped sender means the flight's callback never ran.
+            None => rx
+                .recv()
+                .unwrap_or_else(|_| render_flight(Err("reply lost".into()))),
+        };
+        line.to_string()
     }
 
     /// Batch admission: every slot of an over-sized batch gets the same
@@ -263,9 +242,9 @@ impl Service {
         Ok(())
     }
 
-    /// Dispatch one decoded request synchronously (blocking transport
-    /// and unit tests).
-    pub(crate) fn handle_request(self: &Arc<Self>, request: Request) -> String {
+    /// Answer one ops request inline: everything but `Run` and `Batch`,
+    /// which need the run path.
+    pub(crate) fn handle_op(&self, request: Request) -> String {
         match request {
             Request::Ping => encode(&Response::Pong),
             Request::Stats => {
@@ -296,15 +275,11 @@ impl Service {
                 self.request_shutdown();
                 encode(&Response::ShuttingDown)
             }
-            Request::Run(mut run) => {
-                let ctx = self.resolve_and_log(&mut run);
-                self.handle_run(&run, ctx)
-            }
-            // Unreachable through the public entry points (both split
-            // batches before dispatch); degrade to a structured reply.
-            Request::Batch(_) => encode(&Response::Error(ErrorReply::new(
+            // Only a `Batch` line through `handle_line` gets here: both
+            // callers dispatch runs before calling this.
+            Request::Run(_) | Request::Batch(_) => encode(&Response::Error(ErrorReply::new(
                 error_code::BAD_REQUEST,
-                "nested batch",
+                "batch requests need a batch-aware transport entry point",
             ))),
         }
     }
@@ -406,57 +381,11 @@ impl Service {
     }
 
     /// Checkpoint `phase` on the request's spans, if both the recorder
-    /// and the spans exist (they are attached together by the event
-    /// loop; both are absent on the blocking path).
+    /// and the spans exist (the event loop attaches them together;
+    /// [`Service::handle_line`] runs without spans).
     pub(crate) fn mark_phase(&self, spans: &mut Option<RequestSpans>, phase: Phase) {
         if let (Some(rec), Some(s)) = (&self.recorder, spans.as_mut()) {
             s.mark(phase, rec.now_us());
-        }
-    }
-
-    /// The run path: validate, consult the cache (single-flight), and on
-    /// a miss simulate on the worker pool — or bounce with backpressure.
-    fn handle_run(self: &Arc<Self>, run: &RunRequest, ctx: TraceCtx) -> String {
-        let t0 = Instant::now();
-        let cfg = match self.validate_run(run) {
-            Ok(cfg) => cfg,
-            Err(reply) => {
-                self.metrics.invalid_configs.inc();
-                self.logger.warn(
-                    "run rejected",
-                    Some(ctx),
-                    &[("reason", json_str(&reply.message))],
-                );
-                return encode(&Response::Error(reply));
-            }
-        };
-        match self.cache.begin(run.cache_key_with(&cfg)) {
-            Begin::Hit(line) => {
-                self.metrics.run_hit.record(t0.elapsed());
-                self.logger.debug("cache hit", Some(ctx), &[]);
-                line.to_string()
-            }
-            Begin::Wait(flight) => {
-                self.logger
-                    .debug("coalesced behind in-flight run", Some(ctx), &[]);
-                let out = render_flight(ResultCache::wait(&flight));
-                self.metrics.run_wait.record(t0.elapsed());
-                out
-            }
-            Begin::Lead(guard) => {
-                // The leader observes its own flight directly — the
-                // guard exposes it — so no re-registration (and no
-                // coalesced-counter bookkeeping) is needed.
-                let flight = guard.flight();
-                self.logger
-                    .debug("cache miss, leading simulation", Some(ctx), &[]);
-                if let Some(reply) = self.lead_simulation(run, ctx, guard, None) {
-                    return reply; // backpressure: flight already failed
-                }
-                let out = render_flight(ResultCache::wait(&flight));
-                self.metrics.run_miss.record(t0.elapsed());
-                out
-            }
         }
     }
 
@@ -508,9 +437,10 @@ impl Service {
         None
     }
 
-    /// The event-loop run path: same validation/cache/pool protocol as
-    /// [`Service::handle_run`], but instead of blocking on an in-flight
-    /// simulation it subscribes a completion callback. Returns
+    /// The run path: validate, consult the cache (single-flight), and on
+    /// a miss simulate on the worker pool — or bounce with backpressure.
+    /// It never blocks on an in-flight simulation; it subscribes a
+    /// completion callback instead. Returns
     /// `Some((reply, spans))` when the answer is available immediately
     /// (validation error, cache hit, backpressure); `None` when
     /// `complete` will be invoked exactly once with the reply line and
@@ -569,7 +499,7 @@ impl Service {
                         if let (Some(rec), Some(s)) = (&rec, spans.as_mut()) {
                             s.mark(Phase::FlightWait, rec.now_us());
                         }
-                        complete(render_flight_arc(res), spans);
+                        complete(render_flight(res), spans);
                     }),
                 );
                 None
@@ -594,7 +524,7 @@ impl Service {
                         // Runs inside `fulfill`, after the worker's
                         // Serialize mark — the take sees every phase.
                         let spans = cell.and_then(|c| c.lock().take());
-                        complete(render_flight_arc(res), spans);
+                        complete(render_flight(res), spans);
                     }),
                 );
                 None
@@ -745,7 +675,7 @@ impl Service {
 }
 
 /// Checkpoint `phase` on the spans travelling inside a leader's cell
-/// (no-ops without a recorder or without spans — the blocking path and
+/// (no-ops without a recorder or without spans — in-process calls and
 /// recorder-off servers pay one `None` check).
 fn mark_cell(rec: &Option<Arc<FlightRecorder>>, cell: &Option<SpanCell>, phase: Phase) {
     if let (Some(rec), Some(cell)) = (rec, cell) {
@@ -782,15 +712,10 @@ fn phase_latency(phase: &str, snap: &HistogramSnapshot) -> PhaseLatency {
     }
 }
 
-/// Render a resolved flight into the reply line (errors become the same
-/// structured `internal` reply the blocking path produces).
-fn render_flight(res: Result<Arc<str>, String>) -> String {
-    render_flight_arc(res).to_string()
-}
-
-/// [`render_flight`] without the copy — the async paths hand the cached
-/// line onward by reference count.
-fn render_flight_arc(res: Result<Arc<str>, String>) -> Arc<str> {
+/// Render a resolved flight into the reply line (a failed flight becomes
+/// a structured `internal` error), handing the cached line onward by
+/// reference count.
+fn render_flight(res: Result<Arc<str>, String>) -> Arc<str> {
     match res {
         Ok(line) => line,
         Err(msg) => encode(&Response::Error(ErrorReply::new(error_code::INTERNAL, msg))).into(),
@@ -798,47 +723,59 @@ fn render_flight_arc(res: Result<Arc<str>, String>) -> Arc<str> {
 }
 
 /// Execute a validated run request — the only place the service touches
-/// the simulator. Runs on a pool worker.
+/// the simulator. Runs on a pool worker. Every static-run shape (plain,
+/// traced, controlled, Perfetto) is one [`try_run_study_with`] call with
+/// different options; only the between-iteration dynamic study has its
+/// own driver.
 fn simulate_response(run: &RunRequest) -> Response {
     let cfg = run.effective_config();
-    if run.wants_perfetto() {
-        // Validated: perfetto excludes dynamic/traced modes. The trace
-        // context was resolved by the service before keying; adopt()
-        // here only covers direct calls in tests.
-        if let Err(e) = cfg.validate() {
-            return Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string()));
-        }
-        let ctx = TraceCtx::adopt(run.trace);
+    if let Some(k) = run.dynamic_iterations {
+        // Validated: k >= 1, the config passed `validate()`, and dynamic
+        // studies exclude the other modes, so the study's `expect`s hold.
+        return Response::Dynamic(run_dynamic_study(&cfg, k));
+    }
+    // The trace context was resolved by the service before keying;
+    // adopt() here only covers direct calls in tests.
+    let ctx = TraceCtx::adopt(run.trace);
+    let mut sink = run.wants_perfetto().then(|| {
         let mut sink = PerfettoSink::new();
         sink.set_trace_ids(&ctx.trace_hex(), &ctx.span_hex());
-        let report = run_study_observed(&cfg, &mut [&mut sink]);
-        return Response::Perfetto(PerfettoRun {
-            report,
+        sink
+    });
+    let mut timeline = run.power_bins.map(PowerTimeline::new);
+    let mut observers: Vec<&mut dyn Observer> = Vec::new();
+    if let Some(sink) = sink.as_mut() {
+        observers.push(sink);
+    }
+    if let Some(timeline) = timeline.as_mut() {
+        observers.push(timeline);
+    }
+    let options = StudyOptions {
+        controller: run.controller.clone(),
+        observers,
+        ..Default::default()
+    };
+    let study = match try_run_study_with(&cfg, options) {
+        Ok(study) => study,
+        Err(e) => {
+            return Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string()))
+        }
+    };
+    // Validated: perfetto, power_bins and controller are mutually
+    // exclusive, so at most one attachment is present.
+    match (sink, timeline, study.control) {
+        (Some(sink), _, _) => Response::Perfetto(PerfettoRun {
+            report: study.report,
             trace_id: ctx.trace_hex(),
             span_id: ctx.span_hex(),
             trace_json: sink.into_json(),
-        });
-    }
-    if let Some(spec) = &run.controller {
-        // Validated: excludes dynamic/traced/perfetto modes.
-        return match ugpc_core::try_run_study_controlled(&cfg, spec) {
-            Ok(controlled) => Response::Controlled(controlled),
-            Err(e) => Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string())),
-        };
-    }
-    match (run.dynamic_iterations, run.power_bins) {
-        (None, Some(bins)) => match try_run_study_traced(&cfg, bins) {
-            Ok(traced) => Response::Traced(traced),
-            Err(e) => Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string())),
-        },
-        (None, None) => match try_run_study(&cfg) {
-            Ok(report) => Response::Run(report),
-            Err(e) => Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string())),
-        },
-        // Validated: k >= 1 and the config passed `validate()`, so the
-        // study's internal `expect`s hold (power_bins is rejected in
-        // combination with dynamic runs before reaching here).
-        (Some(k), _) => Response::Dynamic(run_dynamic_study(&cfg, k)),
+        }),
+        (None, Some(timeline), _) => Response::Traced(TracedRun {
+            report: study.report,
+            power: timeline.into_profile(),
+        }),
+        (None, None, Some(control)) => Response::Controlled(control.with_report(study.report)),
+        (None, None, None) => Response::Run(study.report),
     }
 }
 

@@ -83,12 +83,11 @@ pub struct ShardDepths {
 pub struct Metrics {
     started: Instant,
     registry: Arc<Registry>,
-    /// Per-shard latency histograms (the blocking server and shard 0 of
-    /// the event loop record into `shards[0]`, aliased by the
-    /// `run_hit`/`run_miss`/`run_wait`/`stats_op` fields below).
+    /// Per-shard latency histograms (ops requests record into
+    /// `shards[0]`, aliased by the `stats_op` field below).
     shards: Vec<ShardLatencies>,
     /// Per-shard event-loop depth instruments (same cardinality as
-    /// `shards`; the blocking server leaves them at zero).
+    /// `shards`).
     depths: Vec<ShardDepths>,
     pub requests_total: Arc<Counter>,
     pub parse_errors: Arc<Counter>,
@@ -97,12 +96,7 @@ pub struct Metrics {
     /// Simulations actually executed on the pool (incremented by the
     /// worker job before the result publishes).
     pub simulations: Arc<Counter>,
-    /// Latency of cache-hit run requests (no simulation).
-    pub run_hit: Arc<Histogram>,
-    /// Latency of cache-miss run requests (leader: queue + simulate).
-    pub run_miss: Arc<Histogram>,
-    /// Latency of requests coalesced behind an in-flight leader.
-    pub run_wait: Arc<Histogram>,
+    /// Latency of ops requests (stats, metrics, introspect).
     pub stats_op: Arc<Histogram>,
     /// Connections currently open (guarded by a plain mutex so the
     /// accept loop and handlers stay trivially consistent).
@@ -192,9 +186,6 @@ impl Metrics {
                 "ugpc_simulations_total",
                 "Simulations executed on the worker pool.",
             ),
-            run_hit: shards[0].run_hit.clone(),
-            run_miss: shards[0].run_miss.clone(),
-            run_wait: shards[0].run_wait.clone(),
             stats_op: shards[0].stats_op.clone(),
             open_connections: Mutex::new(0),
             gauge_uptime_s: r.gauge("ugpc_uptime_seconds", "Service uptime."),
@@ -357,10 +348,11 @@ mod tests {
     #[test]
     fn histogram_view_matches_historical_wire_form() {
         let m = Metrics::default();
-        m.run_hit.record(Duration::from_micros(0)); // bucket 0 (<1µs)
-        m.run_hit.record(Duration::from_micros(3)); // 3µs -> bucket 2 (<4µs)
-        m.run_hit.record(Duration::from_millis(2)); // 2000µs -> bucket 11
-        let snap = m.run_hit.snapshot();
+        let hits = &m.latency_shard(0).run_hit;
+        hits.record(Duration::from_micros(0)); // bucket 0 (<1µs)
+        hits.record(Duration::from_micros(3)); // 3µs -> bucket 2 (<4µs)
+        hits.record(Duration::from_millis(2)); // 2000µs -> bucket 11
+        let snap = hits.snapshot();
         let lat = OpLatency::from_snapshot("test", &snap);
         assert_eq!(lat.count, 3);
         assert_eq!(lat.max_us, 2000);
@@ -369,8 +361,8 @@ mod tests {
         assert_eq!(total, 3);
         assert!(lat.buckets.iter().any(|&(ub, _)| ub == 4));
         // Monster durations land in the last bucket, not out of range.
-        m.run_hit.record(Duration::from_secs(40_000));
-        assert_eq!(m.run_hit.snapshot().count, 4);
+        hits.record(Duration::from_secs(40_000));
+        assert_eq!(hits.snapshot().count, 4);
     }
 
     #[test]
@@ -451,8 +443,8 @@ mod tests {
         let sharded = Metrics::new(4);
         for (i, &us) in samples_us.iter().enumerate() {
             let d = Duration::from_micros(us);
-            single.run_hit.record(d);
-            single.run_miss.record(d);
+            single.latency_shard(0).run_hit.record(d);
+            single.latency_shard(0).run_miss.record(d);
             sharded.latency_shard(i).run_hit.record(d);
             sharded.latency_shard(i + 1).run_miss.record(d);
         }

@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 use ugpc_serve::protocol::encode;
-use ugpc_serve::{Client, Request, RunRequest, ServeOptions, Server, ServerHandle, ServerMode};
+use ugpc_serve::{
+    Client, Logger, Request, RunRequest, ServeOptions, Server, ServerHandle, Service,
+};
 
 fn tiny() -> RunConfig {
     RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(8)
@@ -32,20 +34,20 @@ fn log_path(name: &str) -> PathBuf {
     dir.join("cache.log")
 }
 
-fn spawn_persistent(mode: ServerMode, path: &Path) -> ServerHandle {
-    Server::bind(
-        "127.0.0.1:0",
-        ServeOptions {
-            workers: 1,
-            queue_capacity: 16,
-            cache_capacity: 16,
-            persist_path: Some(path.to_path_buf()),
-            mode,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("bind ephemeral port")
-    .spawn()
+fn persistent_options(path: &Path) -> ServeOptions {
+    ServeOptions {
+        workers: 1,
+        queue_capacity: 16,
+        cache_capacity: 16,
+        persist_path: Some(path.to_path_buf()),
+        ..ServeOptions::default()
+    }
+}
+
+fn spawn_persistent(path: &Path) -> ServerHandle {
+    Server::bind("127.0.0.1:0", persistent_options(path))
+        .expect("bind ephemeral port")
+        .spawn()
 }
 
 /// Sequential request/reply turns over a raw socket, returning the
@@ -74,13 +76,13 @@ fn exchange(handle: &ServerHandle, configs: &[RunConfig]) -> Vec<String> {
 /// Generation 1 computes and persists; generation 2 (a fresh process'
 /// worth of state over the same log) serves every key byte-identically
 /// with **zero** simulations; generation 3 proves the log is
-/// architecture-neutral by replaying into the blocking server.
+/// transport-neutral by replaying into an in-process service.
 #[test]
 fn restart_replays_byte_identically_without_simulating() {
     let path = log_path("restart");
     let configs: Vec<RunConfig> = (0..3).map(seeded).collect();
 
-    let first = spawn_persistent(ServerMode::EventLoop, &path);
+    let first = spawn_persistent(&path);
     let original = exchange(&first, &configs);
     let stats = Client::connect(first.addr()).unwrap().stats().unwrap();
     assert_eq!(stats.simulations_executed, 3);
@@ -89,7 +91,7 @@ fn restart_replays_byte_identically_without_simulating() {
     assert!(persist.bytes > 0);
     first.stop();
 
-    let second = spawn_persistent(ServerMode::EventLoop, &path);
+    let second = spawn_persistent(&path);
     let replayed = exchange(&second, &configs);
     let stats = Client::connect(second.addr()).unwrap().stats().unwrap();
     second.stop();
@@ -111,14 +113,15 @@ fn restart_replays_byte_identically_without_simulating() {
         "clean replay truncates nothing"
     );
 
-    // The log is a property of the cache, not the TCP architecture: the
-    // blocking seed server replays the event-loop server's corpus too.
-    let third = spawn_persistent(ServerMode::Blocking, &path);
-    let cross = exchange(&third, &configs);
-    let stats = Client::connect(third.addr()).unwrap().stats().unwrap();
-    third.stop();
-    assert_eq!(cross, original, "cross-architecture replay diverged");
-    assert_eq!(stats.simulations_executed, 0);
+    // The log is a property of the cache, not the transport: a service
+    // driven in-process replays the server's corpus too.
+    let third = Service::with_logger(persistent_options(&path), Logger::disabled());
+    let cross: Vec<String> = configs
+        .iter()
+        .map(|cfg| third.handle_line(&encode(&Request::Run(RunRequest::new(cfg.clone())))))
+        .collect();
+    assert_eq!(cross, original, "cross-transport replay diverged");
+    assert_eq!(third.stats_report().simulations_executed, 0);
 }
 
 /// Kill mid-corpus: flip one payload byte in the middle record. Recovery
@@ -131,7 +134,7 @@ fn corrupt_tail_truncates_and_recomputes_over_the_wire() {
     let path = log_path("corrupt");
     let configs: Vec<RunConfig> = (0..3).map(seeded).collect();
 
-    let first = spawn_persistent(ServerMode::EventLoop, &path);
+    let first = spawn_persistent(&path);
     let original = exchange(&first, &configs);
     first.stop();
 
@@ -144,7 +147,7 @@ fn corrupt_tail_truncates_and_recomputes_over_the_wire() {
     raw[flip_at] ^= 0xFF;
     std::fs::write(&path, &raw).expect("write corrupted log");
 
-    let second = spawn_persistent(ServerMode::EventLoop, &path);
+    let second = spawn_persistent(&path);
     let replayed = exchange(&second, &configs);
     let stats = Client::connect(second.addr()).unwrap().stats().unwrap();
     second.stop();
@@ -168,7 +171,7 @@ fn corrupt_tail_truncates_and_recomputes_over_the_wire() {
 
     // The repaired log now holds the full corpus again: one more
     // restart serves everything with zero simulations.
-    let third = spawn_persistent(ServerMode::EventLoop, &path);
+    let third = spawn_persistent(&path);
     let healed = exchange(&third, &configs);
     let stats = Client::connect(third.addr()).unwrap().stats().unwrap();
     third.stop();
@@ -182,13 +185,13 @@ fn corrupt_tail_truncates_and_recomputes_over_the_wire() {
 #[test]
 fn clear_cache_truncates_the_log_across_restart() {
     let path = log_path("clear");
-    let first = spawn_persistent(ServerMode::EventLoop, &path);
+    let first = spawn_persistent(&path);
     exchange(&first, &[tiny()]);
     let mut client = Client::connect(first.addr()).unwrap();
     client.clear_cache().unwrap();
     first.stop();
 
-    let second = spawn_persistent(ServerMode::EventLoop, &path);
+    let second = spawn_persistent(&path);
     let stats = Client::connect(second.addr()).unwrap().stats().unwrap();
     assert_eq!(stats.persist.expect("attached").recovered, 0);
     assert_eq!(stats.cache.entries, 0, "cleared corpus resurrected");

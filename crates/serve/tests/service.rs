@@ -139,7 +139,14 @@ fn controlled_run_over_the_wire() {
     assert_eq!(run.objective, "gflops-w");
     assert!(run.report.makespan_s > 0.0);
     // Served controlled run matches the direct call byte-for-byte.
-    let direct = ugpc_core::run_study_controlled(&tiny(), &spec);
+    let options = ugpc_core::StudyOptions {
+        controller: Some(spec.clone()),
+        ..Default::default()
+    };
+    let direct = ugpc_core::try_run_study_with(&tiny(), options)
+        .unwrap()
+        .controlled()
+        .unwrap();
     assert_eq!(
         serde_json::to_string(&run).unwrap(),
         serde_json::to_string(&direct).unwrap()

@@ -13,16 +13,23 @@
 //! ```
 
 use ugpc::prelude::*;
-use ugpc::run_study_profiled;
+use ugpc::telemetry::CriticalPathProfiler;
+use ugpc::{try_run_study_with, StudyOptions};
 
 fn main() {
     let cfg = RunConfig::paper(PlatformId::Amd4A100, OpKind::Potrf, Precision::Double)
         .scaled_down(2)
         .with_gpu_config("BBBB".parse().expect("BBBB fits the 4-GPU node"));
 
-    let profiled = run_study_profiled(&cfg, 5);
-    let report = &profiled.report;
-    let profile = &profiled.profile;
+    let mut profiler = CriticalPathProfiler::new().with_top_k(5);
+    let options = StudyOptions {
+        observers: vec![&mut profiler],
+        ..Default::default()
+    };
+    let report = &try_run_study_with(&cfg, options)
+        .expect("BBBB fits the 4-GPU node")
+        .report;
+    let profile = &profiler.into_report();
 
     println!(
         "POTRF n={} nb={} under {} on {}: {:.2} s, {:.0} J, {:.1} Gflop/s/W\n",

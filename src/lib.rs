@@ -14,7 +14,8 @@
 //! * [`hwsim`] — hardware substrate (devices, DVFS, NVML, RAPL, platforms)
 //! * [`runtime`] — task graphs, schedulers, virtual-time & native executors
 //! * [`linalg`] — tiled GEMM / Cholesky with real reference kernels
-//! * [`capping`] — L/B/H cap configurations, sweeps, dynamic controller
+//! * [`capping`] — L/B/H cap configurations, sweeps, a single-GPU
+//!   dynamic-capping study
 //! * [`control`] — online sweet-spot capping: sensor windows, pluggable
 //!   objectives (Gflop/s/W, EDP, ED²P, perf-floor), mid-run re-cap events
 //! * [`experiments`] — per-figure/table reproduction runners
@@ -23,7 +24,9 @@
 //! * [`telemetry`] — metrics registry with Prometheus exposition,
 //!   trace-context propagation, structured JSON logging, and the
 //!   critical-path energy-attribution profiler
-//! * the top-level [`RunConfig`] / [`run_study`] API from `ugpc-core`
+//! * the top-level [`RunConfig`] / [`run_study`] API from `ugpc-core`,
+//!   with [`try_run_study_with`] as the one fallible entry point behind
+//!   every study variant (traced, profiled, controlled, explicit caps)
 //!
 //! ## Quickstart
 //!
@@ -49,12 +52,10 @@ pub use ugpc_serve as serve;
 pub use ugpc_telemetry as telemetry;
 
 pub use ugpc_core::{
-    compare, dynamic_vs_static_oracle, run_dynamic_study, run_study, run_study_at_caps,
-    run_study_controlled, run_study_controlled_queued_observed, run_study_observed,
-    run_study_profiled, run_study_queued, run_study_queued_observed, run_study_traced,
-    try_run_study, try_run_study_controlled, try_run_study_profiled, try_run_study_traced,
-    CacheKey, Comparison, ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig,
-    ProfiledRun, QueueBackend, RunConfig, RunReport, TracedRun,
+    compare, dynamic_vs_static_oracle, run_dynamic_study, run_study, run_study_traced,
+    try_run_study, try_run_study_traced, try_run_study_with, CacheKey, Comparison, ControlOutcome,
+    ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig, ProfiledRun, QueueBackend,
+    RunConfig, RunReport, Study, StudyOptions, TracedRun,
 };
 
 /// Everything most programs need.

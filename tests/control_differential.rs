@@ -17,7 +17,7 @@
 use std::sync::Mutex;
 use ugpc::control::{ControllerSpec, ObjectiveKind};
 use ugpc::experiments::driver;
-use ugpc::{run_study, run_study_controlled, QueueBackend, RunConfig};
+use ugpc::{run_study, try_run_study_with, ControlledRun, QueueBackend, RunConfig, StudyOptions};
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 
 static JOBS_LOCK: Mutex<()> = Mutex::new(());
@@ -34,6 +34,17 @@ fn with_backend<R>(b: QueueBackend, f: impl FnOnce() -> R) -> R {
     let r = f();
     ugpc::runtime::set_backend_override(None);
     r
+}
+
+fn run_study_controlled(config: &RunConfig, spec: &ControllerSpec) -> ControlledRun {
+    let options = StudyOptions {
+        controller: Some(spec.clone()),
+        ..Default::default()
+    };
+    try_run_study_with(config, options)
+        .unwrap()
+        .controlled()
+        .unwrap()
 }
 
 fn cfg(op: OpKind) -> RunConfig {

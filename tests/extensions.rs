@@ -126,13 +126,16 @@ fn noisy_models_keep_simulation_deterministic() {
         let mut reg = DataRegistry::new();
         let op = ugpc::linalg::build_gemm(4, 2880, Precision::Double, &mut reg);
         let mut perf = PerfModel::new().with_calibration_noise(0.3, 7);
-        ugpc::runtime::simulate_with_model(
+        let mut builder = ugpc::runtime::TraceBuilder::new();
+        ugpc::runtime::simulate_observed(
             &mut node,
             &op.graph,
             &mut reg,
             SimOptions::default(),
             &mut perf,
-        )
+            &mut [&mut builder],
+        );
+        builder.into_trace()
     };
     let a = run();
     let b = run();

@@ -136,7 +136,7 @@ fn observers_never_perturb_the_run() {
 
 #[test]
 fn study_reports_are_observer_neutral() {
-    use ugpc::{run_study, run_study_observed, RunConfig};
+    use ugpc::{run_study, try_run_study_with, RunConfig, StudyOptions};
 
     let cfg = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)
         .scaled_down(6)
@@ -144,10 +144,11 @@ fn study_reports_are_observer_neutral() {
     let plain = run_study(&cfg);
     let mut perfetto = PerfettoSink::new();
     let mut timeline = PowerTimeline::new(16);
-    let observed = {
-        let mut extra: [&mut dyn Observer; 2] = [&mut perfetto, &mut timeline];
-        run_study_observed(&cfg, &mut extra)
+    let options = StudyOptions {
+        observers: vec![&mut perfetto, &mut timeline],
+        ..Default::default()
     };
+    let observed = try_run_study_with(&cfg, options).unwrap().report;
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&observed).unwrap(),
@@ -157,13 +158,22 @@ fn study_reports_are_observer_neutral() {
 
 #[test]
 fn profiled_study_is_observer_neutral_and_exact() {
-    use ugpc::{run_study, run_study_profiled, RunConfig};
+    use ugpc::{run_study, try_run_study_with, RunConfig, StudyOptions};
 
     let cfg = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)
         .scaled_down(6)
         .with_records();
     let plain = run_study(&cfg);
-    let profiled = run_study_profiled(&cfg, 5);
+    let mut profiler = ugpc::telemetry::CriticalPathProfiler::new().with_top_k(5);
+    let options = StudyOptions {
+        observers: vec![&mut profiler],
+        ..Default::default()
+    };
+    let report = try_run_study_with(&cfg, options).unwrap().report;
+    let profiled = ugpc::ProfiledRun {
+        report,
+        profile: profiler.into_report(),
+    };
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&profiled.report).unwrap(),
@@ -205,17 +215,25 @@ fn queue_backends_are_outcome_identical() {
     );
 }
 
-/// Backend differential at the study level, through the public
-/// `run_study_queued` knob: full reports byte-identical across backends.
+/// Backend differential at the study level, through the process-wide
+/// backend override: full reports byte-identical across backends.
 #[test]
 fn study_reports_are_backend_identical() {
-    use ugpc::{run_study_queued, RunConfig};
+    use ugpc::{run_study, RunConfig};
 
     let cfg = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)
         .scaled_down(6)
         .with_records();
-    let heap = run_study_queued(&cfg, QueueBackend::Heap);
-    let calendar = run_study_queued(&cfg, QueueBackend::Calendar);
+    // Other tests in this binary may run meanwhile; they pin their own
+    // backend, and reports are backend-identical anyway.
+    let run_on = |queue| {
+        ugpc::runtime::set_backend_override(Some(queue));
+        let report = run_study(&cfg);
+        ugpc::runtime::set_backend_override(None);
+        report
+    };
+    let heap = run_on(QueueBackend::Heap);
+    let calendar = run_on(QueueBackend::Calendar);
     assert_eq!(
         serde_json::to_string(&heap).unwrap(),
         serde_json::to_string(&calendar).unwrap(),
