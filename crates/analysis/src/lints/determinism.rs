@@ -12,7 +12,9 @@
 //! The rule is syntactic: it collects every binding (let, field, or
 //! parameter) declared with a `HashMap`/`HashSet` type in the file, then
 //! flags iteration over those bindings (`.iter()`, `.keys()`,
-//! `.values()`, `.drain()`, `for … in &m`, …). `BTreeMap`/`BTreeSet`/
+//! `.values()`, `.drain()`, `for … in &m`, …), including a method chain
+//! split across lines — a binding that ends one line with the iteration
+//! method starting the next code line. `BTreeMap`/`BTreeSet`/
 //! sorted-`Vec` iteration is naturally never flagged — switching to an
 //! ordered container is the canonical fix. Genuinely order-independent
 //! consumers (`min` over unique keys, counting) take a
@@ -155,11 +157,29 @@ impl Rule for HashIterationRule {
         if names.is_empty() {
             return;
         }
-        for line in &file.lines {
+        for (i, line) in file.lines.iter().enumerate() {
             if line.in_test || line.allows(self.id()) {
                 continue;
             }
             let code = &line.code;
+            // `self.name` ending this line, `.iter()` starting the next
+            // code line: flagged where the iteration starts.
+            if let Some(next) = file.lines[i + 1..]
+                .iter()
+                .find(|l| !l.code.trim().is_empty())
+                .filter(|l| !l.in_test && !l.allows(self.id()))
+            {
+                let head = next.code.trim_start();
+                if let Some(m) = ITER_METHODS.iter().find(|m| head.starts_with(**m)) {
+                    let tail = code.trim_end();
+                    if let Some(name) = names.iter().find(|n| {
+                        tail.ends_with(n.as_str())
+                            && word_boundary_before(tail, tail.len() - n.len())
+                    }) {
+                        self.flag(file, next.number, name, m.trim_matches(['.', '(']), out);
+                    }
+                }
+            }
             for name in &names {
                 // `name.iter()` / `self.name.keys()` / …
                 let mut from = 0;

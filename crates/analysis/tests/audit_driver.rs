@@ -59,7 +59,7 @@ fn every_rule_fires_on_its_fixture() {
             report.render()
         );
     }
-    assert_eq!(report.files_scanned, 6);
+    assert_eq!(report.files_scanned, 7);
     assert!(!report.is_clean());
 }
 

@@ -5,7 +5,34 @@ use crate::energy::EnergyLedger;
 use crate::error::{HwError, HwResult};
 use crate::gpu::kernel::{run_kernel, KernelRun, KernelWork};
 use crate::gpu::spec::{GpuModel, GpuSpec};
-use crate::units::{Joules, Secs, Watts};
+use crate::units::{Joules, Precision, Secs, Watts};
+
+/// Distinct (kernel, cap) outcomes [`GpuDevice::execute`] remembers. A run
+/// launches a handful of kernel shapes per device (three GEMM-family
+/// kernels at one tile size and precision), times the caps a control
+/// plane moves it through.
+const MEMO_SLOTS: usize = 8;
+
+/// What [`run_kernel`] depends on besides the fixed spec, as exact bit
+/// patterns: equal keys give bit-identical runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    flops: u64,
+    bytes: u64,
+    precision: Precision,
+    cap: u64,
+}
+
+impl MemoKey {
+    fn new(work: &KernelWork, cap: Watts) -> Self {
+        MemoKey {
+            flops: work.flops.value().to_bits(),
+            bytes: work.bytes.value().to_bits(),
+            precision: work.precision,
+            cap: cap.value().to_bits(),
+        }
+    }
+}
 
 /// One GPU of a simulated node. Executes kernels serially (the runtime
 /// submits one task at a time per device, as StarPU does with one worker
@@ -16,6 +43,10 @@ pub struct GpuDevice {
     spec: GpuSpec,
     cap: Watts,
     ledger: EnergyLedger,
+    /// Recent [`run_kernel`] results, replaced round-robin. `run_kernel`
+    /// is pure, so a hit is exactly the result a fresh solve would give.
+    memo: [Option<(MemoKey, KernelRun)>; MEMO_SLOTS],
+    memo_next: usize,
 }
 
 impl GpuDevice {
@@ -28,6 +59,8 @@ impl GpuDevice {
             spec,
             cap,
             ledger: EnergyLedger::new(idle),
+            memo: [None; MEMO_SLOTS],
+            memo_next: 0,
         }
     }
 
@@ -92,8 +125,21 @@ impl GpuDevice {
     /// Execute a kernel starting at virtual time `start`; records the busy
     /// interval in the energy ledger and returns the run outcome.
     pub fn execute(&mut self, work: &KernelWork, start: Secs) -> KernelRun {
-        let run = run_kernel(&self.spec, work, self.cap);
+        let run = self.memoized_run(work);
         self.ledger.record(start, start + run.time, run.power);
+        run
+    }
+
+    /// [`run_kernel`] at the current cap, solved once per distinct
+    /// (work, cap) while it stays in the memo.
+    fn memoized_run(&mut self, work: &KernelWork) -> KernelRun {
+        let key = MemoKey::new(work, self.cap);
+        if let Some((_, run)) = self.memo.iter().flatten().find(|(k, _)| *k == key) {
+            return *run;
+        }
+        let run = run_kernel(&self.spec, work, self.cap);
+        self.memo[self.memo_next] = Some((key, run));
+        self.memo_next = (self.memo_next + 1) % MEMO_SLOTS;
         run
     }
 
@@ -214,6 +260,78 @@ mod tests {
         // And each device's executed time equals its estimate.
         assert_eq!(free.execute(&w, Secs(0.0)).time, free.estimate(&w).time);
         assert_eq!(capped.execute(&w, Secs(0.0)).time, capped.estimate(&w).time);
+    }
+
+    /// Bit patterns of a run's fields, for exact comparison.
+    fn bits(r: &KernelRun) -> (u64, u64, u64, bool) {
+        (
+            r.time.value().to_bits(),
+            r.power.value().to_bits(),
+            r.clock_frac.to_bits(),
+            r.memory_bound,
+        )
+    }
+
+    #[test]
+    fn memo_hit_is_bitwise_run_kernel() {
+        let mut d = GpuDevice::new(0, GpuModel::A100Sxm4_40);
+        d.set_power_limit(Watts(216.0)).unwrap();
+        let w = KernelWork::gemm_tile(2880, Precision::Double);
+        let fresh = run_kernel(d.spec(), &w, Watts(216.0));
+        let miss = d.execute(&w, Secs(0.0));
+        let hit = d.execute(&w, miss.time);
+        assert_eq!(bits(&miss), bits(&fresh));
+        assert_eq!(bits(&hit), bits(&fresh));
+    }
+
+    #[test]
+    fn memo_follows_the_cap() {
+        let w = KernelWork::gemm_tile(5760, Precision::Double);
+        let mut d = GpuDevice::new(0, GpuModel::A100Sxm4_40);
+        let free = d.execute(&w, Secs(0.0));
+        d.set_power_limit(Watts(216.0)).unwrap();
+        let capped = d.execute(&w, free.time);
+        assert_eq!(bits(&capped), bits(&run_kernel(d.spec(), &w, Watts(216.0))));
+        assert!(capped.time > free.time);
+        let t = free.time + capped.time;
+        d.recap_at(t, Watts(100.0)).unwrap();
+        let low = d.execute(&w, t);
+        assert_eq!(bits(&low), bits(&run_kernel(d.spec(), &w, Watts(100.0))));
+        assert!(low.time > capped.time);
+        // Back at the first cap, the remembered run is the exact one.
+        d.recap_at(t + low.time, Watts(400.0)).unwrap();
+        assert_eq!(bits(&d.execute(&w, t + low.time)), bits(&free));
+    }
+
+    #[test]
+    fn memo_overflow_stays_exact() {
+        let mut d = GpuDevice::new(0, GpuModel::V100Pcie32);
+        let kernels: Vec<KernelWork> = (1..=3 * MEMO_SLOTS)
+            .map(|i| KernelWork::gemm_tile(320 * i, Precision::Single))
+            .collect();
+        let mut t = Secs::ZERO;
+        for _ in 0..3 {
+            for w in &kernels {
+                let got = d.execute(w, t);
+                assert_eq!(bits(&got), bits(&run_kernel(d.spec(), w, d.power_limit())));
+                t += got.time;
+            }
+        }
+    }
+
+    #[test]
+    fn clones_keep_independent_memos() {
+        let w = KernelWork::gemm_tile(4096, Precision::Double);
+        let mut a = GpuDevice::new(0, GpuModel::A100Pcie40);
+        let t = a.execute(&w, Secs(0.0)).time;
+        let mut b = a.clone();
+        b.set_power_limit(Watts(150.0)).unwrap();
+        let rb = b.execute(&w, t);
+        let ra = a.execute(&w, t);
+        assert_eq!(bits(&ra), bits(&run_kernel(a.spec(), &w, Watts(250.0))));
+        assert_eq!(bits(&rb), bits(&run_kernel(b.spec(), &w, Watts(150.0))));
+        assert!(rb.time > ra.time);
+        assert_eq!(a.power_limit(), Watts(250.0));
     }
 
     #[test]

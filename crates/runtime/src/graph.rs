@@ -8,7 +8,6 @@
 
 use crate::data::DataId;
 use crate::task::{TaskDesc, TaskId};
-use std::collections::HashMap;
 
 /// An immutable-after-build task graph.
 #[derive(Debug, Clone, Default)]
@@ -19,9 +18,10 @@ pub struct TaskGraph {
     /// Per-task distinct operands, sorted ascending — precomputed once at
     /// submission for the executors' per-occurrence loops.
     unique_data: Vec<Vec<DataId>>,
-    /// Per-datum tracking used during submission.
-    last_writer: HashMap<DataId, TaskId>,
-    readers_since_write: HashMap<DataId, Vec<TaskId>>,
+    /// Per-datum tracking used during submission, indexed by the dense
+    /// [`DataId`] (grown on demand).
+    last_writer: Vec<Option<TaskId>>,
+    readers_since_write: Vec<Vec<TaskId>>,
 }
 
 impl TaskGraph {
@@ -36,21 +36,26 @@ impl TaskGraph {
         self.succs.push(Vec::new());
         self.preds.push(Vec::new());
 
+        if let Some(max) = task.data.iter().map(|&(d, _)| d).max() {
+            if self.last_writer.len() <= max {
+                self.last_writer.resize(max + 1, None);
+                self.readers_since_write.resize_with(max + 1, Vec::new);
+            }
+        }
+
         // Collect dependencies first to dedupe before wiring edges.
         let mut deps: Vec<TaskId> = Vec::new();
         for &(data, mode) in &task.data {
             if mode.reads() {
-                if let Some(&w) = self.last_writer.get(&data) {
+                if let Some(w) = self.last_writer[data] {
                     deps.push(w); // RAW
                 }
             }
             if mode.writes() {
-                if let Some(&w) = self.last_writer.get(&data) {
+                if let Some(w) = self.last_writer[data] {
                     deps.push(w); // WAW
                 }
-                if let Some(readers) = self.readers_since_write.get(&data) {
-                    deps.extend(readers.iter().copied()); // WAR
-                }
+                deps.extend(self.readers_since_write[data].iter().copied()); // WAR
             }
         }
         deps.sort_unstable();
@@ -64,10 +69,10 @@ impl TaskGraph {
         // Update per-datum tracking.
         for &(data, mode) in &task.data {
             if mode.writes() {
-                self.last_writer.insert(data, id);
-                self.readers_since_write.insert(data, Vec::new());
+                self.last_writer[data] = Some(id);
+                self.readers_since_write[data].clear();
             } else {
-                self.readers_since_write.entry(data).or_default().push(id);
+                self.readers_since_write[data].push(id);
             }
         }
 

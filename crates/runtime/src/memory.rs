@@ -9,7 +9,6 @@
 //! evicted.
 
 use crate::data::{DataId, DataRegistry, MemNode};
-use std::collections::HashMap;
 use ugpc_hwsim::Bytes;
 
 #[derive(Debug, Clone, Copy)]
@@ -17,6 +16,8 @@ struct Entry {
     bytes: Bytes,
     last_use: u64,
     pins: u32,
+    /// Position of this id in [`GpuMemory::ids`].
+    pos: usize,
 }
 
 /// The resident set of one GPU's device memory.
@@ -25,7 +26,12 @@ pub struct GpuMemory {
     device: usize,
     capacity: Bytes,
     used: Bytes,
-    resident: HashMap<DataId, Entry>,
+    /// Resident replicas, indexed by the dense [`DataId`] (grown on
+    /// demand).
+    resident: Vec<Option<Entry>>,
+    /// The resident ids, unordered, so a victim search visits only what
+    /// is resident rather than every handle ever seen.
+    ids: Vec<DataId>,
     clock: u64,
     /// Replicas dropped to make room.
     pub evictions: usize,
@@ -44,7 +50,8 @@ impl GpuMemory {
             device,
             capacity,
             used: Bytes::ZERO,
-            resident: HashMap::new(),
+            resident: Vec::new(),
+            ids: Vec::new(),
             clock: 0,
             evictions: 0,
             writebacks: 0,
@@ -65,7 +72,28 @@ impl GpuMemory {
     }
 
     pub fn is_resident(&self, id: DataId) -> bool {
-        self.resident.contains_key(&id)
+        self.entry(id).is_some()
+    }
+
+    fn entry(&self, id: DataId) -> Option<&Entry> {
+        self.resident.get(id)?.as_ref()
+    }
+
+    fn entry_mut(&mut self, id: DataId) -> Option<&mut Entry> {
+        self.resident.get_mut(id)?.as_mut()
+    }
+
+    /// Drop `id` from the resident set, returning its entry.
+    fn remove(&mut self, id: DataId) -> Option<Entry> {
+        let e = self.resident.get_mut(id)?.take()?;
+        self.ids.swap_remove(e.pos);
+        if let Some(&moved) = self.ids.get(e.pos) {
+            if let Some(m) = self.entry_mut(moved) {
+                m.pos = e.pos;
+            }
+        }
+        self.used -= e.bytes;
+        Some(e)
     }
 
     fn tick(&mut self) -> u64 {
@@ -77,33 +105,34 @@ impl GpuMemory {
     /// write) and update its recency. Idempotent on already-resident ids.
     pub fn note_resident(&mut self, id: DataId, bytes: Bytes) {
         let t = self.tick();
-        match self.resident.entry(id) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().last_use = t;
+        if let Some(e) = self.entry_mut(id) {
+            e.last_use = t;
+        } else {
+            if self.resident.len() <= id {
+                self.resident.resize(id + 1, None);
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Entry {
-                    bytes,
-                    last_use: t,
-                    pins: 0,
-                });
-                self.used += bytes;
-            }
+            self.resident[id] = Some(Entry {
+                bytes,
+                last_use: t,
+                pins: 0,
+                pos: self.ids.len(),
+            });
+            self.ids.push(id);
+            self.used += bytes;
         }
         self.assert_accounting();
     }
 
     /// Pin a resident replica (operand of a queued task).
     pub fn pin(&mut self, id: DataId) {
-        self.resident
-            .get_mut(&id)
+        self.entry_mut(id)
             .expect("pinning a non-resident replica")
             .pins += 1;
     }
 
     /// Release one pin.
     pub fn unpin(&mut self, id: DataId) {
-        if let Some(e) = self.resident.get_mut(&id) {
+        if let Some(e) = self.entry_mut(id) {
             debug_assert!(e.pins > 0, "unpin without pin");
             e.pins = e.pins.saturating_sub(1);
         }
@@ -112,9 +141,8 @@ impl GpuMemory {
     /// Drop a replica if present (invalidated by a remote write). Must not
     /// be pinned — dependency order guarantees readers completed.
     pub fn drop_if_present(&mut self, id: DataId) {
-        if let Some(e) = self.resident.remove(&id) {
+        if let Some(e) = self.remove(id) {
             debug_assert_eq!(e.pins, 0, "dropping a pinned replica");
-            self.used -= e.bytes;
         }
         self.assert_accounting();
     }
@@ -128,21 +156,21 @@ impl GpuMemory {
         while self.used + incoming > self.capacity {
             // `last_use` ticks are unique today (one per touch), but the
             // id tie-break keeps victim selection independent of the
-            // map's iteration order even if that ever changes — eviction
-            // order feeds the simulated transfer schedule, which must be
-            // bit-stable across runs.
+            // order of `ids` (which removals permute) even if that ever
+            // changes — eviction order feeds the simulated transfer
+            // schedule, which must be bit-stable across runs.
             let victim = self
-                .resident
+                .ids
                 .iter()
+                .filter_map(|&id| Some((id, self.entry(id)?)))
                 .filter(|(_, e)| e.pins == 0)
-                .min_by_key(|&(&id, e)| (e.last_use, id))
-                .map(|(&id, _)| id);
+                .min_by_key(|&(id, e)| (e.last_use, id))
+                .map(|(id, _)| id);
             let Some(id) = victim else {
                 self.over_subscribed = true;
                 break;
             };
-            let e = self.resident.remove(&id).expect("victim is resident");
-            self.used -= e.bytes;
+            self.remove(id).expect("victim is resident");
             let writeback = reg.is_sole_owner(id, MemNode::Gpu(self.device));
             self.evictions += 1;
             if writeback {
@@ -159,9 +187,13 @@ impl GpuMemory {
     /// Compiles to nothing without the `sanitize` feature.
     #[cfg(feature = "sanitize")]
     fn assert_accounting(&self) {
-        // Order-dependent float sum, but it only feeds a tolerance
-        // check — never the simulation or any serialized output.
-        let sum: Bytes = self.resident.values().map(|e| e.bytes).sum(); // lint:allow hash-iteration
+        let sum: Bytes = self.resident.iter().flatten().map(|e| e.bytes).sum();
+        assert_eq!(
+            self.ids.len(),
+            self.resident.iter().flatten().count(),
+            "sanitize: gpu {} resident list out of step with the resident set",
+            self.device
+        );
         let drift = (sum - self.used).abs();
         assert!(
             drift <= Bytes(1e-6) + sum * 1e-12,

@@ -12,7 +12,6 @@
 
 use crate::task::Footprint;
 use crate::worker::{Worker, WorkerId, WorkerKind};
-use std::collections::HashMap;
 use ugpc_hwsim::{Joules, Node, Secs};
 
 /// Streaming mean/variance (Welford) of observed samples.
@@ -48,16 +47,26 @@ impl Stats {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     time: Stats,
     energy: Stats,
 }
 
-/// The per-worker history model.
+impl Entry {
+    /// An entry exists once it holds a sample; a zero-count slot in a
+    /// row is a worker never observed on that footprint.
+    fn observed(&self) -> bool {
+        self.time.count() > 0
+    }
+}
+
+/// The per-worker history model, stored as dense rows: one row per
+/// footprint (in first-observation order), one entry per worker id.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
-    table: HashMap<(Footprint, WorkerId), Entry>,
+    /// Each footprint's history, indexed by worker id.
+    rows: Vec<(Footprint, Vec<Entry>)>,
     /// Samples required before an entry is considered calibrated
     /// (StarPU's `calibrate_minimum`, default 10; we default to 4).
     min_samples: u64,
@@ -67,10 +76,42 @@ pub struct PerfModel {
     noise_state: u64,
 }
 
+/// One footprint's history row, looked up once per task so that costing
+/// every candidate worker is an index, not a search.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PerfRow<'a> {
+    model: &'a PerfModel,
+    fp: Footprint,
+    entries: &'a [Entry],
+}
+
+impl PerfRow<'_> {
+    fn entry(&self, worker: WorkerId) -> Option<&Entry> {
+        self.entries.get(worker).filter(|e| e.observed())
+    }
+
+    /// [`PerfModel::expected_time`] for this row's footprint.
+    pub(crate) fn expected_time(&self, worker: WorkerId) -> Option<Secs> {
+        self.entry(worker).map(|e| Secs(e.time.mean()))
+    }
+
+    /// [`PerfModel::expected_energy`] for this row's footprint.
+    pub(crate) fn expected_energy(&self, worker: WorkerId) -> Option<Joules> {
+        self.entry(worker).map(|e| Joules(e.energy.mean()))
+    }
+
+    /// [`PerfModel::expected_time_or_extrapolate`] for this row's
+    /// footprint.
+    pub(crate) fn expected_time_or_extrapolate(&self, worker: WorkerId) -> Option<Secs> {
+        self.expected_time(worker)
+            .or_else(|| self.model.extrapolate(self.fp, worker))
+    }
+}
+
 impl PerfModel {
     pub fn new() -> Self {
         PerfModel {
-            table: HashMap::new(),
+            rows: Vec::new(),
             min_samples: 4,
             noise: 0.0,
             noise_state: 0x9E3779B97F4A7C15,
@@ -113,23 +154,46 @@ impl PerfModel {
         (1.0 + (2.0 * u - 1.0) * half_width).max(0.05)
     }
 
+    /// A run sees a handful of footprints, so a scan finds a row.
+    fn row_index(&self, fp: Footprint) -> Option<usize> {
+        self.rows.iter().position(|(f, _)| *f == fp)
+    }
+
+    /// The history row of `fp` (empty if it was never observed).
+    pub(crate) fn row(&self, fp: Footprint) -> PerfRow<'_> {
+        let entries = match self.row_index(fp) {
+            Some(i) => self.rows[i].1.as_slice(),
+            None => &[],
+        };
+        PerfRow {
+            model: self,
+            fp,
+            entries,
+        }
+    }
+
     /// Record an observed execution.
     pub fn observe(&mut self, fp: Footprint, worker: WorkerId, time: Secs, energy: Joules) {
-        let e = self.table.entry((fp, worker)).or_default();
-        e.time.push(time.value());
-        e.energy.push(energy.value());
+        let i = self.row_index(fp).unwrap_or_else(|| {
+            self.rows.push((fp, Vec::new()));
+            self.rows.len() - 1
+        });
+        let row = &mut self.rows[i].1;
+        if row.len() <= worker {
+            row.resize(worker + 1, Entry::default());
+        }
+        row[worker].time.push(time.value());
+        row[worker].energy.push(energy.value());
     }
 
     /// Expected execution time, if history exists for this exact key.
     pub fn expected_time(&self, fp: Footprint, worker: WorkerId) -> Option<Secs> {
-        self.table.get(&(fp, worker)).map(|e| Secs(e.time.mean()))
+        self.row(fp).expected_time(worker)
     }
 
     /// Expected energy of one execution, if history exists.
     pub fn expected_energy(&self, fp: Footprint, worker: WorkerId) -> Option<Joules> {
-        self.table
-            .get(&(fp, worker))
-            .map(|e| Joules(e.energy.mean()))
+        self.row(fp).expected_energy(worker)
     }
 
     /// Expected time with a cubic-scaling regression fallback: when the
@@ -137,40 +201,47 @@ impl PerfModel {
     /// another observed size of the same kernel via `t ∝ nb³` (StarPU's
     /// `STARPU_REGRESSION_BASED` model with the natural GEMM exponent).
     pub fn expected_time_or_extrapolate(&self, fp: Footprint, worker: WorkerId) -> Option<Secs> {
-        if let Some(t) = self.expected_time(fp, worker) {
-            return Some(t);
-        }
-        // Nearest observed nb for the same (kind, precision, worker).
-        self.table
+        self.row(fp).expected_time_or_extrapolate(worker)
+    }
+
+    /// The cubic fallback: the nearest observed `nb` for the same
+    /// (kind, precision, worker), the smaller `nb` when two are equally
+    /// near.
+    fn extrapolate(&self, fp: Footprint, worker: WorkerId) -> Option<Secs> {
+        self.rows
             .iter()
-            .filter(|((f, w), _)| *w == worker && f.kind == fp.kind && f.precision == fp.precision)
-            .min_by_key(|((f, _), _)| f.nb.abs_diff(fp.nb))
-            .map(|((f, _), e)| {
-                let scale = (fp.nb as f64 / f.nb as f64).powi(3);
+            .filter(|(f, _)| f.kind == fp.kind && f.precision == fp.precision)
+            .filter_map(|(f, row)| Some((f.nb, row.get(worker).filter(|e| e.observed())?)))
+            .min_by_key(|&(nb, _)| (nb.abs_diff(fp.nb), nb))
+            .map(|(nb, e)| {
+                let scale = (fp.nb as f64 / nb as f64).powi(3);
                 Secs(e.time.mean() * scale)
             })
     }
 
     /// Is this (footprint, worker) entry calibrated?
     pub fn is_calibrated(&self, fp: Footprint, worker: WorkerId) -> bool {
-        self.table
-            .get(&(fp, worker))
+        self.row(fp)
+            .entry(worker)
             .is_some_and(|e| e.time.count() >= self.min_samples)
     }
 
     /// Number of distinct history entries.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.rows
+            .iter()
+            .map(|(_, row)| row.iter().filter(|e| e.observed()).count())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.rows.is_empty()
     }
 
     /// Drop all history — the paper recalibrates "following each
     /// modification to the power capping settings".
     pub fn invalidate(&mut self) {
-        self.table.clear();
+        self.rows.clear();
     }
 
     /// Calibration runs: execute each footprint `min_samples` times on
@@ -261,6 +332,48 @@ mod tests {
         assert!(m.expected_time_or_extrapolate(big, 1).is_none());
         let other = fp(KernelKind::Trsm, 2000);
         assert!(m.expected_time_or_extrapolate(other, 0).is_none());
+    }
+
+    #[test]
+    fn extrapolation_breaks_distance_ties_toward_smaller_nb() {
+        // 1000 and 3000 are equally far from 2000: the answer must not
+        // depend on which footprint was observed first.
+        for order in [[1000, 3000], [3000, 1000]] {
+            for _ in 0..8 {
+                let mut m = PerfModel::new();
+                for nb in order {
+                    m.observe(fp(KernelKind::Gemm, nb), 0, Secs(nb as f64), Joules(1.0));
+                }
+                let t = m
+                    .expected_time_or_extrapolate(fp(KernelKind::Gemm, 2000), 0)
+                    .unwrap();
+                // From nb = 1000: 1000 s × (2000/1000)³.
+                assert_eq!(t, Secs(8000.0));
+            }
+        }
+    }
+
+    #[test]
+    fn rows_answer_like_the_model() {
+        let mut m = PerfModel::new();
+        let f = fp(KernelKind::Gemm, 2880);
+        m.observe(f, 3, Secs(2.0), Joules(20.0));
+        m.observe(fp(KernelKind::Gemm, 1440), 1, Secs(1.0), Joules(5.0));
+        let row = m.row(f);
+        for w in 0..5 {
+            assert_eq!(row.expected_time(w), m.expected_time(f, w));
+            assert_eq!(row.expected_energy(w), m.expected_energy(f, w));
+            assert_eq!(
+                row.expected_time_or_extrapolate(w),
+                m.expected_time_or_extrapolate(f, w)
+            );
+        }
+        // Worker 1 has no 2880 entry: the row falls back to the cubic
+        // extrapolation from 1440.
+        assert_eq!(row.expected_time(1), None);
+        assert_eq!(row.expected_time_or_extrapolate(1), Some(Secs(8.0)));
+        assert_eq!(m.len(), 2);
+        assert!(m.row(fp(KernelKind::Trsm, 2880)).expected_time(3).is_none());
     }
 
     #[test]

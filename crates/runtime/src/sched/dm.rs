@@ -3,7 +3,7 @@
 //! completion time according to the calibrated performance models,
 //! ignoring data-transfer costs.
 
-use crate::sched::{argmin_worker, SchedView, Scheduler};
+use crate::sched::{earliest_completion, SchedView, Scheduler};
 use crate::task::TaskId;
 use crate::worker::WorkerId;
 
@@ -16,8 +16,6 @@ impl Scheduler for DmScheduler {
     }
 
     fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        argmin_worker(view, task, |w| {
-            view.completion_estimate(task, w, false).value()
-        })
+        earliest_completion(view, task, false)
     }
 }

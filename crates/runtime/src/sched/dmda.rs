@@ -2,7 +2,7 @@
 //! [`crate::sched::DmScheduler`] but the expected completion time includes
 //! the time to move missing operands to the candidate worker.
 
-use crate::sched::{argmin_worker, SchedView, Scheduler};
+use crate::sched::{earliest_completion, SchedView, Scheduler};
 use crate::task::TaskId;
 use crate::worker::WorkerId;
 
@@ -15,8 +15,6 @@ impl Scheduler for DmdaScheduler {
     }
 
     fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        argmin_worker(view, task, |w| {
-            view.completion_estimate(task, w, true).value()
-        })
+        earliest_completion(view, task, true)
     }
 }

@@ -8,7 +8,7 @@
 //! "prioritizes tasks whose data buffers are already available on the
 //! target device".
 
-use crate::sched::{SchedView, Scheduler};
+use crate::sched::{Estimate, PerNode, SchedView, Scheduler};
 use crate::task::TaskId;
 use crate::worker::WorkerId;
 
@@ -21,9 +21,9 @@ const TIE_FRACTION: f64 = 0.25;
 
 #[derive(Debug, Default, Clone)]
 pub struct DmdasScheduler {
-    /// Reusable (worker, expected-completion) scratch — `choose` runs
-    /// once per task and used to allocate a fresh Vec each call.
-    costs: Vec<(WorkerId, f64)>,
+    /// Reusable per-candidate scratch — `choose` runs once per task and
+    /// used to allocate a fresh Vec each call.
+    costs: Vec<Estimate>,
 }
 
 impl Scheduler for DmdasScheduler {
@@ -38,29 +38,34 @@ impl Scheduler for DmdasScheduler {
 
     fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
         self.costs.clear();
-        self.costs.extend(
-            view.capable_workers(task)
-                .map(|w| (w.id, view.completion_estimate(task, w, true).value())),
-        );
+        self.costs.extend(view.estimates(task, true));
         let costs = &self.costs;
         assert!(!costs.is_empty(), "no capable worker for task {task}");
-        let (best_id, best) = costs
+        let ect = |e: &Estimate| e.completion.value();
+        let best = costs
             .iter()
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .min_by(|a, b| ect(a).total_cmp(&ect(b)))
             .expect("non-empty candidate set");
-        let slack = view.exec_estimate(task, &view.workers[best_id]).value() * TIE_FRACTION;
+        let (best_ect, slack) = (ect(best), best.exec.value() * TIE_FRACTION);
         // Locality tie-break among workers finishing within a fraction of
-        // one execution of the best.
+        // one execution of the best; resident bytes depend on the memory
+        // node alone, so they are counted once per node.
+        let mut resident = PerNode::default();
         costs
             .iter()
-            .filter(|(_, c)| *c <= best + slack)
-            .max_by(|a, b| {
-                let ra = view.resident_bytes(task, &view.workers[a.0]).value();
-                let rb = view.resident_bytes(task, &view.workers[b.0]).value();
-                ra.total_cmp(&rb).then_with(|| b.1.total_cmp(&a.1)) // then earliest ECT
+            .filter(|e| ect(e) <= best_ect + slack)
+            .map(|e| {
+                let w = &view.workers[e.worker];
+                let r = resident.get(w.mem_node(), || view.resident_bytes(task, w).value());
+                (e, r)
             })
-            .map(|(id, _)| *id)
+            // Most resident bytes, then earliest ECT; `max_by` keeps the
+            // last of equal maxima.
+            .max_by(|a, b| {
+                a.1.total_cmp(&b.1)
+                    .then_with(|| ect(b.0).total_cmp(&ect(a.0)))
+            })
+            .map(|(e, _)| e.worker)
             .expect("non-empty candidate set")
     }
 }

@@ -11,7 +11,7 @@
 //! energy of the execution from the history model. `λ = 0` degenerates to
 //! dmda; `λ = 1` always picks the most energy-frugal capable worker.
 
-use crate::sched::{SchedView, Scheduler};
+use crate::sched::{SchedView, Scheduler, UNKNOWN_ENERGY};
 use crate::task::TaskId;
 use crate::worker::WorkerId;
 
@@ -44,14 +44,12 @@ impl Scheduler for EnergyAwareScheduler {
     }
 
     fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
+        let row = view.perf_row(task);
         let candidates: Vec<(WorkerId, f64, f64)> = view
-            .capable_workers(task)
-            .map(|w| {
-                (
-                    w.id,
-                    view.completion_estimate(task, w, true).value(),
-                    view.energy_estimate(task, w).value(),
-                )
+            .estimates(task, true)
+            .map(|e| {
+                let energy = row.expected_energy(e.worker).unwrap_or(UNKNOWN_ENERGY);
+                (e.worker, e.completion.value(), energy.value())
             })
             .collect();
         assert!(!candidates.is_empty(), "no capable worker for task {task}");

@@ -20,9 +20,9 @@ pub use eager::EagerScheduler;
 pub use energy::EnergyAwareScheduler;
 pub use random::RandomScheduler;
 
-use crate::data::DataRegistry;
+use crate::data::{DataRegistry, MemNode};
 use crate::graph::TaskGraph;
-use crate::perfmodel::PerfModel;
+use crate::perfmodel::{PerfModel, PerfRow};
 use crate::task::TaskId;
 use crate::worker::{Worker, WorkerId};
 use serde::{Deserialize, Serialize};
@@ -84,6 +84,9 @@ pub struct SchedView<'a> {
 /// effectively excludes the worker unless nothing else can run the task.
 const UNKNOWN_TIME: Secs = Secs(1e6);
 
+/// Energy placeholder for workers without history.
+const UNKNOWN_ENERGY: Joules = Joules(1e9);
+
 impl<'a> SchedView<'a> {
     /// Can this worker execute this task at all (codelet has an
     /// implementation for the architecture)?
@@ -96,18 +99,22 @@ impl<'a> SchedView<'a> {
         }
     }
 
+    /// The history-model row of the task's footprint: look it up once
+    /// per task, then cost each candidate with an index.
+    pub(crate) fn perf_row(&self, task: TaskId) -> PerfRow<'a> {
+        self.perf.row(self.graph.task(task).footprint())
+    }
+
     /// Expected execution time from the history model.
     pub fn exec_estimate(&self, task: TaskId, w: &Worker) -> Secs {
-        let fp = self.graph.task(task).footprint();
-        self.perf
-            .expected_time_or_extrapolate(fp, w.id)
-            .unwrap_or(UNKNOWN_TIME)
+        exec_in(&self.perf_row(task), w)
     }
 
     /// Expected energy of one execution on this worker.
     pub fn energy_estimate(&self, task: TaskId, w: &Worker) -> Joules {
-        let fp = self.graph.task(task).footprint();
-        self.perf.expected_energy(fp, w.id).unwrap_or(Joules(1e9))
+        self.perf_row(task)
+            .expected_energy(w.id)
+            .unwrap_or(UNKNOWN_ENERGY)
     }
 
     /// Bandwidth-based estimate of the data-transfer time this task would
@@ -162,6 +169,73 @@ impl<'a> SchedView<'a> {
     pub fn capable_workers(&self, task: TaskId) -> impl Iterator<Item = &Worker> {
         self.workers.iter().filter(move |w| self.can_run(task, w))
     }
+
+    /// [`Self::completion_estimate`] of every capable worker, in worker
+    /// order, alongside its execution estimate. The task's history row is
+    /// looked up once, and the transfer estimate — a function of the
+    /// memory node alone — is computed once per run of consecutive
+    /// workers on the same node: once for all the CPU cores sharing the
+    /// host, once per GPU.
+    pub(crate) fn estimates(
+        &self,
+        task: TaskId,
+        with_transfers: bool,
+    ) -> impl Iterator<Item = Estimate> + '_ {
+        let row = self.perf_row(task);
+        let mut transfers = PerNode::default();
+        self.capable_workers(task).map(move |w| {
+            let transfer = if with_transfers {
+                transfers.get(w.mem_node(), || self.transfer_estimate(task, w))
+            } else {
+                Secs::ZERO
+            };
+            let exec = exec_in(&row, w);
+            let start = self.now.max(self.worker_free[w.id]);
+            Estimate {
+                worker: w.id,
+                exec,
+                completion: start + transfer + exec,
+            }
+        })
+    }
+}
+
+/// One capable worker's expected cost of a task (see
+/// [`SchedView::estimates`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Estimate {
+    pub(crate) worker: WorkerId,
+    /// Expected execution time.
+    pub(crate) exec: Secs,
+    /// Expected completion time.
+    pub(crate) completion: Secs,
+}
+
+/// A one-entry cache of a per-memory-node value. Workers come grouped by
+/// node (CPU cores, then one worker per GPU), so remembering the last
+/// node computes each node's value once; a node that recurs later is
+/// recomputed, which costs time but never changes the value.
+#[derive(Debug, Default)]
+pub(crate) struct PerNode<T> {
+    last: Option<(MemNode, T)>,
+}
+
+impl<T: Copy> PerNode<T> {
+    pub(crate) fn get(&mut self, node: MemNode, compute: impl FnOnce() -> T) -> T {
+        match self.last {
+            Some((n, v)) if n == node => v,
+            _ => {
+                let v = compute();
+                self.last = Some((node, v));
+                v
+            }
+        }
+    }
+}
+
+fn exec_in(row: &PerfRow, w: &Worker) -> Secs {
+    row.expected_time_or_extrapolate(w.id)
+        .unwrap_or(UNKNOWN_TIME)
 }
 
 /// A scheduling policy: orders each batch of newly-ready tasks, then
@@ -188,6 +262,19 @@ pub(crate) fn argmin_worker<F: FnMut(&Worker) -> f64>(
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap_or_else(|| panic!("no capable worker for task {task}"))
         .0
+}
+
+/// The capable worker with the earliest expected completion (first wins
+/// ties) — the dm family's choice.
+pub(crate) fn earliest_completion(
+    view: &SchedView,
+    task: TaskId,
+    with_transfers: bool,
+) -> WorkerId {
+    view.estimates(task, with_transfers)
+        .min_by(|a, b| a.completion.value().total_cmp(&b.completion.value()))
+        .unwrap_or_else(|| panic!("no capable worker for task {task}"))
+        .worker
 }
 
 #[cfg(test)]

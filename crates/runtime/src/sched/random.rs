@@ -30,8 +30,8 @@ impl Scheduler for RandomScheduler {
     fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
         // Weight = inverse expected execution time (relative speed).
         let candidates: Vec<(WorkerId, f64)> = view
-            .capable_workers(task)
-            .map(|w| (w.id, 1.0 / view.exec_estimate(task, w).value().max(1e-12)))
+            .estimates(task, false)
+            .map(|e| (e.worker, 1.0 / e.exec.value().max(1e-12)))
             .collect();
         let Some(last) = candidates.last() else {
             panic!("no capable worker for task {task}");

@@ -199,8 +199,10 @@ impl Shard {
     /// ops-sized per-shard capacities this service uses.
     fn evict_to(&self, target: usize, map: &mut HashMap<u64, Entry>) {
         loop {
+            // Order-free: the count and the `min` over unique
+            // (touched, key) pairs do not depend on iteration order.
             let ready = map
-                .iter()
+                .iter() // lint:allow hash-iteration
                 .filter_map(|(k, e)| match e {
                     Entry::Ready { touched, .. } => Some((*touched, *k)),
                     Entry::Pending(_) => None,
