@@ -29,7 +29,6 @@ use std::process::ExitCode;
 use ugpc_analysis::lints::{self, all_rules};
 use ugpc_analysis::model::backpressure::Backpressure;
 use ugpc_analysis::model::controlplane::ControlPlaneModel;
-use ugpc_analysis::model::eventqueue::EventQueueModel;
 use ugpc_analysis::model::seqlock::SeqlockModel;
 use ugpc_analysis::model::singleflight::{ShardedSingleFlight, SingleFlight};
 use ugpc_analysis::model::{Checker, Model};
@@ -74,8 +73,8 @@ fn check_model<M: Model>(name: &str, model: &M) -> bool {
 }
 
 /// The `--model` leg: the shipped protocols at the configurations the
-/// transition-labeling tests in `ugpc-serve` exercise, plus the DES
-/// calendar queue's ordering contract.
+/// transition-labeling tests in `ugpc-serve` exercise, plus the control
+/// plane's re-cap path and the flight recorder's seqlock ring.
 fn check_models() -> bool {
     let mut ok = true;
     ok &= check_model("single-flight(threads=3)", &SingleFlight::correct(3));
@@ -87,7 +86,6 @@ fn check_models() -> bool {
         "backpressure(clients=2, workers=2, capacity=1)",
         &Backpressure::correct(2, 2, 1),
     );
-    ok &= check_model("event-queue(pushes=4)", &EventQueueModel::correct(4));
     ok &= check_model("control-plane(ticks=6)", &ControlPlaneModel::correct(6));
     ok &= check_model(
         "seqlock-ring(pushes=3, drains=2)",

@@ -19,12 +19,6 @@
 //! * [`backpressure`]: the `WorkerPool` bounded queue — invariants: the
 //!   queue never exceeds capacity, `accepted + rejected == submitted`,
 //!   and at drain time `executed == accepted` with every worker joined.
-//! * [`eventqueue`]: the DES calendar queue's ordering contract — a
-//!   miniature two-slot wheel (overflow spill, pinned horizon, past-push
-//!   cursor pullback, wheel-dry rebuild) run in lockstep against the
-//!   sorted-list specification over every bounded push/pop interleaving;
-//!   invariants: pops match the `(time, seq)` minimum exactly (FIFO on
-//!   equal timestamps), no event is lost or duplicated, every run drains.
 //! * [`controlplane`]: the online controller's re-cap command path —
 //!   every decision sequence a bounded tick train could emit, checked
 //!   for lost or stale re-caps, domain escapes, and the neutrality
@@ -48,7 +42,6 @@
 
 pub mod backpressure;
 pub mod controlplane;
-pub mod eventqueue;
 pub mod seqlock;
 pub mod singleflight;
 

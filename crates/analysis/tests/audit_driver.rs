@@ -168,7 +168,6 @@ fn report_is_independent_of_file_order() {
 fn model_interleaving_counts_are_pinned() {
     use ugpc_analysis::model::backpressure::Backpressure;
     use ugpc_analysis::model::controlplane::ControlPlaneModel;
-    use ugpc_analysis::model::eventqueue::EventQueueModel;
     use ugpc_analysis::model::singleflight::{ShardedSingleFlight, SingleFlight};
     use ugpc_analysis::model::{CheckOutcome, Checker, Model};
 
@@ -188,6 +187,5 @@ fn model_interleaving_counts_are_pinned() {
         (4225, 12740, 100)
     );
     assert_eq!(counts(&Backpressure::correct(2, 2, 1)), (291, 710, 3));
-    assert_eq!(counts(&EventQueueModel::correct(4)), (1280, 2361, 10));
     assert_eq!(counts(&ControlPlaneModel::correct(6)), (575, 574, 169));
 }

@@ -39,8 +39,6 @@ use ugpc_hwsim::{table_ii_entry, Node, OpKind, PlatformId, Precision, Watts};
 use ugpc_linalg::{build_gemm, build_potrf};
 use ugpc_runtime::{DataRegistry, PowerTimeline, SchedPolicy, TaskGraph};
 
-pub use ugpc_runtime::{set_backend_override, QueueBackend};
-
 /// Everything that defines one measured run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunConfig {

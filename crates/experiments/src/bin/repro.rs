@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--queue Q] [--json DIR] [fig1|table1|table2|fig3|fig4|fig5|fig6|fig7|ablation|power|profile|control|all]...
+//! repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [fig1|table1|table2|fig3|fig4|fig5|fig6|fig7|ablation|power|profile|control|all]...
 //! repro --serve [ADDR] [--persist PATH]
 //! repro --trace-out DIR [--scale K]
 //! ```
@@ -21,10 +21,6 @@
 //! (default: available cores, also settable via `UGPC_JOBS`); `--jobs 1`
 //! preserves the plain serial path. Output is byte-identical either way
 //! — see `ugpc_experiments::driver`.
-//! `--queue heap|calendar` picks the DES event-queue backend (also
-//! settable via `UGPC_QUEUE`; default calendar). Both backends pop in
-//! the same order, so output is byte-identical either way — this is a
-//! performance knob, pinned by the queue-equivalence suite.
 //! `--json DIR` additionally writes each experiment's raw data as JSON.
 //! `--smoke` runs the cheap CI variant of experiments that have one
 //! (currently `control`); the full-scale committed baselines are left
@@ -112,11 +108,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 ex::driver::set_jobs(n);
             }
-            "--queue" => {
-                let v = it.next().ok_or("--queue needs `heap` or `calendar`")?;
-                let backend = v.parse()?;
-                ugpc_runtime::set_backend_override(Some(backend));
-            }
             "--json" => {
                 let v = it.next().ok_or("--json needs a directory")?;
                 args.json_dir = Some(PathBuf::from(v));
@@ -159,7 +150,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--queue Q] [--json DIR] [{}|all]...\n       repro --serve [ADDR] [--persist PATH]   (default {DEFAULT_SERVE_ADDR})\n       repro --trace-out DIR [--scale K]",
+                    "usage: repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [{}|all]...\n       repro --serve [ADDR] [--persist PATH]   (default {DEFAULT_SERVE_ADDR})\n       repro --trace-out DIR [--scale K]",
                     ALL.join("|")
                 );
                 std::process::exit(0);

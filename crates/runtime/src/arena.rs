@@ -63,7 +63,6 @@ pub struct RunArena {
 
 impl RunArena {
     pub fn new() -> Self {
-        use crate::des::QueueBackend;
         RunArena {
             workers: Vec::new(),
             capable_cores: Vec::new(),
@@ -78,8 +77,8 @@ impl RunArena {
             completed: Vec::new(),
             footprints: Vec::new(),
             missing: Vec::new(),
-            events: EventQueue::with_backend(QueueBackend::default()),
-            resync: EventQueue::unmonitored(QueueBackend::default()),
+            events: EventQueue::new(),
+            resync: EventQueue::unmonitored(),
         }
     }
 }

@@ -1,33 +1,13 @@
-//! Deterministic discrete-event queue with pluggable backends.
+//! Deterministic discrete-event queue.
 //!
-//! The contract is a min-queue over `(time, sequence)` — ties in virtual
-//! time resolve in insertion order, which makes every simulation run
-//! bit-reproducible. Two backends implement it:
-//!
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap` reference
-//!   implementation, O(log n) per operation.
-//! * [`QueueBackend::Calendar`] — an indexed calendar queue (Brown 1988):
-//!   a power-of-two ring of time buckets of fixed `width`, a day cursor
-//!   that only moves forward while events are pending, and an overflow
-//!   heap for events beyond the wheel's horizon. Near-O(1) per operation
-//!   when event times are locally clustered, which DES drain loops are.
-//!
-//! Both backends pop in exactly the same order — `(f64::total_cmp` on
-//! time, then insertion sequence`)` — so swapping one for the other can
-//! never change a simulation outcome. The queue-equivalence proptest
-//! suite (`tests/queue_equivalence.rs`) drives them in lockstep, the
-//! study-level differentials pin byte-identical reports, and the
-//! `eventqueue` model in `ugpc-analysis` exhaustively checks the
-//! tie-break protocol on an abstract wheel.
-//!
-//! Backend selection: explicit [`EventQueue::with_backend`], else the
-//! process-wide [`set_backend_override`], else the `UGPC_QUEUE`
-//! environment variable (`heap` / `calendar`), else [`QueueBackend`]'s
-//! default (calendar).
+//! The contract is a min-queue over `(time, sequence)`: `f64::total_cmp`
+//! on time, then insertion sequence, so ties in virtual time resolve in
+//! insertion order and every simulation run is bit-reproducible. The
+//! queue is a `BinaryHeap`; a run keeps only about 10² events pending,
+//! which is the heap's best regime.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use ugpc_hwsim::Secs;
 
 struct Event<T> {
@@ -60,415 +40,24 @@ impl<T> Ord for Event<T> {
     }
 }
 
-/// Which event-queue implementation backs an [`EventQueue`].
+/// The event-queue implementation behind [`SimOptions::queue`]. There is
+/// one; the type and its [`resolve`](QueueBackend::resolve) exist only
+/// because the benchmark's traced replay (`benchmark/src/replay.rs`)
+/// names both, and stay until the next change to the benchmark.
+///
+/// [`SimOptions::queue`]: crate::SimOptions::queue
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueBackend {
-    /// The `BinaryHeap` reference implementation.
-    Heap,
-    /// The indexed calendar queue (time-bucketed wheel + overflow).
+    /// The `BinaryHeap` queue.
     #[default]
-    Calendar,
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueBackend::Heap => "heap",
-            QueueBackend::Calendar => "calendar",
-        })
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(QueueBackend::Heap),
-            "calendar" => Ok(QueueBackend::Calendar),
-            other => Err(format!(
-                "unknown queue backend `{other}` (expected `heap` or `calendar`)"
-            )),
-        }
-    }
-}
-
-/// Process-wide backend override: 0 = none, 1 = heap, 2 = calendar.
-/// Mirrors the `UGPC_JOBS` / `driver::set_jobs` knob precedent: CLI flags
-/// set it once at startup; everything that builds a default
-/// `SimOptions` picks it up.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set (or clear) the process-wide backend override. Takes precedence
-/// over the `UGPC_QUEUE` environment variable.
-pub fn set_backend_override(backend: Option<QueueBackend>) {
-    let v = match backend {
-        None => 0,
-        Some(QueueBackend::Heap) => 1,
-        Some(QueueBackend::Calendar) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, AtomicOrdering::Relaxed);
+    Heap,
 }
 
 impl QueueBackend {
-    /// Resolve the ambient backend: override, then `UGPC_QUEUE`, then
-    /// the default. Unrecognized environment values fall back to the
-    /// default rather than aborting a run over a typo'd knob.
+    /// The backend every queue uses.
     pub fn resolve() -> QueueBackend {
-        match BACKEND_OVERRIDE.load(AtomicOrdering::Relaxed) {
-            1 => return QueueBackend::Heap,
-            2 => return QueueBackend::Calendar,
-            _ => {}
-        }
-        match std::env::var("UGPC_QUEUE") {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => QueueBackend::default(),
-        }
+        QueueBackend::Heap
     }
-}
-
-/// One bucketed entry in the calendar wheel. `day` is the bucket index
-/// computed *at insertion* (against the then-current width), so pops can
-/// filter a slot for exactly the current day even after the cursor has
-/// been pulled back by a past-time push.
-struct CalEntry<T> {
-    day: i64,
-    time: f64,
-    seq: u64,
-    payload: T,
-}
-
-/// Geometry floor/ceiling for the wheel (both powers of two).
-const MIN_SLOTS: usize = 64;
-const MAX_SLOTS: usize = 1 << 16;
-/// Target load factor when retuning the bucket width on a rebuild.
-const TARGET_LOAD: f64 = 0.75;
-/// Width multiplier at retune: the wheel's horizon covers twice the
-/// span of the live population, so pushes that run ahead of the current
-/// maximum (completion times always do) tend to land in the wheel
-/// instead of spilling to the overflow heap, without widening buckets
-/// enough to crowd them.
-const WINDOW_SLACK: f64 = 2.0;
-/// Same-day occupancy of one slot that triggers a retune at pop time.
-/// The push-side overload trigger compares population against slot
-/// *count*, which never fires when the bucket *width* is the problem
-/// (every event of a tightly-clustered simulation fell into a handful
-/// of days); the pop scan is where that mistuning becomes visible.
-const CROWD_LIMIT: usize = 32;
-/// Clamp bucket indices so `cur_day + slots.len()` can never overflow.
-/// Correctness is unaffected: entries sharing a (clamped) day are still
-/// ordered by exact `(time, seq)` at pop.
-const DAY_CLAMP: i64 = 1 << 62;
-
-struct Calendar<T> {
-    /// Power-of-two ring of buckets; slot for day `d` is `d & mask`.
-    slots: Vec<Vec<CalEntry<T>>>,
-    mask: usize,
-    /// Virtual-time span of one bucket.
-    width: f64,
-    /// `1.0 / width`, cached: bucket assignment happens on every push
-    /// and a float divide costs several times a multiply. Any monotone
-    /// deterministic time→day map is correct (within-day order uses
-    /// exact times), so the reciprocal's rounding is harmless.
-    inv_width: f64,
-    /// The day the pop cursor is currently scanning. Pushes earlier than
-    /// the cursor pull it back; pops advance it.
-    cur_day: i64,
-    /// First day *not* representable in the wheel: pushes at
-    /// `day >= horizon` spill to `overflow` until a reanchor/rebuild.
-    horizon: i64,
-    /// Entries currently in the wheel (not counting overflow).
-    wheel_len: usize,
-    /// Events beyond the horizon, kept in the reference heap order.
-    overflow: BinaryHeap<Event<T>>,
-    /// False until the first push anchors the cursor to its day.
-    anchored: bool,
-    /// Scratch for same-timestamp batch extraction.
-    scratch: Vec<CalEntry<T>>,
-    /// Memoized `advance_to_min` result `(day, index)`, valid until the
-    /// next mutation. Makes the peek-then-pop pattern (the resync drain
-    /// loop) scan once instead of twice.
-    cached_min: Option<(i64, usize)>,
-    /// Population at the last retune and pops since then — the rate
-    /// limit for the pop-side crowd retune (see [`CROWD_LIMIT`]).
-    last_retune_len: usize,
-    pops_since_retune: usize,
-}
-
-impl<T> Calendar<T> {
-    fn new() -> Self {
-        Calendar {
-            slots: (0..MIN_SLOTS).map(|_| Vec::new()).collect(),
-            mask: MIN_SLOTS - 1,
-            width: 1.0,
-            inv_width: 1.0,
-            cur_day: 0,
-            horizon: MIN_SLOTS as i64,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            anchored: false,
-            scratch: Vec::new(),
-            cached_min: None,
-            last_retune_len: 0,
-            pops_since_retune: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    fn day_of(&self, time: f64) -> i64 {
-        // `as` saturates, and the clamp keeps horizon arithmetic far
-        // from i64::MAX.
-        let d = (time * self.inv_width).floor();
-        (d as i64).clamp(-DAY_CLAMP, DAY_CLAMP)
-    }
-
-    /// Reset bucket geometry around the given population, then anchor at
-    /// `tmin`. Only called when every entry is in hand (`pool`), so every
-    /// day is recomputed against the new width — the wheel/overflow
-    /// split invariant (same time ⇒ same side) is re-established from
-    /// scratch.
-    fn retune(&mut self, pool: &mut Vec<Event<T>>) {
-        self.last_retune_len = pool.len();
-        self.pops_since_retune = 0;
-        let n = pool.len().max(1);
-        let slots = (n * 2)
-            .next_power_of_two()
-            .clamp(MIN_SLOTS, MAX_SLOTS)
-            .max(self.slots.len());
-        if slots != self.slots.len() {
-            self.slots.resize_with(slots, Vec::new);
-            self.mask = slots - 1;
-        }
-        let mut tmin = f64::INFINITY;
-        let mut tmax = f64::NEG_INFINITY;
-        for e in pool.iter() {
-            tmin = tmin.min(e.time);
-            tmax = tmax.max(e.time);
-        }
-        let span = tmax - tmin;
-        if span > 0.0 {
-            let w = WINDOW_SLACK * span / (TARGET_LOAD * slots as f64);
-            if w.is_finite() && w > 0.0 {
-                self.width = w;
-                self.inv_width = 1.0 / w;
-            }
-        }
-        self.cur_day = if tmin.is_finite() {
-            self.day_of(tmin)
-        } else {
-            0
-        };
-        self.horizon = self.cur_day.saturating_add(slots as i64);
-        self.anchored = true;
-        for e in pool.drain(..) {
-            let day = self.day_of(e.time);
-            if day >= self.horizon {
-                self.overflow.push(e);
-            } else {
-                self.slots[(day & self.mask as i64) as usize].push(CalEntry {
-                    day,
-                    time: e.time,
-                    seq: e.seq,
-                    payload: e.payload,
-                });
-                self.wheel_len += 1;
-            }
-        }
-    }
-
-    /// Drain everything (wheel + overflow) into one pool and retune —
-    /// used when the wheel overloads (`wheel_len > 2 * slots`) and when
-    /// the wheel runs dry with events still in overflow.
-    fn rebuild(&mut self) {
-        self.cached_min = None;
-        let mut pool: Vec<Event<T>> = Vec::with_capacity(self.len());
-        for slot in &mut self.slots {
-            for e in slot.drain(..) {
-                pool.push(Event {
-                    time: e.time,
-                    seq: e.seq,
-                    payload: e.payload,
-                });
-            }
-        }
-        self.wheel_len = 0;
-        pool.extend(self.overflow.drain());
-        self.retune(&mut pool);
-    }
-
-    fn push(&mut self, time: f64, seq: u64, payload: T) {
-        self.cached_min = None;
-        if !self.anchored {
-            self.anchored = true;
-            self.cur_day = self.day_of(time);
-            self.horizon = self.cur_day.saturating_add(self.slots.len() as i64);
-        }
-        let day = self.day_of(time);
-        if day >= self.horizon {
-            self.overflow.push(Event { time, seq, payload });
-            return;
-        }
-        if day < self.cur_day {
-            // A push into the past (legal for unmonitored queues, e.g.
-            // the resync candidates): pull the cursor back. Entries keep
-            // their exact day, so the widened scan window stays correct.
-            self.cur_day = day;
-        }
-        self.slots[(day & self.mask as i64) as usize].push(CalEntry {
-            day,
-            time,
-            seq,
-            payload,
-        });
-        self.wheel_len += 1;
-        if self.wheel_len > self.slots.len() && self.slots.len() < MAX_SLOTS {
-            self.rebuild();
-        }
-    }
-
-    /// Advance `cur_day` to the day of the earliest wheel entry and
-    /// return the index (within that day's slot) of the `(time, seq)`
-    /// minimum. Pulls overflow into the wheel first if the wheel is dry.
-    /// Returns `None` only when the whole queue is empty.
-    fn advance_to_min(&mut self) -> Option<usize> {
-        if let Some((day, i)) = self.cached_min {
-            self.cur_day = day;
-            return Some(i);
-        }
-        if self.wheel_len == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            self.rebuild();
-            // retune anchors at tmin, so the wheel now holds it.
-        }
-        let mut steps = 0usize;
-        let mut may_retune = true;
-        loop {
-            let slot = &self.slots[(self.cur_day & self.mask as i64) as usize];
-            let mut best: Option<usize> = None;
-            let mut today = 0usize;
-            for (i, e) in slot.iter().enumerate() {
-                if e.day != self.cur_day {
-                    continue;
-                }
-                today += 1;
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let cur = &slot[b];
-                        if e.time.total_cmp(&cur.time).then(e.seq.cmp(&cur.seq)) == Ordering::Less {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-            if today > CROWD_LIMIT && may_retune && self.pops_since_retune > self.last_retune_len {
-                // The bucket width is too coarse for the current time
-                // distribution: one day soaked up a crowd the push-side
-                // overload check (population vs. slot count) cannot
-                // see. Rebuild — retune recomputes the width from the
-                // live population's span — and rescan. Rate limit: at
-                // least as many pops as the population the geometry was
-                // tuned for, so the O(n) rebuild amortizes to O(1) per
-                // pop; one attempt per call because a zero-span
-                // population (all-equal times) stays crowded no matter
-                // the width, and the linear scan is then the best we
-                // can do anyway.
-                self.rebuild();
-                may_retune = false;
-                steps = 0;
-                continue;
-            }
-            if let Some(i) = best {
-                self.cached_min = Some((self.cur_day, i));
-                return Some(i);
-            }
-            self.cur_day += 1;
-            steps += 1;
-            if steps > self.slots.len() {
-                // Sparse distribution: one lap found nothing (possible
-                // after a past-time push widened the window beyond one
-                // wrap). Jump straight to the minimum occupied day.
-                let min_day = self
-                    .slots
-                    .iter()
-                    .flat_map(|s| s.iter().map(|e| e.day))
-                    .min()
-                    .expect("wheel_len > 0 implies an occupied slot");
-                self.cur_day = min_day;
-                steps = 0;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(f64, T)> {
-        let i = self.advance_to_min()?;
-        self.cached_min = None;
-        self.pops_since_retune += 1;
-        let slot = &mut self.slots[(self.cur_day & self.mask as i64) as usize];
-        let e = slot.swap_remove(i);
-        self.wheel_len -= 1;
-        Some((e.time, e.payload))
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        let i = self.advance_to_min()?;
-        let slot = &self.slots[(self.cur_day & self.mask as i64) as usize];
-        Some(slot[i].time)
-    }
-
-    /// Pop the earliest entry plus every entry with an `==`-equal time,
-    /// in `(total_cmp, seq)` order — exactly the sequence the heap
-    /// backend would pop one by one. Equal times always share a day
-    /// (`-0.0` and `0.0` both floor to day 0) and days never straddle
-    /// the wheel/overflow split, so the whole batch lives in one slot.
-    fn pop_all_eq(&mut self, out: &mut Vec<T>) -> Option<f64> {
-        let first = self.advance_to_min()?;
-        self.cached_min = None;
-        let slot = &mut self.slots[(self.cur_day & self.mask as i64) as usize];
-        let t = slot[first].time;
-        self.scratch.clear();
-        let mut i = 0;
-        while i < slot.len() {
-            if slot[i].day == self.cur_day && slot[i].time == t {
-                self.scratch.push(slot.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.wheel_len -= self.scratch.len();
-        self.pops_since_retune += self.scratch.len();
-        self.scratch
-            .sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
-        let lead = self.scratch[0].time;
-        out.extend(self.scratch.drain(..).map(|e| e.payload));
-        Some(lead)
-    }
-
-    fn clear(&mut self) {
-        self.cached_min = None;
-        self.last_retune_len = 0;
-        self.pops_since_retune = 0;
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.overflow.clear();
-        self.wheel_len = 0;
-        self.cur_day = 0;
-        self.horizon = self.slots.len() as i64;
-        self.width = 1.0;
-        self.inv_width = 1.0;
-        self.anchored = false;
-    }
-}
-
-enum BackendImpl<T> {
-    Heap(BinaryHeap<Event<T>>),
-    Calendar(Calendar<T>),
 }
 
 /// Min-queue of timed events with FIFO tie-breaking.
@@ -481,7 +70,7 @@ enum BackendImpl<T> {
 /// pushes into the past (stale candidates are re-checked at pop), so it
 /// uses [`EventQueue::unmonitored`].
 pub struct EventQueue<T> {
-    backend: BackendImpl<T>,
+    heap: BinaryHeap<Event<T>>,
     seq: u64,
     #[cfg(feature = "sanitize")]
     monitored: bool,
@@ -496,17 +85,9 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// A queue on the ambient backend (see [`QueueBackend::resolve`]).
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::resolve())
-    }
-
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Heap => BackendImpl::Heap(BinaryHeap::new()),
-                QueueBackend::Calendar => BackendImpl::Calendar(Calendar::new()),
-            },
+            heap: BinaryHeap::new(),
             seq: 0,
             #[cfg(feature = "sanitize")]
             monitored: true,
@@ -517,9 +98,9 @@ impl<T> EventQueue<T> {
 
     /// A queue whose pops are exempt from the sanitize monotone-time
     /// assertion (for candidate queues that legally push into the past).
-    pub fn unmonitored(backend: QueueBackend) -> Self {
+    pub fn unmonitored() -> Self {
         #[allow(unused_mut)]
-        let mut q = Self::with_backend(backend);
+        let mut q = Self::new();
         #[cfg(feature = "sanitize")]
         {
             q.monitored = false;
@@ -527,28 +108,11 @@ impl<T> EventQueue<T> {
         q
     }
 
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            BackendImpl::Heap(_) => QueueBackend::Heap,
-            BackendImpl::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
-    /// Empty the queue for reuse (retaining allocations where the
-    /// representation allows), switching representation if `backend`
-    /// differs. Sequence numbering and the sanitize watermark restart
-    /// from scratch, so a reset queue is observationally a fresh one.
-    pub fn reset(&mut self, backend: QueueBackend) {
-        match (&mut self.backend, backend) {
-            (BackendImpl::Heap(h), QueueBackend::Heap) => h.clear(),
-            (BackendImpl::Calendar(c), QueueBackend::Calendar) => c.clear(),
-            (slot, _) => {
-                *slot = match backend {
-                    QueueBackend::Heap => BackendImpl::Heap(BinaryHeap::new()),
-                    QueueBackend::Calendar => BackendImpl::Calendar(Calendar::new()),
-                };
-            }
-        }
+    /// Empty the queue for reuse, keeping its allocation. Sequence
+    /// numbering and the sanitize watermark restart from scratch, so a
+    /// reset queue is observationally a fresh one.
+    pub fn reset(&mut self) {
+        self.heap.clear();
         self.seq = 0;
         #[cfg(feature = "sanitize")]
         {
@@ -560,26 +124,18 @@ impl<T> EventQueue<T> {
         debug_assert!(time.value().is_finite(), "non-finite event time");
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.backend {
-            BackendImpl::Heap(h) => h.push(Event {
-                time: time.value(),
-                seq,
-                payload,
-            }),
-            BackendImpl::Calendar(c) => c.push(time.value(), seq, payload),
-        }
+        self.heap.push(Event {
+            time: time.value(),
+            seq,
+            payload,
+        });
     }
 
     pub fn pop(&mut self) -> Option<(Secs, T)> {
-        let popped = match &mut self.backend {
-            BackendImpl::Heap(h) => h.pop().map(|e| (Secs(e.time), e.payload)),
-            BackendImpl::Calendar(c) => c.pop().map(|(t, p)| (Secs(t), p)),
-        };
+        let e = self.heap.pop()?;
         #[cfg(feature = "sanitize")]
-        if let Some((t, _)) = &popped {
-            self.check_monotone(t.value());
-        }
-        popped
+        self.check_monotone(e.time);
+        Some((Secs(e.time), e.payload))
     }
 
     /// Pop the earliest event and every event at an `==`-equal time in
@@ -588,18 +144,12 @@ impl<T> EventQueue<T> {
     /// first popped event's time (the batch timestamp). Note `-0.0 ==
     /// 0.0`: a mixed batch leads with `-0.0` (the `total_cmp` minimum).
     pub fn pop_all_eq(&mut self, out: &mut Vec<T>) -> Option<Secs> {
-        let t = match &mut self.backend {
-            BackendImpl::Heap(h) => {
-                let first = h.pop()?;
-                let t = first.time;
-                out.push(first.payload);
-                while h.peek().is_some_and(|e| e.time == t) {
-                    out.push(h.pop().expect("peeked event exists").payload);
-                }
-                t
-            }
-            BackendImpl::Calendar(c) => c.pop_all_eq(out)?,
-        };
+        let first = self.heap.pop()?;
+        let t = first.time;
+        out.push(first.payload);
+        while self.heap.peek().is_some_and(|e| e.time == t) {
+            out.push(self.heap.pop().expect("peeked event exists").payload);
+        }
         #[cfg(feature = "sanitize")]
         self.check_monotone(t);
         Some(Secs(t))
@@ -619,25 +169,17 @@ impl<T> EventQueue<T> {
         self.last_pop = t;
     }
 
-    /// Time of the earliest pending event. (`&mut` because the calendar
-    /// backend advances its day cursor to find the minimum — an
-    /// observationally pure operation.)
-    pub fn peek_time(&mut self) -> Option<Secs> {
-        match &mut self.backend {
-            BackendImpl::Heap(h) => h.peek().map(|e| Secs(e.time)),
-            BackendImpl::Calendar(c) => c.peek_time().map(Secs),
-        }
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<Secs> {
+        self.heap.peek().map(|e| Secs(e.time))
     }
 
     pub fn len(&self) -> usize {
-        match &self.backend {
-            BackendImpl::Heap(h) => h.len(),
-            BackendImpl::Calendar(c) => c.len(),
-        }
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -645,161 +187,91 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
 
-    fn both(f: impl Fn(QueueBackend)) {
-        f(QueueBackend::Heap);
-        f(QueueBackend::Calendar);
-    }
-
     #[test]
     fn pops_in_time_order() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(3.0), "c");
-            q.push(Secs(1.0), "a");
-            q.push(Secs(2.0), "b");
-            assert_eq!(q.pop(), Some((Secs(1.0), "a")));
-            assert_eq!(q.pop(), Some((Secs(2.0), "b")));
-            assert_eq!(q.pop(), Some((Secs(3.0), "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(3.0), "c");
+        q.push(Secs(1.0), "a");
+        q.push(Secs(2.0), "b");
+        assert_eq!(q.pop(), Some((Secs(1.0), "a")));
+        assert_eq!(q.pop(), Some((Secs(2.0), "b")));
+        assert_eq!(q.pop(), Some((Secs(3.0), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_resolve_in_insertion_order() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(1.0), 10);
-            q.push(Secs(1.0), 20);
-            q.push(Secs(1.0), 30);
-            assert_eq!(q.pop().unwrap().1, 10);
-            assert_eq!(q.pop().unwrap().1, 20);
-            assert_eq!(q.pop().unwrap().1, 30);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(1.0), 10);
+        q.push(Secs(1.0), 20);
+        q.push(Secs(1.0), 30);
+        assert_eq!(q.pop().unwrap().1, 10);
+        assert_eq!(q.pop().unwrap().1, 20);
+        assert_eq!(q.pop().unwrap().1, 30);
     }
 
     #[test]
     fn peek_does_not_consume() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(5.0), ());
-            assert_eq!(q.peek_time(), Some(Secs(5.0)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(5.0), ());
+        assert_eq!(q.peek_time(), Some(Secs(5.0)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn pop_all_eq_drains_one_timestamp() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(2.0), 20);
-            q.push(Secs(1.0), 10);
-            q.push(Secs(1.0), 11);
-            q.push(Secs(3.0), 30);
-            q.push(Secs(1.0), 12);
-            let mut out = Vec::new();
-            assert_eq!(q.pop_all_eq(&mut out), Some(Secs(1.0)));
-            assert_eq!(out, vec![10, 11, 12]);
-            out.clear();
-            assert_eq!(q.pop_all_eq(&mut out), Some(Secs(2.0)));
-            assert_eq!(out, vec![20]);
-            out.clear();
-            assert_eq!(q.pop_all_eq(&mut out), Some(Secs(3.0)));
-            assert_eq!(out, vec![30]);
-            out.clear();
-            assert_eq!(q.pop_all_eq(&mut out), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(2.0), 20);
+        q.push(Secs(1.0), 10);
+        q.push(Secs(1.0), 11);
+        q.push(Secs(3.0), 30);
+        q.push(Secs(1.0), 12);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_all_eq(&mut out), Some(Secs(1.0)));
+        assert_eq!(out, vec![10, 11, 12]);
+        out.clear();
+        assert_eq!(q.pop_all_eq(&mut out), Some(Secs(2.0)));
+        assert_eq!(out, vec![20]);
+        out.clear();
+        assert_eq!(q.pop_all_eq(&mut out), Some(Secs(3.0)));
+        assert_eq!(out, vec![30]);
+        out.clear();
+        assert_eq!(q.pop_all_eq(&mut out), None);
     }
 
     #[test]
     fn negative_zero_batches_with_positive_zero() {
         // total_cmp orders -0.0 < 0.0 but `==` merges them: the batch
         // leads with -0.0 and contains both, FIFO within each sign.
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(0.0), 1);
-            q.push(Secs(-0.0), 2);
-            q.push(Secs(0.0), 3);
-            let mut out = Vec::new();
-            let t = q.pop_all_eq(&mut out).unwrap();
-            assert!(t.value() == 0.0 && t.value().is_sign_negative());
-            assert_eq!(out, vec![2, 1, 3]);
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn calendar_spills_and_recovers_distant_events() {
-        // Events far beyond the initial horizon land in overflow and
-        // come back in order once the wheel drains.
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
-        q.push(Secs(0.5), 0);
-        q.push(Secs(1.0e6), 1);
-        q.push(Secs(2.0e6), 2);
-        q.push(Secs(0.25), 3);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop().unwrap().1, 3);
-        assert_eq!(q.pop().unwrap().1, 0);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
+        let mut q = EventQueue::new();
+        q.push(Secs(0.0), 1);
+        q.push(Secs(-0.0), 2);
+        q.push(Secs(0.0), 3);
+        let mut out = Vec::new();
+        let t = q.pop_all_eq(&mut out).unwrap();
+        assert!(t.value() == 0.0 && t.value().is_sign_negative());
+        assert_eq!(out, vec![2, 1, 3]);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn calendar_rebuilds_under_load() {
-        // Enough same-window events to trigger the overload rebuild;
-        // order must survive the redistribution.
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
-        let n = 4096;
-        for i in 0..n {
-            q.push(Secs((i % 97) as f64 * 1e-3), i);
-        }
-        let mut last = (f64::NEG_INFINITY, 0u64);
-        let mut popped = 0;
-        while let Some((t, i)) = q.pop() {
-            let key = (t.value(), i as u64);
-            assert!(
-                key.0 > last.0 || (key.0 == last.0 && key.1 > last.1),
-                "order violated: {key:?} after {last:?}"
-            );
-            last = key;
-            popped += 1;
-        }
-        assert_eq!(popped, n);
-    }
-
-    #[test]
-    fn reset_switches_representation() {
-        let mut q: EventQueue<u32> = EventQueue::with_backend(QueueBackend::Heap);
-        assert_eq!(q.backend(), QueueBackend::Heap);
+    fn reset_restarts_sequence_numbering() {
+        // After a reset, equal-time ties order by the new insertion
+        // sequence only, as in a fresh queue.
+        let mut q: EventQueue<u32> = EventQueue::new();
         q.push(Secs(1.0), 1);
-        q.reset(QueueBackend::Calendar);
-        assert_eq!(q.backend(), QueueBackend::Calendar);
-        assert!(q.is_empty());
+        q.push(Secs(1.0), 2);
+        q.reset();
+        assert!(q.is_empty() && q.peek_time().is_none());
         q.push(Secs(1.0), 7);
+        q.push(Secs(1.0), 8);
         assert_eq!(q.pop(), Some((Secs(1.0), 7)));
-        q.reset(QueueBackend::Calendar);
-        assert!(q.is_empty() && q.pop().is_none());
-    }
-
-    #[test]
-    fn env_and_override_resolution() {
-        // The override beats everything; clearing it falls back to the
-        // (unset-env) default. Serialized within this one test to avoid
-        // racing other tests on the process-global.
-        set_backend_override(Some(QueueBackend::Heap));
-        assert_eq!(QueueBackend::resolve(), QueueBackend::Heap);
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        set_backend_override(Some(QueueBackend::Calendar));
-        assert_eq!(QueueBackend::resolve(), QueueBackend::Calendar);
-        set_backend_override(None);
-        assert_eq!("heap".parse(), Ok(QueueBackend::Heap));
-        assert_eq!("calendar".parse(), Ok(QueueBackend::Calendar));
-        assert!("fibonacci".parse::<QueueBackend>().is_err());
+        assert_eq!(q.pop(), Some((Secs(1.0), 8)));
+        assert!(q.pop().is_none());
     }
 
     // Pushing an event earlier than an already-popped one is legal for
@@ -809,24 +281,22 @@ mod tests {
     #[test]
     #[cfg(not(feature = "sanitize"))]
     fn interleaved_push_pop() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(2.0), 2);
-            q.push(Secs(4.0), 4);
-            assert_eq!(q.pop().unwrap().1, 2);
-            q.push(Secs(1.0), 1);
-            q.push(Secs(3.0), 3);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 4);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(2.0), 2);
+        q.push(Secs(4.0), 4);
+        assert_eq!(q.pop().unwrap().1, 2);
+        q.push(Secs(1.0), 1);
+        q.push(Secs(3.0), 3);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 4);
     }
 
     #[test]
     #[cfg(feature = "sanitize")]
     #[should_panic(expected = "virtual time moved backwards")]
     fn sanitize_catches_time_reversal() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         q.push(Secs(2.0), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         q.push(Secs(1.0), 1);
@@ -836,26 +306,22 @@ mod tests {
     #[test]
     #[cfg(feature = "sanitize")]
     fn sanitize_allows_monotone_interleaving() {
-        both(|b| {
-            let mut q = EventQueue::with_backend(b);
-            q.push(Secs(1.0), 1);
-            assert_eq!(q.pop().unwrap().1, 1);
-            q.push(Secs(1.0), 10); // equal time is fine
-            q.push(Secs(2.0), 2);
-            assert_eq!(q.pop().unwrap().1, 10);
-            assert_eq!(q.pop().unwrap().1, 2);
-        });
+        let mut q = EventQueue::new();
+        q.push(Secs(1.0), 1);
+        assert_eq!(q.pop().unwrap().1, 1);
+        q.push(Secs(1.0), 10); // equal time is fine
+        q.push(Secs(2.0), 2);
+        assert_eq!(q.pop().unwrap().1, 10);
+        assert_eq!(q.pop().unwrap().1, 2);
     }
 
     #[test]
     #[cfg(feature = "sanitize")]
     fn unmonitored_queue_tolerates_past_pushes() {
-        both(|b| {
-            let mut q = EventQueue::unmonitored(b);
-            q.push(Secs(5.0), 5);
-            assert_eq!(q.pop().unwrap().1, 5);
-            q.push(Secs(1.0), 1); // in the past — fine, unmonitored
-            assert_eq!(q.pop().unwrap().1, 1);
-        });
+        let mut q = EventQueue::unmonitored();
+        q.push(Secs(5.0), 5);
+        assert_eq!(q.pop().unwrap().1, 5);
+        q.push(Secs(1.0), 1); // in the past — fine, unmonitored
+        assert_eq!(q.pop().unwrap().1, 1);
     }
 }

@@ -146,17 +146,6 @@ impl<'a> SchedView<'a> {
         total
     }
 
-    /// Expected completion time on `w` (the dm family's objective).
-    pub fn completion_estimate(&self, task: TaskId, w: &Worker, with_transfers: bool) -> Secs {
-        let start = self.now.max(self.worker_free[w.id]);
-        let transfer = if with_transfers {
-            self.transfer_estimate(task, w)
-        } else {
-            Secs::ZERO
-        };
-        start + transfer + self.exec_estimate(task, w)
-    }
-
     /// Bytes of this task's operands already resident on `w`'s memory node.
     pub fn resident_bytes(&self, task: TaskId, w: &Worker) -> ugpc_hwsim::Bytes {
         self.data.resident_bytes(
@@ -170,12 +159,15 @@ impl<'a> SchedView<'a> {
         self.workers.iter().filter(move |w| self.can_run(task, w))
     }
 
-    /// [`Self::completion_estimate`] of every capable worker, in worker
-    /// order, alongside its execution estimate. The task's history row is
-    /// looked up once, and the transfer estimate — a function of the
-    /// memory node alone — is computed once per run of consecutive
-    /// workers on the same node: once for all the CPU cores sharing the
-    /// host, once per GPU.
+    /// The expected completion time of every capable worker `w` (the dm
+    /// family's objective), in worker order, alongside its execution
+    /// estimate: `max(now, worker_free[w]) + transfer + exec`, where
+    /// `transfer` is [`Self::transfer_estimate`] when `with_transfers` is
+    /// set and zero otherwise, and `exec` is [`Self::exec_estimate`]. The
+    /// task's history row is looked up once, and the transfer estimate —
+    /// a function of the memory node alone — is computed once per run of
+    /// consecutive workers on the same node: once for all the CPU cores
+    /// sharing the host, once per GPU.
     pub(crate) fn estimates(
         &self,
         task: TaskId,

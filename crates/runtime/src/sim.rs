@@ -42,10 +42,7 @@ pub struct SimOptions {
     /// the run (StarPU's online refinement). Disable to study frozen /
     /// stale models.
     pub refine_models: bool,
-    /// Event-queue backend for the completion and resync queues. The
-    /// default is the ambient resolution (process override, then
-    /// `UGPC_QUEUE`, then calendar) — both backends are proven to pop
-    /// identically, so this is a performance knob, never a semantic one.
+    /// Event-queue backend. It has one value; see [`QueueBackend`].
     pub queue: QueueBackend,
 }
 
@@ -252,7 +249,7 @@ fn simulate_in_arena(
     // candidates, keyed by the time they actually go idle. Resync pops
     // are legitimately non-monotone (candidates can sit in the past), so
     // the queue is constructed unmonitored — see `RunArena::new`.
-    resync.reset(options.queue);
+    resync.reset();
     h2d_free.clear();
     h2d_free.resize(n_gpus, Secs::ZERO);
     d2h_free.clear();
@@ -260,7 +257,7 @@ fn simulate_in_arena(
     graph.indegrees_into(indeg);
     ready.clear();
     ready.extend((0..graph.len()).filter(|&t| indeg[t] == 0));
-    events.reset(options.queue);
+    events.reset();
     if let Some(t0) = first_tick {
         events.push(t0.max(Secs::ZERO), SimEvent::ControlTick);
     }

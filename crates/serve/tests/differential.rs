@@ -1,6 +1,5 @@
 //! Differential suite: the event-loop server versus the in-process
-//! [`Service::handle_line`], over every submission shape and both DES
-//! queue backends.
+//! [`Service::handle_line`], over every submission shape.
 //!
 //! The non-negotiable invariant of the serve layer is that the transport
 //! is invisible on the wire: for the same request stream, the event loop
@@ -9,8 +8,6 @@
 //! simulation count, same retained entries), and the same structured
 //! errors — whether requests arrive one at a time (sequential), many in
 //! flight on one connection (pipelined), or as a single `batch` line.
-//! The DES queue backend (binary heap vs calendar wheel) must be equally
-//! invisible, and deliberately absent from the cache key.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -19,7 +16,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use ugpc_core::{set_backend_override, QueueBackend, RunConfig};
+use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 use ugpc_serve::protocol::encode;
 use ugpc_serve::{
@@ -158,16 +155,16 @@ fn run_scenario(scenario: &str) -> (Vec<String>, StatsReport) {
     (replies, stats)
 }
 
-/// The full matrix: {sequential, pipelined, batched} × {heap, calendar},
-/// each against the in-process reference. Reply bytes must be identical
-/// across every cell, and cache-slot behavior must agree: four misses (the four
+/// Every submission shape (sequential, pipelined, batched) against the
+/// in-process reference. Reply bytes must be identical across every
+/// shape, and cache-slot behavior must agree: four misses (the four
 /// distinct configs), four simulations, four retained entries, and the
 /// repeated slot answered without a fifth simulation — from the ready
 /// entry (a hit) or by coalescing behind the identical in-flight leader
 /// (pipelined/batched submission races the repeat against its twin; both
 /// are legal, and either way the bytes match).
 #[test]
-fn reply_bytes_match_in_process_across_scenarios_and_backends() {
+fn reply_bytes_match_in_process_across_scenarios() {
     let svc = in_process();
     let reference = exchange_in_process(&svc, &run_lines(&workload()));
     let stats = svc.stats_report();
@@ -178,41 +175,28 @@ fn reply_bytes_match_in_process_across_scenarios_and_backends() {
         reference[4], reference[0],
         "cache hit must be byte-identical"
     );
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        set_backend_override(Some(backend));
-        for scenario in SCENARIOS {
-            let (replies, stats) = run_scenario(scenario);
-            let cell = format!("{scenario}/{backend:?}");
-            assert_eq!(replies, reference, "reply bytes diverged in {cell}");
-            assert_eq!(
-                stats.cache.misses, 4,
-                "{cell}: one miss per distinct config"
-            );
-            assert_eq!(stats.simulations_executed, 4, "{cell}: no duplicate work");
-            assert_eq!(stats.cache.entries, 4, "{cell}: all four slots retained");
-            assert_eq!(
-                stats.cache.hits + stats.cache.coalesced,
-                1,
-                "{cell}: the repeated config reused the leader's result"
-            );
-            assert_eq!(stats.parse_errors, 0, "{cell}");
-            assert_eq!(stats.invalid_configs, 0, "{cell}");
-        }
-    }
-    set_backend_override(None);
-}
-
-/// The DES backend is deliberately not part of the request identity:
-/// the same config produces the same cache key under either backend.
-#[test]
-fn cache_keys_ignore_the_queue_backend() {
-    for cfg in workload() {
-        set_backend_override(Some(QueueBackend::Heap));
-        let heap = RunRequest::new(cfg.clone()).cache_key();
-        set_backend_override(Some(QueueBackend::Calendar));
-        let calendar = RunRequest::new(cfg).cache_key();
-        set_backend_override(None);
-        assert_eq!(heap, calendar, "backend leaked into the cache key");
+    for scenario in SCENARIOS {
+        let (replies, stats) = run_scenario(scenario);
+        assert_eq!(replies, reference, "reply bytes diverged in {scenario}");
+        assert_eq!(
+            stats.cache.misses, 4,
+            "{scenario}: one miss per distinct config"
+        );
+        assert_eq!(
+            stats.simulations_executed, 4,
+            "{scenario}: no duplicate work"
+        );
+        assert_eq!(
+            stats.cache.entries, 4,
+            "{scenario}: all four slots retained"
+        );
+        assert_eq!(
+            stats.cache.hits + stats.cache.coalesced,
+            1,
+            "{scenario}: the repeated config reused the leader's result"
+        );
+        assert_eq!(stats.parse_errors, 0, "{scenario}");
+        assert_eq!(stats.invalid_configs, 0, "{scenario}");
     }
 }
 
@@ -309,7 +293,7 @@ fn malformed_lines_match_in_process() {
 /// The flight recorder is pure observation: a server with the recorder
 /// attached (the default) and one with it detached produce
 /// byte-identical reply lines for the same request stream, across every
-/// submission shape and both DES queue backends.
+/// submission shape.
 /// This is the neutrality half of the observability contract — spans
 /// may time anything they like as long as no reply byte moves.
 #[test]
@@ -326,18 +310,14 @@ fn flight_recorder_is_invisible_on_the_wire() {
         handle.stop();
         replies
     };
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        set_backend_override(Some(backend));
-        for scenario in SCENARIOS {
-            let attached = run(scenario, true);
-            let detached = run(scenario, false);
-            assert_eq!(
-                attached, detached,
-                "recorder changed the wire bytes in {scenario}/{backend:?}"
-            );
-        }
+    for scenario in SCENARIOS {
+        let attached = run(scenario, true);
+        let detached = run(scenario, false);
+        assert_eq!(
+            attached, detached,
+            "recorder changed the wire bytes in {scenario}"
+        );
     }
-    set_backend_override(None);
 }
 
 /// Introspect exactness: every span tree the recorder returns

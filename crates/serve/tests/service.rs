@@ -8,7 +8,10 @@
 
 use ugpc_core::{run_study, RunConfig};
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
-use ugpc_serve::{error_code, Client, Response, ServeOptions, Server};
+use ugpc_serve::protocol::{decode, encode};
+use ugpc_serve::{
+    error_code, Client, Logger, Request, Response, RunRequest, ServeOptions, Server, Service,
+};
 
 fn tiny() -> RunConfig {
     RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(8)
@@ -95,6 +98,23 @@ fn malformed_input_gets_error_reply_and_connection_survives() {
     let report = client.run(tiny()).unwrap();
     assert!(report.gflops > 0.0);
     handle.stop();
+}
+
+/// A line nested far past the JSON parser's depth limit is an ordinary
+/// bad request, not a stack overflow, and the service keeps serving.
+#[test]
+fn deeply_nested_line_is_a_bad_request() {
+    let svc = Service::with_logger(small_options(), Logger::disabled());
+    let reply: Response = decode(&svc.handle_line(&"[".repeat(1_000_000))).unwrap();
+    match reply {
+        Response::Error(e) => assert_eq!(e.code, error_code::BAD_REQUEST),
+        other => panic!("expected error, got {other:?}"),
+    }
+    let run = encode(&Request::Run(RunRequest::new(tiny())));
+    match decode(&svc.handle_line(&run)).unwrap() {
+        Response::Run(report) => assert!(report.gflops > 0.0),
+        other => panic!("expected a run report, got {other:?}"),
+    }
 }
 
 #[test]
@@ -255,33 +275,5 @@ fn shutdown_stops_the_accept_loop() {
     assert!(
         Client::connect(addr).and_then(|mut c| c.ping()).is_err(),
         "server should be gone"
-    );
-}
-
-/// The event-queue backend must be invisible on the wire: a server run
-/// entirely under the heap backend and one under the calendar backend
-/// answer the same request with byte-identical JSON, and the request's
-/// cache key is the same either way (the backend is deliberately not
-/// part of the cache identity).
-#[test]
-fn queue_backend_is_invisible_on_the_wire() {
-    use ugpc_core::{set_backend_override, QueueBackend};
-
-    let served_under = |backend: QueueBackend| {
-        set_backend_override(Some(backend));
-        let key = ugpc_serve::RunRequest::new(tiny()).cache_key();
-        let handle = spawn_server(small_options());
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let report = client.run(tiny()).unwrap();
-        handle.stop();
-        set_backend_override(None);
-        (key, serde_json::to_string(&report).unwrap())
-    };
-    let (heap_key, heap_bytes) = served_under(QueueBackend::Heap);
-    let (cal_key, cal_bytes) = served_under(QueueBackend::Calendar);
-    assert_eq!(heap_key, cal_key, "backend must not enter the cache key");
-    assert_eq!(
-        heap_bytes, cal_bytes,
-        "served reports must be byte-identical across queue backends"
     );
 }

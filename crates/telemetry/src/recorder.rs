@@ -262,13 +262,18 @@ mod tests {
     fn concurrent_drains_never_see_torn_records() {
         // A writer hammering a tiny ring while readers drain: every
         // drained record must decode and carry a self-consistent
-        // (trace, total) pair the writer actually produced.
+        // (trace, total) pair the writer actually produced. Draining
+        // goes on until the writer has lapped the ring many times, so the
+        // drains overlap writes however late the writer thread starts.
+        const OVERLAP: u64 = 256;
         let r = FlightRecorder::new(1, 4);
         let stop = Arc::new(AtomicU64::new(0));
+        let published = AtomicU64::new(0);
         std::thread::scope(|s| {
             let writer = {
                 let r = &r;
                 let stop = stop.clone();
+                let published = &published;
                 s.spawn(move || {
                     let mut i = 0u64;
                     while stop.load(Ordering::Relaxed) == 0 {
@@ -285,11 +290,13 @@ mod tests {
                         sp.mark(Phase::Simulate, i + (i + 1) % 1000);
                         r.record(0, &sp);
                         i += 1;
+                        published.store(i, Ordering::Relaxed);
                     }
                     i
                 })
             };
-            for _ in 0..200 {
+            let mut drains = 0;
+            while drains < 200 || published.load(Ordering::Relaxed) < OVERLAP {
                 for t in r.drain() {
                     assert_eq!(
                         t.total_us(),
@@ -297,6 +304,7 @@ mod tests {
                         "torn record leaked through the seq check: {t:?}"
                     );
                 }
+                drains += 1;
             }
             stop.store(1, Ordering::Relaxed);
             let written = writer.join().expect("writer");

@@ -54,8 +54,8 @@ pub use ugpc_telemetry as telemetry;
 pub use ugpc_core::{
     compare, dynamic_vs_static_oracle, run_dynamic_study, run_study, run_study_traced,
     try_run_study, try_run_study_traced, try_run_study_with, CacheKey, Comparison, ControlOutcome,
-    ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig, ProfiledRun, QueueBackend,
-    RunConfig, RunReport, Study, StudyOptions, TracedRun,
+    ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig, ProfiledRun, RunConfig,
+    RunReport, Study, StudyOptions, TracedRun,
 };
 
 /// Everything most programs need.
