@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use ugpc_capping::run_dynamic;
+use ugpc_control::run_dynamic;
 use ugpc_core::{run_study, RunConfig};
 use ugpc_experiments::ablation;
 use ugpc_hwsim::{GpuDevice, GpuModel, KernelWork, OpKind, PlatformId, Precision};

@@ -60,11 +60,6 @@ pub fn apply_cpu_cap(node: &mut Node, package: usize, cap: Watts) -> HwResult<()
         .set_power_limit(cap)
 }
 
-/// Reset all power limits (GPU and CPU) to defaults.
-pub fn reset_all_caps(node: &mut Node) {
-    node.reset_power_limits();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,21 +123,5 @@ mod tests {
     fn cpu_cap_bad_package_index() {
         let mut node = Node::new(PlatformId::Intel2V100);
         assert!(apply_cpu_cap(&mut node, 5, Watts(60.0)).is_err());
-    }
-
-    #[test]
-    fn reset_restores_defaults() {
-        let mut node = Node::new(PlatformId::Intel2V100);
-        apply_gpu_caps(
-            &mut node,
-            &CapConfig::uniform(CapLevel::L, 2),
-            OpKind::Gemm,
-            Precision::Double,
-        )
-        .unwrap();
-        apply_cpu_cap(&mut node, 1, Watts(60.0)).unwrap();
-        reset_all_caps(&mut node);
-        assert_eq!(node.gpu(0).power_limit(), Watts(250.0));
-        assert_eq!(node.cpus()[1].power_limit(), None);
     }
 }

@@ -4,10 +4,16 @@
 //! than a raw `f64`, so the search is generic over *which* metric it
 //! maximizes — Gflop/s/W, EDP, ED²P, or a perf-floor-constrained
 //! objective all drive the same state machine.
+//!
+//! [`run_dynamic`] is the standalone single-GPU epoch loop for iterative
+//! workloads, modeled on the DEPO tool the paper cites (refs. 24 and 25)
+//! for its future-work extension (§VII). The same capper drives
+//! `ugpc-core`'s between-iteration node study and, mid-run, the
+//! [`ControlPlane`](crate::ControlPlane).
 
 use crate::objective::ObjectiveValue;
 use serde::{Deserialize, Serialize};
-use ugpc_hwsim::{GpuDevice, Watts};
+use ugpc_hwsim::{GpuDevice, KernelWork, Watts};
 
 /// How one epoch's score compared against the previous one, after the
 /// relative-epsilon guard (a last-ulp difference reads as a tie, not a
@@ -175,10 +181,56 @@ impl DynamicCapper {
     }
 }
 
+/// History of one single-GPU dynamic-capping run.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct DynamicRun {
+    /// Per-epoch (cap, efficiency in Gflop/s/W).
+    pub history: Vec<(Watts, f64)>,
+    pub final_cap: Watts,
+    pub final_efficiency: f64,
+}
+
+/// Drive an iterative workload (repeated identical kernels, DEPO's target
+/// shape) on one GPU under the controller for `epochs` epochs of
+/// `iters_per_epoch` kernels each.
+pub fn run_dynamic(
+    gpu: &mut GpuDevice,
+    work: &KernelWork,
+    epochs: usize,
+    iters_per_epoch: usize,
+) -> DynamicRun {
+    assert!(epochs > 0 && iters_per_epoch > 0);
+    let mut ctl = DynamicCapper::new(gpu);
+    let mut history = Vec::with_capacity(epochs);
+    let mut now = gpu.last_end();
+    for _ in 0..epochs {
+        let cap = ctl.cap();
+        let e0 = gpu.energy(now);
+        for _ in 0..iters_per_epoch {
+            let run = gpu.execute(work, now);
+            now += run.time;
+        }
+        let energy = gpu.energy(now) - e0;
+        let flops = work.flops.value() * iters_per_epoch as f64;
+        let eff = flops / energy.value() / 1e9;
+        history.push((cap, eff));
+        let next = ctl.observe(ObjectiveValue(eff));
+        // Apply through the device's constraint-checked setter.
+        gpu.set_power_limit(next)
+            .expect("controller stayed in range");
+    }
+    let (final_cap, final_efficiency) = *history.last().expect("epochs > 0");
+    DynamicRun {
+        history,
+        final_cap,
+        final_efficiency,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugpc_hwsim::GpuModel;
+    use ugpc_hwsim::{GpuModel, Precision};
 
     fn s(v: f64) -> ObjectiveValue {
         ObjectiveValue(v)
@@ -257,6 +309,62 @@ mod tests {
             DynamicCapper::with_range(Watts(500.0), Watts(100.0), Watts(400.0))
         });
         assert!(r.is_err(), "start cap outside the window must be rejected");
+    }
+
+    // `run_dynamic` end to end on real device models.
+
+    #[test]
+    fn discovers_best_cap_online() {
+        // The headline property: starting from TDP, the controller
+        // converges near the knee (P_best ≈ 54 % TDP for dp GEMM) without
+        // any offline profiling.
+        let mut gpu = GpuDevice::new(0, GpuModel::A100Sxm4_40);
+        let work = KernelWork::gemm_tile(5760, Precision::Double);
+        let run = run_dynamic(&mut gpu, &work, 40, 3);
+        let frac = run.final_cap.value() / 400.0;
+        assert!(
+            (0.44..=0.66).contains(&frac),
+            "converged to {:.0} % TDP",
+            frac * 100.0
+        );
+        // Final efficiency beats the uncapped first epoch by a wide margin.
+        let first_eff = run.history[0].1;
+        assert!(
+            run.final_efficiency > first_eff * 1.15,
+            "{} vs {first_eff}",
+            run.final_efficiency
+        );
+    }
+
+    /// FNV-1a over the bit patterns of every (cap, efficiency) epoch.
+    fn history_digest(run: &DynamicRun) -> u64 {
+        run.history
+            .iter()
+            .flat_map(|(cap, eff)| [cap.value().to_bits(), eff.to_bits()])
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn histories_match_the_golden_digests() {
+        let mut a100 = GpuDevice::new(0, GpuModel::A100Sxm4_40);
+        let work = KernelWork::gemm_tile(5760, Precision::Double);
+        let run = run_dynamic(&mut a100, &work, 40, 3);
+        assert_eq!(history_digest(&run), 0x1a3d_a12e_9f11_52c2, "A100");
+        let mut v100 = GpuDevice::new(0, GpuModel::V100Pcie32);
+        let work = KernelWork::gemm_tile(2880, Precision::Single);
+        let run = run_dynamic(&mut v100, &work, 10, 2);
+        assert_eq!(history_digest(&run), 0xa075_4bc2_8cc0_6eff, "V100");
+    }
+
+    #[test]
+    fn history_has_one_entry_per_epoch() {
+        let mut gpu = GpuDevice::new(0, GpuModel::V100Pcie32);
+        let work = KernelWork::gemm_tile(2880, Precision::Single);
+        let run = run_dynamic(&mut gpu, &work, 10, 2);
+        assert_eq!(run.history.len(), 10);
     }
 }
 

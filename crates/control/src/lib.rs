@@ -18,7 +18,7 @@
 //!   ED²P, perf-floor-constrained efficiency; all behind the
 //!   [`Objective`] trait with a typed [`ObjectiveValue`] score.
 //! - [`capper::DynamicCapper`] — the per-device hill-climb, also behind
-//!   `ugpc-capping`'s single-GPU study and `ugpc-core`'s
+//!   the single-GPU epoch loop [`run_dynamic`] and `ugpc-core`'s
 //!   between-iteration study.
 //! - [`plane::ControlPlane`] — the
 //!   [`ControlHook`](ugpc_runtime::ControlHook) implementation tying it
@@ -36,7 +36,7 @@ pub mod objective;
 pub mod plane;
 pub mod sensor;
 
-pub use capper::{CapperStep, Comparison, DynamicCapper};
+pub use capper::{run_dynamic, CapperStep, Comparison, DynamicCapper, DynamicRun};
 pub use objective::{
     Ed2p, Edp, GflopsPerWatt, Objective, ObjectiveKind, ObjectiveValue, PerfFloor, WindowMetrics,
 };

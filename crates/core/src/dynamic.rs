@@ -9,12 +9,16 @@
 //! adjusts that GPU's cap; the runtime's performance models are then
 //! recalibrated, so the scheduler adapts to the new speeds exactly as the
 //! paper describes for static caps.
+//!
+//! Each iteration is one [`try_run_study_with`] call at the current
+//! explicit caps, so the study shares the static runs' validation, cap
+//! application and executor. The mid-run counterpart, which re-caps
+//! inside one run, is [`StudyOptions::controller`].
 
-use crate::{RunConfig, RunReport};
+use crate::{try_run_study_with, InvalidConfig, RunConfig, StudyOptions};
 use serde::{Deserialize, Serialize};
 use ugpc_control::{DynamicCapper, ObjectiveValue};
-use ugpc_hwsim::Node;
-use ugpc_runtime::{build_workers, simulate, DataRegistry, SimOptions, WorkerKind};
+use ugpc_runtime::TraceBuilder;
 
 /// One iteration's telemetry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,93 +46,64 @@ pub struct DynamicStudyReport {
 
 /// Run `iterations` outer iterations of the configured operation with
 /// per-GPU dynamic capping. The GPU cap levels in `cfg.gpu_config` set the
-/// *starting* caps (use the default `H…H` to start uncapped).
-pub fn run_dynamic_study(cfg: &RunConfig, iterations: usize) -> DynamicStudyReport {
-    assert!(iterations > 0);
-    let mut node = Node::new(cfg.platform);
-    ugpc_capping::apply_gpu_caps(&mut node, &cfg.gpu_config, cfg.op, cfg.precision)
-        .expect("cap configuration matches the platform");
-    if let Some((pkg, cap)) = cfg.cpu_cap {
-        ugpc_capping::apply_cpu_cap(&mut node, pkg, cap).expect("CPU cap supported");
+/// *starting* caps (use the default `H…H` to start uncapped). Malformed
+/// configurations, zero iterations and controller caps the devices refuse
+/// are errors.
+pub fn run_dynamic_study(
+    cfg: &RunConfig,
+    iterations: usize,
+) -> Result<DynamicStudyReport, InvalidConfig> {
+    if iterations == 0 {
+        return Err(InvalidConfig(
+            "a dynamic study needs at least one iteration".into(),
+        ));
     }
+    let node = cfg.capped_node(None)?;
     let mut controllers: Vec<DynamicCapper> = node.gpus().iter().map(DynamicCapper::new).collect();
-    let (workers, _) = build_workers(node.spec());
-
-    let mut reg = DataRegistry::new();
-    let graph = cfg.build_graph(&mut reg);
+    let mut caps_w: Vec<f64> = node
+        .gpus()
+        .iter()
+        .map(|g| g.power_limit().value())
+        .collect();
     let mut out = Vec::with_capacity(iterations);
 
     for _ in 0..iterations {
-        let caps_w: Vec<f64> = node
-            .gpus()
-            .iter()
-            .map(|g| g.power_limit().value())
-            .collect();
         // Fresh model each iteration: caps changed, so StarPU recalibrates.
-        let trace = simulate(
-            &mut node,
-            &graph,
-            &mut reg,
-            SimOptions {
-                policy: cfg.scheduler,
-                ..Default::default()
-            },
-        );
-        // Per-GPU local efficiency: flops executed there / device energy.
-        let gpu_efficiency: Vec<f64> = workers
-            .iter()
-            .filter_map(|w| match w.kind {
-                WorkerKind::Gpu { device } => {
-                    let e = trace.energy.per_gpu[device].value().max(1e-12);
-                    Some(trace.worker_flops[w.id].value() / e / 1e9)
-                }
-                WorkerKind::CpuCore { .. } => None,
-            })
-            .collect();
-        let iteration = DynamicIteration {
-            caps_w,
-            efficiency_gflops_w: trace.efficiency().as_gflops_per_watt(),
-            gpu_efficiency: gpu_efficiency.clone(),
-            makespan_s: trace.makespan.value(),
+        let mut witness = TraceBuilder::new();
+        let options = StudyOptions {
+            caps_w: Some(caps_w.clone()),
+            observers: vec![&mut witness],
+            ..Default::default()
         };
-        out.push(iteration);
-        // Feed controllers and apply the next caps.
-        for (g, ctl) in controllers.iter_mut().enumerate() {
-            let next = ctl.observe(ObjectiveValue(gpu_efficiency[g]));
-            node.gpu_mut(g)
-                .set_power_limit(next)
-                .expect("controller stays within constraints");
-        }
+        let report = try_run_study_with(cfg, options)?.report;
+        // Per-GPU local efficiency: flops executed there / device energy.
+        // GPU workers come last, in device order.
+        let flops = witness.into_trace().worker_flops;
+        let gpu_efficiency: Vec<f64> = flops[flops.len() - caps_w.len()..]
+            .iter()
+            .zip(&report.energy_per_gpu)
+            .map(|(f, &e)| f.value() / e.max(1e-12) / 1e9)
+            .collect();
+        // Feed controllers; their answers are the next iteration's caps.
+        let next: Vec<f64> = controllers
+            .iter_mut()
+            .zip(&gpu_efficiency)
+            .map(|(ctl, &eff)| ctl.observe(ObjectiveValue(eff)).value())
+            .collect();
+        out.push(DynamicIteration {
+            caps_w: std::mem::replace(&mut caps_w, next),
+            efficiency_gflops_w: report.efficiency_gflops_w,
+            gpu_efficiency,
+            makespan_s: report.makespan_s,
+        });
     }
 
-    DynamicStudyReport {
-        final_caps_w: node
-            .gpus()
-            .iter()
-            .map(|g| g.power_limit().value())
-            .collect(),
-        final_efficiency_gflops_w: out.last().expect("iterations > 0").efficiency_gflops_w,
+    Ok(DynamicStudyReport {
+        final_caps_w: caps_w,
+        final_efficiency_gflops_w: out[iterations - 1].efficiency_gflops_w,
         initial_efficiency_gflops_w: out[0].efficiency_gflops_w,
         iterations: out,
-    }
-}
-
-/// Compare the dynamic run against the static oracle (`B…B`) on the same
-/// configuration.
-pub fn dynamic_vs_static_oracle(
-    cfg: &RunConfig,
-    iterations: usize,
-) -> (DynamicStudyReport, RunReport) {
-    let dynamic = run_dynamic_study(cfg, iterations);
-    let n_gpus = ugpc_hwsim::PlatformSpec::of(cfg.platform).gpu_count;
-    let oracle_cfg = cfg
-        .clone()
-        .with_gpu_config(ugpc_capping::CapConfig::uniform(
-            ugpc_capping::CapLevel::B,
-            n_gpus,
-        ));
-    let oracle = crate::run_study(&oracle_cfg);
-    (dynamic, oracle)
+    })
 }
 
 #[cfg(test)]
@@ -142,7 +117,7 @@ mod tests {
 
     #[test]
     fn efficiency_improves_over_iterations() {
-        let report = run_dynamic_study(&cfg(), 25);
+        let report = run_dynamic_study(&cfg(), 25).unwrap();
         assert_eq!(report.iterations.len(), 25);
         assert!(
             report.final_efficiency_gflops_w > report.initial_efficiency_gflops_w * 1.08,
@@ -159,7 +134,8 @@ mod tests {
 
     #[test]
     fn dynamic_approaches_static_oracle() {
-        let (dynamic, oracle) = dynamic_vs_static_oracle(&cfg(), 30);
+        let dynamic = run_dynamic_study(&cfg(), 30).unwrap();
+        let oracle = crate::run_study(&cfg().with_gpu_config("BBBB".parse().unwrap()));
         let gap = dynamic.final_efficiency_gflops_w / oracle.efficiency_gflops_w;
         assert!(
             gap > 0.9,
@@ -171,15 +147,22 @@ mod tests {
 
     #[test]
     fn starts_at_requested_caps() {
-        let report = run_dynamic_study(&cfg(), 2);
+        let report = run_dynamic_study(&cfg(), 2).unwrap();
         assert_eq!(report.iterations[0].caps_w, vec![400.0; 4]);
         // Second iteration runs at adjusted caps.
         assert!(report.iterations[1].caps_w.iter().all(|&c| c < 400.0));
     }
 
     #[test]
+    fn malformed_studies_are_errors() {
+        assert!(run_dynamic_study(&cfg(), 0).is_err());
+        let wrong_arity = cfg().with_gpu_config("BB".parse().unwrap());
+        assert!(run_dynamic_study(&wrong_arity, 2).is_err());
+    }
+
+    #[test]
     fn telemetry_is_complete() {
-        let report = run_dynamic_study(&cfg(), 3);
+        let report = run_dynamic_study(&cfg(), 3).unwrap();
         for it in &report.iterations {
             assert_eq!(it.caps_w.len(), 4);
             assert_eq!(it.gpu_efficiency.len(), 4);

@@ -26,9 +26,7 @@ pub mod key;
 pub mod report;
 pub mod study;
 
-pub use dynamic::{
-    dynamic_vs_static_oracle, run_dynamic_study, DynamicIteration, DynamicStudyReport,
-};
+pub use dynamic::{run_dynamic_study, DynamicIteration, DynamicStudyReport};
 pub use key::CacheKey;
 pub use report::{compare, Comparison, ProfiledRun, RunReport, TracedRun};
 pub use study::{try_run_study_with, ControlOutcome, ControlledRun, Study, StudyOptions};

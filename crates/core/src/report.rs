@@ -41,10 +41,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    pub fn from_trace(cfg: &RunConfig, trace: &RunTrace) -> Self {
-        Self::from_parts(cfg, trace, &ExecStats::default())
-    }
-
     /// Build a report from the trace aggregates plus the stream-derived
     /// [`ExecStats`] (transfer counts the trace never carried).
     pub fn from_parts(cfg: &RunConfig, trace: &RunTrace, stats: &ExecStats) -> Self {

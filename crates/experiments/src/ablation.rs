@@ -9,7 +9,8 @@
 
 use crate::format::{f, pct, TextTable};
 use serde::{Deserialize, Serialize};
-use ugpc_capping::{run_dynamic, CapConfig};
+use ugpc_capping::CapConfig;
+use ugpc_control::run_dynamic;
 use ugpc_core::{run_study, RunConfig, RunReport};
 use ugpc_hwsim::{GpuDevice, KernelWork, OpKind, PlatformId, Precision, Watts};
 use ugpc_runtime::SchedPolicy;

@@ -1,14 +1,12 @@
 //! `ugpc-bench-client` — load generator and latency harness for
 //! `ugpc-serve`.
 //!
-//! Three modes:
+//! Two modes:
 //!
-//! - **Thread mode** (default): `T` blocking client threads fire `N`
-//!   requests, cycling over `K` distinct configurations — the seed
-//!   smoke-load shape, kept for CI compatibility.
-//! - **Harness mode** (`--connections C`): a single-threaded,
-//!   event-driven load harness multiplexing `C` pipelined connections
-//!   over the serve crate's own poller. Closed-loop by default (each
+//! - **Harness mode** (default): a single-threaded, event-driven load
+//!   harness firing `N` requests, cycling over `K` distinct
+//!   configurations, on `C` pipelined connections (`--connections`,
+//!   default 1) multiplexed over the serve crate's own poller. Closed-loop by default (each
 //!   connection keeps `--pipeline D` requests in flight); open-loop
 //!   with `--open-rate R` (requests scheduled at `R`/s across all
 //!   connections, latency measured from the *scheduled* arrival so
@@ -20,7 +18,7 @@
 //!   latency probe — writing `BENCH_serve.json` (see `--json`).
 //!
 //! ```text
-//! ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N] [--threads T]
+//! ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N]
 //!                   [--unique K] [--scale S] [--require-hits]
 //!                   [--connections C] [--pipeline D] [--batch B]
 //!                   [--open-rate R] [--suite] [--json PATH]
@@ -45,7 +43,6 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
@@ -53,15 +50,13 @@ use ugpc_runtime::SchedPolicy;
 use ugpc_serve::net::{Interest, Poller};
 use ugpc_serve::protocol::encode;
 use ugpc_serve::{
-    error_code, Client, ClientError, IntrospectRequest, Request, Response, RunRequest,
-    ServeOptions, Server,
+    error_code, Client, IntrospectRequest, Request, Response, RunRequest, ServeOptions, Server,
 };
 
 struct Args {
     addr: Option<String>,
     spawn: bool,
     requests: Option<usize>,
-    threads: usize,
     unique: usize,
     scale: usize,
     require_hits: bool,
@@ -79,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
         addr: None,
         spawn: false,
         requests: None,
-        threads: 4,
         unique: 4,
         scale: 8,
         require_hits: false,
@@ -100,7 +94,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = Some(val("--addr")?),
             "--spawn" => args.spawn = true,
             "--requests" => args.requests = Some(parse_num(&val("--requests")?, "--requests")?),
-            "--threads" => args.threads = parse_num(&val("--threads")?, "--threads")?.max(1),
             "--unique" => args.unique = parse_num(&val("--unique")?, "--unique")?.max(1),
             "--scale" => args.scale = parse_num(&val("--scale")?, "--scale")?.max(1),
             "--require-hits" => args.require_hits = true,
@@ -120,7 +113,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N] \
-                     [--threads T] [--unique K] [--scale S] [--require-hits] \
+                     [--unique K] [--scale S] [--require-hits] \
                      [--connections C] [--pipeline D] [--batch B] [--open-rate R] \
                      [--suite] [--json PATH] [--introspect PATH]"
                 );
@@ -604,110 +597,33 @@ fn run_suite(args: &Args) -> Result<(String, u64), String> {
     Ok((json, errors))
 }
 
-// ---------------------------------------------------------------------
-// Thread mode (the seed smoke-load shape).
-
-fn run_one(client: &mut Client, cfg: &RunConfig, retries: &AtomicU64) -> Result<(), ClientError> {
-    // Bounded retry loop on backpressure; anything else is final.
-    for _ in 0..50 {
-        match client.run(cfg.clone()) {
-            Ok(_) => return Ok(()),
-            Err(ClientError::Server(e)) if e.code == error_code::BACKPRESSURE => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(e.retry_after_ms.unwrap_or(25)));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(ClientError::Server(ugpc_serve::ErrorReply::new(
-        error_code::BACKPRESSURE,
-        "still backpressured after 50 retries",
-    )))
-}
-
-fn run_thread_mode(args: &Args, addr: &str) -> (u64, u64, u64, Duration) {
-    let requests = args.requests.unwrap_or(64);
-    let ok = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    let t0 = Instant::now();
-    let per_thread = requests.div_ceil(args.threads);
-    std::thread::scope(|s| {
-        for t in 0..args.threads {
-            let (ok, failed, retries) = (&ok, &failed, &retries);
-            let (unique, scale) = (args.unique, args.scale);
-            s.spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("[thread {t}] connect: {e}");
-                        failed.fetch_add(per_thread as u64, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                for i in 0..per_thread {
-                    let cfg = config((t + i) % unique, scale);
-                    match run_one(&mut client, &cfg, retries) {
-                        Ok(()) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            eprintln!("[thread {t}] request {i}: {e}");
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    (
-        ok.load(Ordering::Relaxed),
-        failed.load(Ordering::Relaxed),
-        retries.load(Ordering::Relaxed),
-        t0.elapsed(),
-    )
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// Run the suite or one harness load; `Err` is the failure to report.
+fn run(args: &Args) -> Result<(), String> {
     if args.suite {
-        match run_suite(&args) {
-            Ok((json, errors)) => {
-                print!("{json}");
-                if let Some(path) = &args.json {
-                    if let Err(e) = write_json(path, &json) {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if errors > 0 {
-                    eprintln!("error: {errors} error replies during the suite");
-                    return ExitCode::FAILURE;
-                }
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        let (json, errors) = run_suite(args)?;
+        print!("{json}");
+        if let Some(path) = &args.json {
+            write_json(path, &json)?;
         }
+        if errors > 0 {
+            return Err(format!("{errors} error replies during the suite"));
+        }
+        return Ok(());
     }
 
     let spawned = if args.spawn {
-        let server = match Server::bind("127.0.0.1:0", ServeOptions::default()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: bind: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let server = Server::bind("127.0.0.1:0", ServeOptions::default())
+            .map_err(|e| format!("bind: {e}"))?;
         Some(server.spawn())
     } else {
         None
@@ -718,87 +634,37 @@ fn main() -> ExitCode {
         .or(args.addr.clone())
         .expect("validated in parse_args");
 
-    if args.connections > 0 {
-        // Harness mode.
-        let spec = LoadSpec {
-            label: format!("eventloop/c{}/d{}", args.connections, args.pipeline),
-            connections: args.connections,
-            pipeline: args.pipeline,
-            batch: args.batch,
-            requests: args.requests.unwrap_or(10_000),
-            unique: args.unique,
-            scale: args.scale,
-            open_rate: args.open_rate,
-        };
-        let result = match run_load(&addr, &spec) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                if let Some(handle) = spawned {
-                    handle.stop();
-                }
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(path) = &args.introspect {
-            if let Err(e) = capture_introspect(&addr, path) {
-                eprintln!("error: {e}");
-                if let Some(handle) = spawned {
-                    handle.stop();
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(handle) = spawned {
-            handle.stop();
-        }
-        let json = result.to_json();
-        println!("{json}");
-        if let Some(path) = &args.json {
-            if let Err(e) = write_json(path, &format!("{json}\n")) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if result.errors > 0 {
-            eprintln!("error: {} error replies", result.errors);
-            return ExitCode::FAILURE;
-        }
-        if args.require_hits && result.cache_hit_rate <= 0.0 {
-            eprintln!("error: cache hit rate stayed at zero");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Thread mode.
-    let (ok, failed, retries, wall) = run_thread_mode(&args, &addr);
-    let stats = Client::connect(&addr).and_then(|mut c| c.stats());
-    let (hit_rate, sims) = match &stats {
-        Ok(s) => (s.cache.hit_rate, s.simulations_executed),
-        Err(e) => {
-            eprintln!("error: final stats fetch: {e}");
-            (0.0, 0)
-        }
+    let connections = args.connections.max(1);
+    let spec = LoadSpec {
+        label: format!("eventloop/c{connections}/d{}", args.pipeline),
+        connections,
+        pipeline: args.pipeline,
+        batch: args.batch,
+        requests: args.requests.unwrap_or(10_000),
+        unique: args.unique,
+        scale: args.scale,
+        open_rate: args.open_rate,
     };
+    let result = run_load(&addr, &spec).and_then(|result| {
+        if let Some(path) = &args.introspect {
+            capture_introspect(&addr, path)?;
+        }
+        Ok(result)
+    });
     if let Some(handle) = spawned {
         handle.stop();
     }
-    println!(
-        "{{\"requests\": {}, \"ok\": {ok}, \"failed\": {failed}, \"backpressure_retries\": {retries}, \
-         \"wall_s\": {:.3}, \"throughput_rps\": {:.1}, \"cache_hit_rate\": {hit_rate:.4}, \
-         \"simulations_executed\": {sims}}}",
-        args.requests.unwrap_or(64),
-        wall.as_secs_f64(),
-        ok as f64 / wall.as_secs_f64().max(1e-9),
-    );
-    if failed > 0 || stats.is_err() {
-        eprintln!("error: {failed} requests failed");
-        return ExitCode::FAILURE;
+    let result = result?;
+    let json = result.to_json();
+    println!("{json}");
+    if let Some(path) = &args.json {
+        write_json(path, &format!("{json}\n"))?;
     }
-    if args.require_hits && hit_rate <= 0.0 {
-        eprintln!("error: cache hit rate stayed at zero over {ok} requests");
-        return ExitCode::FAILURE;
+    if result.errors > 0 {
+        return Err(format!("{} error replies", result.errors));
     }
-    ExitCode::SUCCESS
+    if args.require_hits && result.cache_hit_rate <= 0.0 {
+        return Err("cache hit rate stayed at zero".into());
+    }
+    Ok(())
 }

@@ -40,7 +40,7 @@
 //! single-writer by construction, and reply bytes are untouched.
 
 use crate::net::{Event, Interest, Poller, WAKE};
-use crate::protocol::Request;
+use crate::protocol::{Request, MAX_LINE_BYTES};
 use crate::service::Service;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -354,7 +354,13 @@ fn read_and_process(
     conn: &mut Conn,
     memo: &mut HashMap<Box<[u8]>, CacheKey>,
 ) {
+    if conn.read_closed {
+        // Input after EOF or a refused line is never processed.
+        return;
+    }
     let t_open = service.recorder().map(|r| r.now_us());
+    // The carried tail holds no newline: every complete line was taken.
+    let mut scan = conn.rbuf.len();
     let mut buf = [0u8; 16 * 1024];
     loop {
         match conn.stream.read(&mut buf) {
@@ -362,7 +368,13 @@ fn read_and_process(
                 conn.read_closed = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&buf[..n]);
+                // Level-triggered: the rest is read on the next round.
+                if conn.rbuf.len() > MAX_LINE_BYTES {
+                    break;
+                }
+            }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -378,8 +390,8 @@ fn read_and_process(
     // mutably borrowed (avoids a per-line copy on the hot path).
     let rbuf = std::mem::take(&mut conn.rbuf);
     let mut start = 0usize;
-    while let Some(nl) = rbuf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + nl;
+    while let Some(nl) = rbuf[scan..].iter().position(|&b| b == b'\n') {
+        let end = scan + nl;
         let Ok(line) = std::str::from_utf8(&rbuf[start..end]) else {
             // Invalid UTF-8 is not a request line: drop the connection.
             conn.read_closed = true;
@@ -387,6 +399,7 @@ fn read_and_process(
             break;
         };
         start = end + 1;
+        scan = start;
         if line.trim().is_empty() {
             continue;
         }
@@ -394,6 +407,13 @@ fn read_and_process(
     }
     conn.rbuf = rbuf;
     conn.rbuf.drain(..start);
+    if conn.rbuf.len() > MAX_LINE_BYTES {
+        let seq = conn.alloc_seq();
+        conn.pending
+            .insert(seq, service.oversized_line_reply().into());
+        conn.read_closed = true;
+        conn.rbuf = Vec::new();
+    }
 }
 
 /// Open a request's spans: the root at `t_open` (socket readable), the

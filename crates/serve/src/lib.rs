@@ -52,7 +52,7 @@ pub use persist::AppendLog;
 pub use pool::WorkerPool;
 pub use protocol::{
     error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun, PhaseLatency,
-    Request, Response, RunRequest, SpanDump,
+    Request, Response, RunRequest, SpanDump, MAX_LINE_BYTES,
 };
 pub use server::{Server, ServerHandle};
 pub use service::{ServeOptions, Service};

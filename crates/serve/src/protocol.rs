@@ -229,6 +229,11 @@ pub enum Request {
     Shutdown,
 }
 
+/// Longest request line the service buffers, newline excluded: 1 MiB,
+/// over 30 times the largest 64-slot batch line. A connection that sends
+/// more without a newline is answered `bad_request` and closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Machine-readable error categories.
 pub mod error_code {
     /// Not valid JSON, or JSON not matching the request schema.

@@ -14,7 +14,7 @@ use crate::persist::AppendLog;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     decode, encode, error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun,
-    PhaseLatency, Request, Response, RunRequest, SpanDump,
+    PhaseLatency, Request, Response, RunRequest, SpanDump, MAX_LINE_BYTES,
 };
 use crate::stats::{CacheStats, Metrics, PersistStats, StatsReport};
 use parking_lot::Mutex;
@@ -195,6 +195,19 @@ impl Service {
                 format!("unparseable request: {e}"),
             )))
         })
+    }
+
+    /// The reply to a line longer than [`MAX_LINE_BYTES`], counted as a
+    /// request that failed to parse.
+    pub(crate) fn oversized_line_reply(&self) -> String {
+        self.metrics.requests_total.inc();
+        self.metrics.parse_errors.inc();
+        self.logger
+            .warn("request line over the size limit", None, &[]);
+        encode(&Response::Error(ErrorReply::new(
+            error_code::BAD_REQUEST,
+            format!("request line longer than {MAX_LINE_BYTES} bytes"),
+        )))
     }
 
     /// Handle one wire line, returning the response line (without the
@@ -725,14 +738,15 @@ fn render_flight(res: Result<Arc<str>, String>) -> Arc<str> {
 /// Execute a validated run request — the only place the service touches
 /// the simulator. Runs on a pool worker. Every static-run shape (plain,
 /// traced, controlled, Perfetto) is one [`try_run_study_with`] call with
-/// different options; only the between-iteration dynamic study has its
-/// own driver.
+/// different options; the between-iteration dynamic study is a loop of
+/// them.
 fn simulate_response(run: &RunRequest) -> Response {
     let cfg = run.effective_config();
     if let Some(k) = run.dynamic_iterations {
-        // Validated: k >= 1, the config passed `validate()`, and dynamic
-        // studies exclude the other modes, so the study's `expect`s hold.
-        return Response::Dynamic(run_dynamic_study(&cfg, k));
+        return match run_dynamic_study(&cfg, k) {
+            Ok(report) => Response::Dynamic(report),
+            Err(e) => Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string())),
+        };
     }
     // The trace context was resolved by the service before keying;
     // adopt() here only covers direct calls in tests.

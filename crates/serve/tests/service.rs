@@ -141,7 +141,7 @@ fn dynamic_study_over_the_wire() {
     assert_eq!(report.iterations.len(), 3);
     assert!(report.final_efficiency_gflops_w > 0.0);
     // Served dynamic study matches the direct call byte-for-byte too.
-    let direct = ugpc_core::run_dynamic_study(&tiny(), 3);
+    let direct = ugpc_core::run_dynamic_study(&tiny(), 3).unwrap();
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&direct).unwrap()

@@ -6,7 +6,7 @@
 //! cargo run --release --example dynamic_capping
 //! ```
 
-use ugpc::capping::run_dynamic;
+use ugpc::control::run_dynamic;
 use ugpc::hwsim::{GpuDevice, KernelWork};
 use ugpc::prelude::*;
 

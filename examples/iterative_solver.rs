@@ -10,12 +10,13 @@
 //! ```
 
 use ugpc::prelude::*;
-use ugpc::{dynamic_vs_static_oracle, RunConfig};
+use ugpc::{run_dynamic_study, try_run_study, InvalidConfig, RunConfig};
 
-fn main() {
+fn main() -> Result<(), InvalidConfig> {
     let cfg =
         RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(2);
-    let (dynamic, oracle) = dynamic_vs_static_oracle(&cfg, 25);
+    let dynamic = run_dynamic_study(&cfg, 25)?;
+    let oracle = try_run_study(&cfg.with_gpu_config(CapConfig::uniform(CapLevel::B, 4)))?;
 
     println!("iter   caps (W)                  node eff (Gflop/s/W)");
     for (i, it) in dynamic.iterations.iter().enumerate() {
@@ -44,4 +45,5 @@ fn main() {
         "improvement over uncapped start: {:+.1} %",
         (dynamic.final_efficiency_gflops_w / dynamic.initial_efficiency_gflops_w - 1.0) * 100.0
     );
+    Ok(())
 }

@@ -14,10 +14,12 @@
 //! * [`hwsim`] — hardware substrate (devices, DVFS, NVML, RAPL, platforms)
 //! * [`runtime`] — task graphs, schedulers, virtual-time & native executors
 //! * [`linalg`] — tiled GEMM / Cholesky with real reference kernels
-//! * [`capping`] — L/B/H cap configurations, sweeps, a single-GPU
-//!   dynamic-capping study
+//! * [`capping`] — L/B/H cap configurations, static cap application,
+//!   sweeps
 //! * [`control`] — online sweet-spot capping: sensor windows, pluggable
-//!   objectives (Gflop/s/W, EDP, ED²P, perf-floor), mid-run re-cap events
+//!   objectives (Gflop/s/W, EDP, ED²P, perf-floor), mid-run re-cap
+//!   events, and the single-GPU dynamic-capping loop
+//!   ([`control::run_dynamic`])
 //! * [`experiments`] — per-figure/table reproduction runners
 //! * [`serve`] — concurrent TCP simulation service with a content-addressed
 //!   result cache, bounded worker pool, client, and load generator
@@ -27,6 +29,8 @@
 //! * the top-level [`RunConfig`] / [`run_study`] API from `ugpc-core`,
 //!   with [`try_run_study_with`] as the one fallible entry point behind
 //!   every study variant (traced, profiled, controlled, explicit caps)
+//!   and behind each iteration of the node-level dynamic study
+//!   [`run_dynamic_study`]
 //!
 //! ## Quickstart
 //!
@@ -52,10 +56,10 @@ pub use ugpc_serve as serve;
 pub use ugpc_telemetry as telemetry;
 
 pub use ugpc_core::{
-    compare, dynamic_vs_static_oracle, run_dynamic_study, run_study, run_study_traced,
-    try_run_study, try_run_study_traced, try_run_study_with, CacheKey, Comparison, ControlOutcome,
-    ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig, ProfiledRun, RunConfig,
-    RunReport, Study, StudyOptions, TracedRun,
+    compare, run_dynamic_study, run_study, run_study_traced, try_run_study, try_run_study_traced,
+    try_run_study_with, CacheKey, Comparison, ControlOutcome, ControlledRun, DynamicIteration,
+    DynamicStudyReport, InvalidConfig, ProfiledRun, RunConfig, RunReport, Study, StudyOptions,
+    TracedRun,
 };
 
 /// Everything most programs need.

@@ -112,7 +112,7 @@ fn third_and_fourth_operations_run_under_caps() {
 fn dynamic_node_study_beats_uncapped_start() {
     let cfg =
         RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(4);
-    let report = ugpc::run_dynamic_study(&cfg, 20);
+    let report = ugpc::run_dynamic_study(&cfg, 20).unwrap();
     assert!(report.final_efficiency_gflops_w > report.initial_efficiency_gflops_w);
     // Serializes.
     let json = serde_json::to_string(&report).unwrap();
