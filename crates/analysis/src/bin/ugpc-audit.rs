@@ -30,7 +30,7 @@ use ugpc_analysis::lints::{self, all_rules};
 use ugpc_analysis::model::backpressure::Backpressure;
 use ugpc_analysis::model::controlplane::ControlPlaneModel;
 use ugpc_analysis::model::seqlock::SeqlockModel;
-use ugpc_analysis::model::singleflight::{ShardedSingleFlight, SingleFlight};
+use ugpc_analysis::model::singleflight::SingleFlight;
 use ugpc_analysis::model::{Checker, Model};
 
 fn workspace_root() -> PathBuf {
@@ -77,10 +77,13 @@ fn check_model<M: Model>(name: &str, model: &M) -> bool {
 /// plane's re-cap path and the flight recorder's seqlock ring.
 fn check_models() -> bool {
     let mut ok = true;
-    ok &= check_model("single-flight(threads=3)", &SingleFlight::correct(3));
     ok &= check_model(
-        "sharded-single-flight(shards=2, threads=4)",
-        &ShardedSingleFlight::correct(2, 4),
+        "single-flight(shards=1, threads=3)",
+        &SingleFlight::correct(1, 3),
+    );
+    ok &= check_model(
+        "single-flight(shards=2, threads=4)",
+        &SingleFlight::correct(2, 4),
     );
     ok &= check_model(
         "backpressure(clients=2, workers=2, capacity=1)",

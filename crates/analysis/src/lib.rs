@@ -23,9 +23,9 @@
 //!    markers, a committed baseline, and structured JSON findings; part
 //!    of the CI gate.
 //! 4. **Protocol model checking** ([`model`]): explicit-state DFS
-//!    exploration of the serve layer's single-flight Condvar protocol
+//!    exploration of the serve layer's callback single-flight protocol
 //!    and bounded worker-pool backpressure, exhaustively checking
-//!    no-lost-wakeup, exactly-one-simulation-per-key,
+//!    no-lost-callback, no-lost-wakeup, exactly-one-simulation-per-key,
 //!    drop-propagated-failure, and bounded-queue invariants over every
 //!    interleaving to bounded depth.
 //!

@@ -1,9 +1,9 @@
 //! Explicit-state model checking for the serve layer's concurrency
 //! protocols.
 //!
-//! The serve crate's correctness rests on two hand-rolled Condvar
+//! The serve crate's correctness rests on two hand-rolled lock-based
 //! protocols: the result cache's *single-flight* (one leader computes, N
-//! waiters park and receive the same bytes) and the worker pool's
+//! subscribers' callbacks receive the same bytes) and the worker pool's
 //! bounded-queue backpressure. Unit tests cannot establish protocols
 //! like these: the bugs live in interleavings the scheduler rarely
 //! produces. This module models each protocol as a small abstract state
@@ -11,11 +11,13 @@
 //! bounded depth with a depth-first search over the explicit state
 //! graph:
 //!
-//! * [`singleflight`]: the `ResultCache` begin/fulfill/drop-fail/wait
-//!   protocol — invariants: at most one leader per key, no lost wakeup
-//!   (a parked waiter whose flight has resolved is a violation, not just
-//!   a deadlock), exactly one simulation when leaders don't fail, every
-//!   execution ends with every client answered.
+//! * [`singleflight`]: the `ResultCache` begin/subscribe/fulfill/
+//!   drop-fail protocol over one or more shards, with a leader's pool
+//!   job racing its own request's subscription — invariants: at most one
+//!   leader per key, no lost callback (one queued on a resolved flight
+//!   is a violation, not just a deadlock), no phantom callback, exactly
+//!   one simulation when leaders don't fail, every execution ends with
+//!   every client answered.
 //! * [`backpressure`]: the `WorkerPool` bounded queue — invariants: the
 //!   queue never exceeds capacity, `accepted + rejected == submitted`,
 //!   and at drain time `executed == accepted` with every worker joined.
@@ -31,9 +33,10 @@
 //!   legal, and a quiescent drain returns every settled slot.
 //!
 //! Each model also has a deliberately broken variant reproducing a
-//! classic bug (non-atomic check-then-park; signaling `stop` without
-//! the queue mutex) so the tests prove the checker *can* catch what it
-//! claims to check — a model checker that never fails is vacuous.
+//! classic bug (a subscribe that checks, unlocks, then queues; signaling
+//! `stop` without the queue mutex) so the tests prove the checker *can*
+//! catch what it claims to check — a model checker that never fails is
+//! vacuous.
 //!
 //! The real implementations are tied to the models through
 //! transition-labeling tests (`crates/serve/tests/protocol_model.rs`):

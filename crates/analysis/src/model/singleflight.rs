@@ -1,42 +1,58 @@
 //! Abstract model of the `ResultCache` single-flight protocol
-//! (`crates/serve/src/cache.rs`) — plus the sharded composition
-//! ([`ShardedSingleFlight`]) proving that per-shard single-flight
-//! composes to global one-leader-per-key with no lost wakeups.
+//! (`crates/serve/src/cache.rs`) as the server runs it: every coalesced
+//! waiter and every leader receives its answer through a `subscribe`
+//! callback.
 //!
-//! One key, `threads` clients. The real protocol in terms of atomic
-//! steps (each step holds either the map mutex or the flight mutex,
-//! which is what makes it one transition here):
+//! `threads` clients race over `shards` independent shards; client `i`
+//! wants the one key living on shard `i % shards`. With one shard this
+//! is the one-key protocol; with more it is the sharded cache, where a
+//! key's low bits select a shard and each shard runs the protocol behind
+//! its own locks. The protocol in terms of atomic steps (each holds the
+//! shard's map lock or the flight's slot lock, which is what makes it
+//! one transition here):
 //!
-//! * `begin`: under the map lock — `Ready` ⇒ hit; `Pending` ⇒ take a
-//!   handle on the flight; `Absent` ⇒ become leader, insert `Pending`.
-//! * leader `fulfill`/drop-`fail`: under the map lock, replace/remove
-//!   the pending entry (`…:map`); then under the flight lock, resolve
-//!   the slot and `notify_all` (`…:publish`). Two steps — the model
-//!   deliberately exposes the window between them, where a late
-//!   `begin` can hit the ready entry while waiters are still parked.
-//! * waiter `wait`: under the flight lock, check the slot and park in
-//!   one atomic step (`Condvar::wait` releases the lock only as it
-//!   parks); on wake, re-check in a loop (spurious wakeups allowed).
+//! * `begin` (map lock): `Ready` ⇒ hit; `Pending` ⇒ take a handle on the
+//!   flight; `Absent` ⇒ become leader, insert `Pending` with a fresh
+//!   flight and hand the `LeadGuard` to a pool job.
+//! * `subscribe` (slot lock): a resolved slot runs the callback inline;
+//!   an unresolved one queues it. Check and queue are one step.
+//! * the pool job's `fulfill` / drop-`fail`: under the map lock, replace
+//!   or remove the pending entry (`…:map`); then under the slot lock,
+//!   resolve the slot and take the queued callbacks, which run with the
+//!   outcome (`…:publish`). Two steps — the model deliberately exposes
+//!   the window between them, where a late `begin` can hit the ready
+//!   entry while queued callbacks have not run yet.
 //!
-//! Flights are numbered by *generation*: when a leader drop-fails, the
-//! key returns to `Absent` and the next `begin` starts generation
-//! `g+1` with a fresh slot — which is how the real cache lets a new
-//! leader retry after a failure while the failed flight's waiters all
-//! receive the error.
+//! A leader is two actors: its pool job (`j{i}`) and its own request
+//! (`t{i}`), which subscribes to `LeadGuard::flight()` while the job
+//! runs. Every served miss takes that race: the job may publish before
+//! the subscription (the callback runs inline) or after it (queued).
 //!
-//! Checked invariants:
+//! Flights are numbered by *generation* per shard: when a leader
+//! drop-fails, the key returns to `Absent` and the next `begin` starts
+//! generation `g+1` with a fresh slot — which is how the real cache lets
+//! a new leader retry after a failure while the failed flight's
+//! subscribers all receive the error.
+//!
+//! Checked invariants, per shard (= per key: a key lives on one shard):
 //! * **leader uniqueness** — at most one live leader; a `Pending` entry
 //!   has exactly one;
-//! * **no lost wakeup** — a thread parked on a resolved flight is a
-//!   violation (this is what [`buggy_wait`](SingleFlight::buggy_wait)
-//!   trips: it splits the check and the park into two steps, the
-//!   textbook non-atomic check-then-park);
+//! * **no lost callback** — a callback queued on a resolved flight will
+//!   never run ([`Bug::CheckThenQueue`] trips this: it splits the check
+//!   and the queueing into two steps, the analogue of a non-atomic
+//!   check-then-park);
+//! * **no phantom callback** — a callback runs only with its own
+//!   flight's outcome, after that flight resolved
+//!   ([`Bug::CrossShardPublish`] trips this and the lost callback);
 //! * **at most one successful simulation**, and exactly one simulation
 //!   total when leaders cannot fail;
-//! * **every client answered** — terminal states must have all threads
-//!   done (deadlock detection covers drop-propagated failure: if a
-//!   dead leader's waiters never woke, the checker reports the stuck
-//!   interleaving).
+//! * a ready entry comes from a fulfilled flight;
+//! * **every client answered** — terminal states must have every
+//!   request answered and every job published (deadlock detection).
+//!
+//! Shards share no state, so the reachable space of the sharded model
+//! factors *exactly* into the product of its shards' spaces — pinned
+//! arithmetically by `sharded_state_space_is_the_product_of_its_shards`.
 
 use super::Model;
 
@@ -47,7 +63,7 @@ pub enum Slot {
     Resolved { ok: bool },
 }
 
-/// The cache map entry for the key.
+/// A shard's cache map entry for its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Entry {
     Absent,
@@ -57,288 +73,224 @@ pub enum Entry {
     Ready(u8),
 }
 
-/// One client thread's position in the protocol.
+/// One client request's position in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Thread {
+pub enum Request {
     /// Has not called `begin` yet.
     Start,
-    /// Holds the `LeadGuard` for flight `g`.
-    Lead(u8),
-    /// Finished the map phase of `finish` (`ok`?), publish pending.
-    MapDone(u8, bool),
-    /// Got `Begin::Wait`, has not locked the flight slot yet.
-    WaitEnter(u8),
-    /// Buggy variant only: observed an empty slot and *released the
-    /// lock* without parking — the lost-wakeup window.
+    /// Holds a handle on flight `g` (`Begin::Wait`, or its own
+    /// `LeadGuard::flight()`), not subscribed yet.
+    Holding(u8),
+    /// Buggy variant only: saw an empty slot and *released the lock*
+    /// before queueing — the lost-callback window.
     Checked(u8),
-    /// Parked on flight `g`'s condvar.
-    Parked(u8),
-    /// Woken (notify or spurious); will re-check the slot.
-    Woken(u8),
+    /// Callback queued on flight `g`.
+    Queued(u8),
     /// Answered from the ready entry of flight `g`.
-    DoneHit(u8),
-    /// Led flight `g` to fulfillment (`true`) or failure (`false`).
-    DoneLed(u8, bool),
-    /// Waited on flight `g` and observed `ok`.
-    DoneWaited(u8, bool),
+    Hit(u8),
+    /// Callback ran with flight `g`'s outcome (`ok`?).
+    Answered(u8, bool),
 }
 
-impl Thread {
-    fn done(&self) -> bool {
-        matches!(
-            self,
-            Thread::DoneHit(_) | Thread::DoneLed(..) | Thread::DoneWaited(..)
-        )
-    }
-}
-
-/// Global protocol state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SfState {
-    pub entry: Entry,
-    /// Indexed by flight generation.
-    pub slots: Vec<Slot>,
-    pub threads: Vec<Thread>,
-    /// Simulations run (each fulfill or fail is one computed attempt).
-    pub sims: u8,
-}
-
-/// Model configuration. `threads` clients race on one key.
-pub struct SingleFlight {
-    pub threads: usize,
-    /// Explore the leader drop-failure branch (`LeadGuard` dropped
-    /// without `fulfill`).
-    pub leader_may_fail: bool,
-    /// Allow `Parked → Woken` without a notify (spurious wakeups), so
-    /// the re-check loop is exercised.
-    pub spurious_wakeups: bool,
-    /// Replace the atomic check-and-park with a two-step
-    /// check-then-park. The checker must find the lost wakeup.
-    pub buggy_wait: bool,
-}
-
-impl SingleFlight {
-    pub fn correct(threads: usize) -> Self {
-        SingleFlight {
-            threads,
-            leader_may_fail: true,
-            spurious_wakeups: true,
-            buggy_wait: false,
-        }
-    }
-}
-
-/// Sharded composition: `threads` clients over `shards` independent
-/// single-flight instances, client `i` pinned to the key living on
-/// shard `i % shards`. This is the model of the sharded `ResultCache`
-/// (`crates/serve/src/cache.rs`), where a key's low bits select a shard
-/// and each shard runs the one-key protocol above behind its own lock.
-///
-/// What the sharded cache must preserve — the checked theorem "per-shard
-/// single-flight ⇒ global single-flight":
-///
-/// * **global one-leader-per-key** — a key maps to exactly one shard, so
-///   per-shard leader uniqueness must compose to process-wide
-///   uniqueness, even while *different* keys legally lead concurrently
-///   (the parallelism sharding exists to buy);
-/// * **global no-lost-wakeup** — a publish must wake exactly its own
-///   shard's waiters. The [`buggy_cross_wake`] variant notifies the
-///   *other* shard's parked threads (the wrong-condvar bug a sharded
-///   refactor can introduce); the checker catches both the waiter left
-///   parked on its resolved flight and the phantom wakeup on the
-///   innocent shard;
-/// * **per-shard coalescing** — at most one successful simulation per
-///   key, exactly as in the unsharded model.
-///
-/// Because shards share no state, the reachable state space must factor
-/// *exactly* into the product of the per-shard spaces — pinned
-/// arithmetically by `sharded_state_space_is_the_product_of_its_shards`.
-///
-/// [`buggy_cross_wake`]: ShardedSingleFlight::buggy_cross_wake
-pub struct ShardedSingleFlight {
-    pub shards: usize,
-    /// Clients; client `i` targets the key on shard `i % shards`.
-    pub threads: usize,
-    pub leader_may_fail: bool,
-    pub spurious_wakeups: bool,
-    /// Publish notifies the other shard's parked threads instead of its
-    /// own — the wrong-condvar bug. The checker must find both the lost
-    /// wakeup (own waiter parked forever) and the phantom wakeup.
-    pub buggy_cross_wake: bool,
-}
-
-impl ShardedSingleFlight {
-    pub fn correct(shards: usize, threads: usize) -> Self {
-        ShardedSingleFlight {
-            shards,
-            threads,
-            leader_may_fail: true,
-            spurious_wakeups: true,
-            buggy_cross_wake: false,
-        }
-    }
-
-    fn shard_of(&self, thread: usize) -> usize {
-        thread % self.shards
-    }
+/// A leader's pool job, holding the `LeadGuard` for flight `g`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Job {
+    Running(u8),
+    /// Finished the map phase of `finish` (`ok`?), publish pending.
+    Mapped(u8, bool),
+    Published(u8, bool),
 }
 
 /// One shard's slice of the global state: its own entry, flight
 /// generations, and simulation count — nothing shared.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShardSf {
+pub struct ShardState {
     pub entry: Entry,
+    /// Indexed by flight generation.
     pub slots: Vec<Slot>,
+    /// Simulations run (each fulfill or fail is one computed attempt).
     pub sims: u8,
 }
 
+/// Global protocol state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShardedSfState {
-    pub shards: Vec<ShardSf>,
-    pub threads: Vec<Thread>,
+pub struct SfState {
+    pub shards: Vec<ShardState>,
+    pub requests: Vec<Request>,
+    /// `jobs[i]` is client `i`'s pool job, if it led.
+    pub jobs: Vec<Option<Job>>,
 }
 
-impl Model for ShardedSingleFlight {
-    type State = ShardedSfState;
+/// A deliberately broken protocol variant the checker must catch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bug {
+    /// `subscribe` checks the slot, unlocks, then queues: a publish in
+    /// between leaves the callback queued on a resolved flight.
+    CheckThenQueue,
+    /// `publish` takes the other shards' queued callbacks instead of its
+    /// own — the wrong-flight bug a sharded refactor can introduce.
+    CrossShardPublish,
+}
 
-    fn initial(&self) -> ShardedSfState {
-        ShardedSfState {
+/// Model configuration: `threads` clients over `shards` shards.
+pub struct SingleFlight {
+    pub shards: usize,
+    /// Clients; client `i` targets the key on shard `i % shards`.
+    pub threads: usize,
+    /// Explore the leader drop-failure branch (`LeadGuard` dropped
+    /// without `fulfill`).
+    pub leader_may_fail: bool,
+    pub bug: Option<Bug>,
+}
+
+impl SingleFlight {
+    pub fn correct(shards: usize, threads: usize) -> Self {
+        SingleFlight {
+            shards,
+            threads,
+            leader_may_fail: true,
+            bug: None,
+        }
+    }
+
+    fn shard_of(&self, client: usize) -> usize {
+        client % self.shards
+    }
+}
+
+impl Model for SingleFlight {
+    type State = SfState;
+
+    fn initial(&self) -> SfState {
+        SfState {
             shards: vec![
-                ShardSf {
+                ShardState {
                     entry: Entry::Absent,
                     slots: Vec::new(),
                     sims: 0,
                 };
                 self.shards
             ],
-            threads: vec![Thread::Start; self.threads],
+            requests: vec![Request::Start; self.threads],
+            jobs: vec![None; self.threads],
         }
     }
 
-    fn transitions(&self, s: &ShardedSfState) -> Vec<(String, ShardedSfState)> {
+    fn transitions(&self, s: &SfState) -> Vec<(String, SfState)> {
         let mut out = Vec::new();
-        for (i, t) in s.threads.iter().enumerate() {
+        for i in 0..self.threads {
             let k = self.shard_of(i);
-            let mut step = |label: &str, f: &dyn Fn(&mut ShardedSfState)| {
+            let at = if self.shards > 1 {
+                format!("{i}.s{k}")
+            } else {
+                i.to_string()
+            };
+            let mut step = |actor: char, label: &str, f: &dyn Fn(&mut SfState)| {
                 let mut n = s.clone();
                 f(&mut n);
-                out.push((format!("t{i}.s{k}:{label}"), n));
+                out.push((format!("{actor}{at}:{label}"), n));
             };
             let slot = |g: u8| s.shards[k].slots[g as usize];
-            match *t {
-                Thread::Start => match s.shards[k].entry {
-                    Entry::Ready(g) => step("begin:hit", &|n| {
-                        n.threads[i] = Thread::DoneHit(g);
+            match s.requests[i] {
+                Request::Start => match s.shards[k].entry {
+                    Entry::Ready(g) => step('t', "begin:hit", &|n| {
+                        n.requests[i] = Request::Hit(g);
                     }),
-                    Entry::Pending(g) => step("begin:wait", &|n| {
-                        n.threads[i] = Thread::WaitEnter(g);
+                    Entry::Pending(g) => step('t', "begin:wait", &|n| {
+                        n.requests[i] = Request::Holding(g);
                     }),
-                    Entry::Absent => step("begin:lead", &|n| {
+                    Entry::Absent => step('t', "begin:lead", &|n| {
                         let g = n.shards[k].slots.len() as u8;
                         n.shards[k].slots.push(Slot::Unresolved);
                         n.shards[k].entry = Entry::Pending(g);
-                        n.threads[i] = Thread::Lead(g);
+                        n.requests[i] = Request::Holding(g);
+                        n.jobs[i] = Some(Job::Running(g));
                     }),
                 },
-                Thread::Lead(g) => {
-                    step("fulfill:map", &|n| {
+                Request::Holding(g) => match slot(g) {
+                    Slot::Resolved { ok } => step('t', "subscribe:inline", &|n| {
+                        n.requests[i] = Request::Answered(g, ok);
+                    }),
+                    Slot::Unresolved if self.bug == Some(Bug::CheckThenQueue) => {
+                        step('t', "subscribe:check", &|n| {
+                            n.requests[i] = Request::Checked(g);
+                        })
+                    }
+                    Slot::Unresolved => step('t', "subscribe:queue", &|n| {
+                        n.requests[i] = Request::Queued(g);
+                    }),
+                },
+                Request::Checked(g) => step('t', "subscribe:queue", &|n| {
+                    n.requests[i] = Request::Queued(g);
+                }),
+                Request::Queued(_) | Request::Hit(_) | Request::Answered(..) => {}
+            }
+            match s.jobs[i] {
+                Some(Job::Running(g)) => {
+                    step('j', "fulfill:map", &|n| {
                         n.shards[k].entry = Entry::Ready(g);
                         n.shards[k].sims += 1;
-                        n.threads[i] = Thread::MapDone(g, true);
+                        n.jobs[i] = Some(Job::Mapped(g, true));
                     });
                     if self.leader_may_fail {
-                        step("fail:map", &|n| {
+                        step('j', "fail:map", &|n| {
                             n.shards[k].entry = Entry::Absent;
                             n.shards[k].sims += 1;
-                            n.threads[i] = Thread::MapDone(g, false);
+                            n.jobs[i] = Some(Job::Mapped(g, false));
                         });
                     }
                 }
-                Thread::MapDone(g, ok) => step("publish", &|n| {
+                Some(Job::Mapped(g, ok)) => step('j', "publish", &|n| {
                     n.shards[k].slots[g as usize] = Slot::Resolved { ok };
-                    for j in 0..n.threads.len() {
-                        let targeted = if self.buggy_cross_wake {
-                            self.shard_of(j) != k
-                        } else {
-                            self.shard_of(j) == k
+                    for j in 0..n.requests.len() {
+                        let taken = match n.requests[j] {
+                            Request::Queued(h) if self.bug == Some(Bug::CrossShardPublish) => {
+                                (self.shard_of(j) != k).then_some(h)
+                            }
+                            Request::Queued(h) => (self.shard_of(j) == k && h == g).then_some(h),
+                            _ => None,
                         };
-                        if targeted && n.threads[j] == Thread::Parked(g) {
-                            n.threads[j] = Thread::Woken(g);
+                        if let Some(h) = taken {
+                            n.requests[j] = Request::Answered(h, ok);
                         }
                     }
-                    n.threads[i] = Thread::DoneLed(g, ok);
+                    n.jobs[i] = Some(Job::Published(g, ok));
                 }),
-                Thread::WaitEnter(g) => match slot(g) {
-                    Slot::Resolved { ok } => step("wait:resolved", &|n| {
-                        n.threads[i] = Thread::DoneWaited(g, ok);
-                    }),
-                    Slot::Unresolved => step("wait:park", &|n| {
-                        n.threads[i] = Thread::Parked(g);
-                    }),
-                },
-                Thread::Checked(g) => step("wait:park", &|n| {
-                    n.threads[i] = Thread::Parked(g);
-                }),
-                Thread::Parked(g) => {
-                    if self.spurious_wakeups {
-                        step("spurious", &|n| {
-                            n.threads[i] = Thread::Woken(g);
-                        });
-                    }
-                }
-                Thread::Woken(g) => match slot(g) {
-                    Slot::Resolved { ok } => step("wake:resolved", &|n| {
-                        n.threads[i] = Thread::DoneWaited(g, ok);
-                    }),
-                    Slot::Unresolved => step("wake:repark", &|n| {
-                        n.threads[i] = Thread::Parked(g);
-                    }),
-                },
-                Thread::DoneHit(_) | Thread::DoneLed(..) | Thread::DoneWaited(..) => {}
+                Some(Job::Published(..)) | None => {}
             }
         }
         out
     }
 
-    fn invariant(&self, s: &ShardedSfState) -> Result<(), String> {
-        // Per-shard (= per-key) checks. Because a key lives on exactly
-        // one shard, per-shard leader uniqueness IS global one-leader-
-        // per-key — the point of this variant is that the checker walks
-        // every cross-shard interleaving and never finds it violated.
+    fn invariant(&self, s: &SfState) -> Result<(), String> {
         for (k, shard) in s.shards.iter().enumerate() {
-            let on_k = |j: &usize| self.shard_of(*j) == k;
-            let leaders = s
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(j, t)| on_k(j) && matches!(t, Thread::Lead(_)))
-                .count();
+            let on_k = |j: usize| self.shard_of(j) == k;
+            let jobs = || {
+                s.jobs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| on_k(j))
+                    .filter_map(|(_, job)| *job)
+            };
+            // Leader uniqueness: at most one job holds the pending map
+            // entry. (A `Mapped` job has already surrendered the entry —
+            // a *new* leader may legally start a fresh flight while the
+            // failed one is still publishing its error.)
+            let leaders = jobs().filter(|j| matches!(j, Job::Running(_))).count();
             if leaders > 1 {
                 return Err(format!(
                     "shard {k}: {leaders} simultaneous leaders for one key"
                 ));
             }
             if let Entry::Pending(g) = shard.entry {
-                let owner = s
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, t)| on_k(j) && matches!(t, Thread::Lead(h) if *h == g))
-                    .count();
-                if owner != 1 {
-                    return Err(format!(
-                        "shard {k}: pending flight {g} has {owner} owners (want exactly 1)"
-                    ));
+                if !jobs().any(|j| j == Job::Running(g)) {
+                    return Err(format!("shard {k}: pending flight {g} has no leader"));
                 }
             }
-            let successes = s
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(j, t)| {
-                    on_k(j) && matches!(t, Thread::MapDone(_, true) | Thread::DoneLed(_, true))
-                })
-                .count();
+            // At most one simulation can succeed; without failures,
+            // exactly one simulation runs no matter the interleaving.
+            let fulfilled = |j: &Job| matches!(j, Job::Mapped(_, true) | Job::Published(_, true));
+            let successes = jobs().filter(fulfilled).count();
             if successes > 1 {
                 return Err(format!(
                     "shard {k}: {successes} successful simulations for one key"
@@ -350,39 +302,31 @@ impl Model for ShardedSingleFlight {
                     shard.sims
                 ));
             }
+            // Divergence: a ready entry must come from a fulfilled flight.
             if let Entry::Ready(g) = shard.entry {
-                let owner_ok = s.threads.iter().enumerate().any(|(j, t)| {
-                    on_k(&j)
-                        && matches!(t, Thread::MapDone(h, true) | Thread::DoneLed(h, true) if *h == g)
-                });
-                if !owner_ok {
+                let fulfilled_g =
+                    |j: Job| matches!(j, Job::Mapped(h, true) | Job::Published(h, true) if h == g);
+                if !jobs().any(fulfilled_g) {
                     return Err(format!(
                         "shard {k}: ready entry from flight {g} that no leader fulfilled"
                     ));
                 }
             }
         }
-        // Global wakeup discipline, across every shard at once.
-        for (j, t) in s.threads.iter().enumerate() {
+        // Callback discipline, across every shard at once.
+        for (j, r) in s.requests.iter().enumerate() {
             let k = self.shard_of(j);
-            match *t {
-                // No lost wakeup: parked on a flight the shard resolved.
-                Thread::Parked(g)
-                    if matches!(s.shards[k].slots[g as usize], Slot::Resolved { .. }) =>
-                {
+            let slot = |g: u8| s.shards[k].slots[g as usize];
+            match *r {
+                Request::Queued(g) if slot(g) != Slot::Unresolved => {
                     return Err(format!(
-                        "lost wakeup: t{j} parked on shard {k} flight {g} after it resolved"
+                        "lost callback: t{j} queued on shard {k} flight {g} after it resolved"
                     ));
                 }
-                // Wake isolation: without spurious wakeups, a woken
-                // thread whose own flight is unresolved can only mean a
-                // publish on some *other* shard notified it.
-                Thread::Woken(g)
-                    if !self.spurious_wakeups
-                        && s.shards[k].slots[g as usize] == Slot::Unresolved =>
-                {
+                Request::Answered(g, ok) if slot(g) != (Slot::Resolved { ok }) => {
                     return Err(format!(
-                        "phantom wakeup: t{j} woken on shard {k} flight {g} before it resolved"
+                        "phantom callback: t{j} ran with ok={ok} but shard {k} flight {g} is {:?}",
+                        slot(g)
                     ));
                 }
                 _ => {}
@@ -391,173 +335,13 @@ impl Model for ShardedSingleFlight {
         Ok(())
     }
 
-    fn is_expected_terminal(&self, s: &ShardedSfState) -> bool {
-        s.threads.iter().all(Thread::done)
-    }
-}
-
-impl Model for SingleFlight {
-    type State = SfState;
-
-    fn initial(&self) -> SfState {
-        SfState {
-            entry: Entry::Absent,
-            slots: Vec::new(),
-            threads: vec![Thread::Start; self.threads],
-            sims: 0,
-        }
-    }
-
-    fn transitions(&self, s: &SfState) -> Vec<(String, SfState)> {
-        let mut out = Vec::new();
-        let slot = |s: &SfState, g: u8| s.slots[g as usize];
-        for (i, t) in s.threads.iter().enumerate() {
-            let mut step = |label: &str, f: &dyn Fn(&mut SfState)| {
-                let mut n = s.clone();
-                f(&mut n);
-                out.push((format!("t{i}:{label}"), n));
-            };
-            match *t {
-                Thread::Start => match s.entry {
-                    Entry::Ready(g) => step("begin:hit", &|n| {
-                        n.threads[i] = Thread::DoneHit(g);
-                    }),
-                    Entry::Pending(g) => step("begin:wait", &|n| {
-                        n.threads[i] = Thread::WaitEnter(g);
-                    }),
-                    Entry::Absent => step("begin:lead", &|n| {
-                        let g = n.slots.len() as u8;
-                        n.slots.push(Slot::Unresolved);
-                        n.entry = Entry::Pending(g);
-                        n.threads[i] = Thread::Lead(g);
-                    }),
-                },
-                Thread::Lead(g) => {
-                    step("fulfill:map", &|n| {
-                        n.entry = Entry::Ready(g);
-                        n.sims += 1;
-                        n.threads[i] = Thread::MapDone(g, true);
-                    });
-                    if self.leader_may_fail {
-                        step("fail:map", &|n| {
-                            n.entry = Entry::Absent;
-                            n.sims += 1;
-                            n.threads[i] = Thread::MapDone(g, false);
-                        });
-                    }
-                }
-                Thread::MapDone(g, ok) => step("publish", &|n| {
-                    n.slots[g as usize] = Slot::Resolved { ok };
-                    for t in n.threads.iter_mut() {
-                        if *t == Thread::Parked(g) {
-                            *t = Thread::Woken(g);
-                        }
-                    }
-                    n.threads[i] = Thread::DoneLed(g, ok);
-                }),
-                Thread::WaitEnter(g) => match slot(s, g) {
-                    Slot::Resolved { ok } => step("wait:resolved", &|n| {
-                        n.threads[i] = Thread::DoneWaited(g, ok);
-                    }),
-                    Slot::Unresolved if self.buggy_wait => step("wait:check-empty", &|n| {
-                        n.threads[i] = Thread::Checked(g);
-                    }),
-                    Slot::Unresolved => step("wait:park", &|n| {
-                        n.threads[i] = Thread::Parked(g);
-                    }),
-                },
-                Thread::Checked(g) => step("wait:park", &|n| {
-                    n.threads[i] = Thread::Parked(g);
-                }),
-                Thread::Parked(g) => {
-                    if self.spurious_wakeups {
-                        step("spurious", &|n| {
-                            n.threads[i] = Thread::Woken(g);
-                        });
-                    }
-                }
-                Thread::Woken(g) => match slot(s, g) {
-                    Slot::Resolved { ok } => step("wake:resolved", &|n| {
-                        n.threads[i] = Thread::DoneWaited(g, ok);
-                    }),
-                    Slot::Unresolved => step("wake:repark", &|n| {
-                        n.threads[i] = Thread::Parked(g);
-                    }),
-                },
-                Thread::DoneHit(_) | Thread::DoneLed(..) | Thread::DoneWaited(..) => {}
-            }
-        }
-        out
-    }
-
-    fn invariant(&self, s: &SfState) -> Result<(), String> {
-        // Leader uniqueness: at most one thread holds the pending map
-        // entry. (A thread in `MapDone` has already surrendered the
-        // entry — a *new* leader may legally start a fresh flight while
-        // the failed one is still publishing its error.)
-        let leaders = s
-            .threads
-            .iter()
-            .filter(|t| matches!(t, Thread::Lead(_)))
-            .count();
-        if leaders > 1 {
-            return Err(format!("{leaders} simultaneous leaders for one key"));
-        }
-        if let Entry::Pending(g) = s.entry {
-            let owner = s
-                .threads
-                .iter()
-                .filter(|t| matches!(t, Thread::Lead(h) if *h == g))
-                .count();
-            if owner != 1 {
-                return Err(format!(
-                    "pending entry for flight {g} has {owner} owners (want exactly 1)"
-                ));
-            }
-        }
-        // No lost wakeup: parked on a resolved flight means the notify
-        // that should have woken this thread already happened.
-        for (i, t) in s.threads.iter().enumerate() {
-            if let Thread::Parked(g) = t {
-                if matches!(s.slots[*g as usize], Slot::Resolved { .. }) {
-                    return Err(format!(
-                        "lost wakeup: t{i} parked on flight {g} after it resolved"
-                    ));
-                }
-            }
-        }
-        // At most one simulation can succeed; without failures, exactly
-        // one simulation runs no matter the interleaving.
-        let successes = s
-            .threads
-            .iter()
-            .filter(|t| matches!(t, Thread::MapDone(_, true) | Thread::DoneLed(_, true)))
-            .count();
-        if successes > 1 {
-            return Err(format!("{successes} successful simulations for one key"));
-        }
-        if !self.leader_may_fail && s.sims > 1 {
-            return Err(format!(
-                "{} simulations for one key with no leader failures (want exactly 1)",
-                s.sims
-            ));
-        }
-        // Divergence: a ready entry must come from a fulfilled flight.
-        if let Entry::Ready(g) = s.entry {
-            let owner_ok = s.threads.iter().any(
-                |t| matches!(t, Thread::MapDone(h, true) | Thread::DoneLed(h, true) if *h == g),
-            );
-            if !owner_ok {
-                return Err(format!(
-                    "ready entry from flight {g} that no leader fulfilled"
-                ));
-            }
-        }
-        Ok(())
-    }
-
     fn is_expected_terminal(&self, s: &SfState) -> bool {
-        s.threads.iter().all(Thread::done)
+        s.requests
+            .iter()
+            .all(|r| matches!(r, Request::Hit(_) | Request::Answered(..)))
+            && s.jobs
+                .iter()
+                .all(|j| matches!(j, None | Some(Job::Published(..))))
     }
 }
 
@@ -568,8 +352,7 @@ mod tests {
 
     #[test]
     fn correct_protocol_verifies_exhaustively() {
-        let model = SingleFlight::correct(3);
-        let out = Checker::default().run(&model);
+        let out = Checker::default().run(&SingleFlight::correct(1, 3));
         assert!(
             out.verified(),
             "single-flight violated: {:?}",
@@ -583,62 +366,77 @@ mod tests {
     #[test]
     fn no_failure_means_exactly_one_simulation() {
         let model = SingleFlight {
-            threads: 3,
             leader_may_fail: false,
-            spurious_wakeups: true,
-            buggy_wait: false,
+            ..SingleFlight::correct(1, 3)
         };
         let out = Checker::default().run(&model);
         assert!(out.verified(), "{:?}", out.violation);
     }
 
     #[test]
-    fn buggy_wait_loses_a_wakeup() {
+    fn check_then_queue_loses_a_callback() {
         let model = SingleFlight {
-            threads: 2,
             leader_may_fail: false,
-            spurious_wakeups: false,
-            buggy_wait: true,
+            bug: Some(Bug::CheckThenQueue),
+            ..SingleFlight::correct(1, 2)
         };
         let out = Checker::default().run(&model);
-        let v = out.violation.expect("checker must catch the lost wakeup");
+        let v = out.violation.expect("checker must catch the lost callback");
         assert!(
-            v.message.contains("lost wakeup") || v.message.contains("deadlock"),
+            v.message.contains("lost callback"),
             "unexpected violation: {}",
             v.message
         );
         // The witness trace shows the bug shape: check-empty, then the
-        // publish slips in, then the doomed park.
+        // publish slips in, then the doomed queueing.
         let trace = v.trace.join(" ");
-        assert!(trace.contains("wait:check-empty"), "{trace}");
+        assert!(trace.contains("subscribe:check"), "{trace}");
+        assert!(trace.contains("publish"), "{trace}");
     }
 
     #[test]
     fn real_scenarios_are_accepted() {
-        let model = SingleFlight::correct(3);
-        // Leader computes, waiter coalesces, late client hits.
+        let model = SingleFlight::correct(1, 3);
+        // The leader's own subscription queues before its job publishes;
+        // a waiter coalesces behind it; a late client hits in the window
+        // between the map swap and the publish.
         accepts_trace(
             &model,
             &[
                 "t0:begin:lead",
+                "t0:subscribe:queue",
                 "t1:begin:wait",
-                "t1:wait:park",
-                "t0:fulfill:map",
+                "t1:subscribe:queue",
+                "j0:fulfill:map",
                 "t2:begin:hit",
-                "t0:publish",
-                "t1:wake:resolved",
+                "j0:publish",
             ],
         )
         .expect("legal single-flight run rejected");
-        // Leader drop-fails; waiter sees the error; a new leader retries.
+        // The job publishes first: both subscriptions run inline.
         accepts_trace(
             &model,
             &[
                 "t0:begin:lead",
                 "t1:begin:wait",
-                "t0:fail:map",
-                "t0:publish",
-                "t1:wait:resolved",
+                "j0:fulfill:map",
+                "j0:publish",
+                "t0:subscribe:inline",
+                "t1:subscribe:inline",
+                "t2:begin:hit",
+            ],
+        )
+        .expect("inline subscriptions rejected");
+        // Leader drop-fails; the waiter sees the error; a new leader
+        // retries.
+        accepts_trace(
+            &model,
+            &[
+                "t0:begin:lead",
+                "t1:begin:wait",
+                "j0:fail:map",
+                "j0:publish",
+                "t1:subscribe:inline",
                 "t2:begin:lead",
             ],
         )
@@ -647,7 +445,7 @@ mod tests {
 
     #[test]
     fn impossible_scenarios_are_rejected() {
-        let model = SingleFlight::correct(2);
+        let model = SingleFlight::correct(1, 2);
         // Two concurrent leaders for one key can never happen.
         assert_eq!(
             accepts_trace(&model, &["t0:begin:lead", "t1:begin:lead"]),
@@ -655,12 +453,16 @@ mod tests {
         );
         // A hit before anything was computed can never happen.
         assert_eq!(accepts_trace(&model, &["t0:begin:hit"]), Err(0));
+        // A subscription cannot run inline before the flight resolves.
+        assert_eq!(
+            accepts_trace(&model, &["t0:begin:lead", "t0:subscribe:inline"]),
+            Err(1)
+        );
     }
 
     #[test]
     fn sharded_protocol_verifies_exhaustively() {
-        let model = ShardedSingleFlight::correct(2, 4);
-        let out = Checker::default().run(&model);
+        let out = Checker::default().run(&SingleFlight::correct(2, 4));
         assert!(
             out.verified(),
             "sharded single-flight violated: {:?}",
@@ -671,17 +473,17 @@ mod tests {
     }
 
     /// The composition theorem, pinned arithmetically. Shards share no
-    /// state, so the sharded model's reachable space must factor
-    /// *exactly* into the product of two copies of the one-key model
-    /// (2 threads each): `S = s²`, `T = t²` terminals, and — since a
-    /// product state's out-degree is the sum of its components' — the
-    /// edge count must be `E = 2·s·e`. Any accidental coupling between
-    /// shards (a shared counter, a cross-shard wake) breaks at least
-    /// one of these equalities before it breaks an invariant.
+    /// state, so the 2-shard, 4-client space must factor *exactly* into
+    /// the product of two copies of the 1-shard, 2-client space:
+    /// `S = s²`, `T = t²` terminals, and — since a product state's
+    /// out-degree is the sum of its components' — `E = 2·s·e` edges.
+    /// Any accidental coupling between shards (a shared counter, a
+    /// cross-shard publish) breaks at least one of these equalities
+    /// before it breaks an invariant.
     #[test]
     fn sharded_state_space_is_the_product_of_its_shards() {
-        let one = Checker::default().run(&SingleFlight::correct(2));
-        let two = Checker::default().run(&ShardedSingleFlight::correct(2, 4));
+        let one = Checker::default().run(&SingleFlight::correct(1, 2));
+        let two = Checker::default().run(&SingleFlight::correct(2, 4));
         assert!(one.verified() && two.verified());
         assert_eq!(two.states, one.states * one.states);
         assert_eq!(two.terminals, one.terminals * one.terminals);
@@ -690,7 +492,7 @@ mod tests {
 
     #[test]
     fn shards_lead_independently_but_each_key_stays_single_flight() {
-        let model = ShardedSingleFlight::correct(2, 4);
+        let model = SingleFlight::correct(2, 4);
         // Two simultaneous leaders on *different* shards — impossible in
         // the one-key model, and exactly the parallelism sharding buys.
         accepts_trace(&model, &["t0.s0:begin:lead", "t1.s1:begin:lead"])
@@ -700,46 +502,26 @@ mod tests {
             accepts_trace(&model, &["t0.s0:begin:lead", "t2.s0:begin:lead"]),
             Err(1)
         );
-        // Full run: both shards complete with a waiter coalescing on
-        // shard 0 and a late hit on shard 1, fully interleaved.
-        accepts_trace(
-            &model,
-            &[
-                "t0.s0:begin:lead",
-                "t1.s1:begin:lead",
-                "t2.s0:begin:wait",
-                "t2.s0:wait:park",
-                "t1.s1:fulfill:map",
-                "t0.s0:fulfill:map",
-                "t0.s0:publish",
-                "t1.s1:publish",
-                "t2.s0:wake:resolved",
-                "t3.s1:begin:hit",
-            ],
-        )
-        .expect("interleaved two-shard run rejected");
     }
 
-    /// The wrong-condvar bug: publish notifies the other shard's parked
-    /// threads. The checker must catch it — either as the waiter left
-    /// parked on its own resolved flight (lost wakeup) or as the
-    /// innocent shard's thread woken before its flight resolved
-    /// (phantom wakeup).
+    /// The wrong-flight bug: publish takes the other shard's queued
+    /// callbacks. The checker must catch it — as the subscriber left
+    /// queued on its own resolved flight (lost callback) or as the
+    /// innocent shard's callback run before its flight resolved
+    /// (phantom callback).
     #[test]
-    fn cross_shard_notify_loses_a_wakeup() {
-        let model = ShardedSingleFlight {
-            shards: 2,
-            threads: 3,
+    fn cross_shard_publish_loses_a_callback() {
+        let model = SingleFlight {
             leader_may_fail: false,
-            spurious_wakeups: false,
-            buggy_cross_wake: true,
+            bug: Some(Bug::CrossShardPublish),
+            ..SingleFlight::correct(2, 3)
         };
         let out = Checker::default().run(&model);
         let v = out
             .violation
-            .expect("checker must catch the cross-shard notify");
+            .expect("checker must catch the cross-shard publish");
         assert!(
-            v.message.contains("wakeup") || v.message.contains("deadlock"),
+            v.message.contains("callback"),
             "unexpected violation: {}",
             v.message
         );

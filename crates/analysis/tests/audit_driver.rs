@@ -168,7 +168,7 @@ fn report_is_independent_of_file_order() {
 fn model_interleaving_counts_are_pinned() {
     use ugpc_analysis::model::backpressure::Backpressure;
     use ugpc_analysis::model::controlplane::ControlPlaneModel;
-    use ugpc_analysis::model::singleflight::{ShardedSingleFlight, SingleFlight};
+    use ugpc_analysis::model::singleflight::SingleFlight;
     use ugpc_analysis::model::{CheckOutcome, Checker, Model};
 
     fn counts<M: Model>(model: &M) -> (usize, usize, usize) {
@@ -177,15 +177,16 @@ fn model_interleaving_counts_are_pinned() {
         (out.states, out.transitions, out.terminals)
     }
 
-    assert_eq!(counts(&SingleFlight::correct(3)), (859, 1848, 57));
-    // Exactly the square of the 2-thread one-key model (65, 98, 10):
-    // 65² states, 2·65·98 transitions, 10² terminals — the sharded
+    assert_eq!(counts(&SingleFlight::correct(1, 3)), (2611, 7686, 57));
+    // Exactly the square of the 1-shard, 2-thread space (149, 312, 10):
+    // 149² states, 2·149·312 transitions, 10² terminals — the sharded
     // composition factors (see `sharded_state_space_is_the_product_of_
     // its_shards` in the model's own tests).
-    assert_eq!(
-        counts(&ShardedSingleFlight::correct(2, 4)),
-        (4225, 12740, 100)
-    );
+    let one = counts(&SingleFlight::correct(1, 2));
+    assert_eq!(one, (149, 312, 10));
+    let two = counts(&SingleFlight::correct(2, 4));
+    assert_eq!(two, (22201, 92976, 100));
+    assert_eq!(two, (one.0 * one.0, 2 * one.0 * one.1, one.2 * one.2));
     assert_eq!(counts(&Backpressure::correct(2, 2, 1)), (291, 710, 3));
     assert_eq!(counts(&ControlPlaneModel::correct(6)), (575, 574, 169));
 }

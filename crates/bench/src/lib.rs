@@ -1,7 +1,7 @@
 //! # ugpc-bench
 //!
-//! Criterion benchmarks regenerating every paper table and figure (see
-//! `benches/`): each bench first prints the regenerated rows/series so
-//! `cargo bench` output doubles as a reproduction log, then measures the
-//! machinery. `kernels.rs` additionally micro-benchmarks the substrate
-//! (tile kernels, native executor, virtual-time simulator, DAG builders).
+//! Criterion micro-benchmarks of the substrate (`benches/kernels.rs`):
+//! tile kernels, the native executor, the virtual-time simulator and the
+//! DAG builders — the layer costs the end-to-end benchmark in
+//! `benchmark/` does not isolate. The paper's tables and figures are
+//! timed and digest-checked by that benchmark's `repro_all` workload.

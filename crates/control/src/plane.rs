@@ -2,7 +2,7 @@
 //!
 //! [`ControlPlane`] wires the pieces together: a [`SensorHub`] fed by the
 //! executor's event stream, one [`DynamicCapper`] + [`Objective`] pair
-//! per GPU, and the [`ControlHook`] contract the executors call. Each
+//! per GPU, and the [`ControlHook`] contract the simulator calls. Each
 //! tick it closes the sensor window, scores it per device, advances each
 //! device's hill-climb, and emits re-cap commands for the caps that
 //! moved. Everything runs on virtual event time — no wall clock, no
@@ -201,8 +201,8 @@ pub struct DecisionRecord {
     pub recap: bool,
 }
 
-/// The online sweet-spot controller: implements [`ControlHook`] for both
-/// executors.
+/// The online sweet-spot controller: implements [`ControlHook`] for the
+/// simulator.
 pub struct ControlPlane {
     spec: ControllerSpec,
     sensors: SensorHub,

@@ -84,11 +84,8 @@ impl ControlDecision {
     }
 }
 
-/// The control-plane hook attached to an executor run.
-///
-/// `Send` because the native executor dispatches events from worker
-/// threads (behind the same mutex that serializes observers).
-pub trait ControlHook: Send {
+/// The control-plane hook attached to a simulated run.
+pub trait ControlHook {
     /// Called once before execution with the same context observers get.
     /// Returns the first tick time, or `None` for a hook that only
     /// listens (a quiescent hook — guaranteed outcome-neutral).
@@ -99,8 +96,7 @@ pub trait ControlHook: Send {
     fn on_event(&mut self, event: &ExecEvent);
 
     /// A scheduled tick fired at virtual time `now`. `caps` holds the
-    /// current power limit of each GPU device (empty under the native
-    /// executor, which has no power model).
+    /// current power limit of each GPU device.
     fn on_tick(&mut self, now: Secs, caps: &[Watts]) -> ControlDecision;
 }
 

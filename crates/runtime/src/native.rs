@@ -11,7 +11,6 @@
 //! (release/acquire pairs via the deque operations order the kernel
 //! effects).
 
-use crate::control::ControlHook;
 use crate::graph::TaskGraph;
 use crate::observer::{ExecEvent, Observer, RunContext, RunSummary};
 use crate::sim::SimOptions;
@@ -89,40 +88,6 @@ impl NativeExecutor {
     where
         F: Fn(TaskId, &TaskDesc) + Sync,
     {
-        self.execute_hooked(graph, kernel, observers, None)
-    }
-
-    /// [`execute_observed`](Self::execute_observed) with a control-plane
-    /// hook attached. The hook's sensor feed sees the same serialized
-    /// `TaskStart`/`TaskEnd` stream the observers do (wall-clock
-    /// timestamps since run start); a tick it requested fires as soon
-    /// as the event stream passes its time. Re-cap commands are
-    /// accepted and discarded — host threads have no power model to
-    /// re-cap — so a controller's sensor and decision paths can be
-    /// exercised natively, while its actuation is simulator-only.
-    pub fn execute_controlled<F>(
-        &self,
-        graph: &TaskGraph,
-        kernel: F,
-        observers: &mut [&mut dyn Observer],
-        hook: &mut dyn ControlHook,
-    ) -> NativeStats
-    where
-        F: Fn(TaskId, &TaskDesc) + Sync,
-    {
-        self.execute_hooked(graph, kernel, observers, Some(hook))
-    }
-
-    fn execute_hooked<F>(
-        &self,
-        graph: &TaskGraph,
-        kernel: F,
-        observers: &mut [&mut dyn Observer],
-        mut hook: Option<&mut dyn ControlHook>,
-    ) -> NativeStats
-    where
-        F: Fn(TaskId, &TaskDesc) + Sync,
-    {
         // Each host thread presents as one CPU-core worker.
         let workers: Vec<Worker> = (0..self.threads)
             .map(|id| Worker {
@@ -142,27 +107,14 @@ impl NativeExecutor {
         for o in observers.iter_mut() {
             o.on_start(&ctx);
         }
-        let next_tick = hook.as_deref_mut().and_then(|h| h.on_start(&ctx));
 
-        struct Control<'h> {
-            hook: &'h mut dyn ControlHook,
-            next_tick: Option<Secs>,
-        }
-        struct Sink<'a, 'o, 'h> {
-            observers: &'a mut [&'o mut dyn Observer],
-            control: Option<Control<'h>>,
-        }
         let epoch = Instant::now();
-        let sink = Mutex::new(Sink {
-            observers,
-            control: hook.map(|hook| Control { hook, next_tick }),
-        });
+        let sink = Mutex::new(observers);
         let notify = |me: usize, task: TaskId, desc: &TaskDesc, start: Secs, end: Secs| {
             // Tolerate a poisoned lock: a panicking observer on another
             // thread must not wedge the executor.
-            let mut s = sink.lock().unwrap_or_else(PoisonError::into_inner);
-            let s = &mut *s;
-            if s.observers.is_empty() && s.control.is_none() {
+            let mut observers = sink.lock().unwrap_or_else(PoisonError::into_inner);
+            if observers.is_empty() {
                 return;
             }
             let start_ev = ExecEvent::TaskStart {
@@ -183,20 +135,9 @@ impl NativeExecutor {
                 flops: desc.flops(),
                 energy: Joules::ZERO,
             };
-            for o in s.observers.iter_mut() {
+            for o in observers.iter_mut() {
                 o.on_event(&start_ev);
                 o.on_event(&end_ev);
-            }
-            if let Some(ctl) = s.control.as_mut() {
-                ctl.hook.on_event(&start_ev);
-                ctl.hook.on_event(&end_ev);
-                // Fire every tick the stream has passed. `next_tick`
-                // must strictly increase each round, so the loop always
-                // terminates.
-                while let Some(t) = ctl.next_tick.filter(|&t| t <= end) {
-                    let decision = ctl.hook.on_tick(t, &[]);
-                    ctl.next_tick = decision.next_tick.filter(|&n| n > t);
-                }
             }
         };
 
@@ -211,8 +152,8 @@ impl NativeExecutor {
                 per_gpu: Vec::new(),
             },
         };
-        let s = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
-        for o in s.observers.iter_mut() {
+        let observers = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
+        for o in observers.iter_mut() {
             o.on_finish(&summary);
         }
         stats
@@ -457,49 +398,6 @@ mod tests {
         let summary = log.summary.expect("on_finish delivered");
         assert!(summary.makespan >= ugpc_hwsim::Secs::ZERO);
         assert!(summary.energy.per_gpu.is_empty(), "no native power model");
-    }
-
-    #[test]
-    fn control_hook_sees_the_native_stream() {
-        use crate::control::{ControlDecision, ControlHook, RecapEvent};
-        use crate::observer::RunContext;
-        use ugpc_hwsim::Watts;
-
-        struct Probe {
-            events: usize,
-            ticks: usize,
-        }
-        impl ControlHook for Probe {
-            fn on_start(&mut self, _ctx: &RunContext<'_>) -> Option<Secs> {
-                Some(Secs::ZERO)
-            }
-            fn on_event(&mut self, _ev: &ExecEvent) {
-                self.events += 1;
-            }
-            fn on_tick(&mut self, now: Secs, caps: &[Watts]) -> ControlDecision {
-                assert!(caps.is_empty(), "no native power model");
-                self.ticks += 1;
-                // Re-caps are discarded natively; emitting one is harmless.
-                ControlDecision {
-                    recaps: vec![RecapEvent {
-                        t: now,
-                        device: 0,
-                        cap: Watts(100.0),
-                    }],
-                    next_tick: None,
-                }
-            }
-        }
-
-        let g = diamond();
-        let mut probe = Probe {
-            events: 0,
-            ticks: 0,
-        };
-        let stats = NativeExecutor::new(2).execute_controlled(&g, |_, _| {}, &mut [], &mut probe);
-        assert_eq!(stats.executed, 4);
-        assert_eq!(probe.events, 8, "start+end per task reach the sensor feed");
-        assert_eq!(probe.ticks, 1, "the requested tick fired once");
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! `ugpc-bench-client` — load generator and latency harness for
 //! `ugpc-serve`.
 //!
-//! Two modes:
-//!
-//! - **Harness mode** (default): a single-threaded, event-driven load
-//!   harness firing `N` requests, cycling over `K` distinct
-//!   configurations, on `C` pipelined connections (`--connections`,
-//!   default 1) multiplexed over the serve crate's own poller. Closed-loop by default (each
-//!   connection keeps `--pipeline D` requests in flight); open-loop
-//!   with `--open-rate R` (requests scheduled at `R`/s across all
-//!   connections, latency measured from the *scheduled* arrival so
-//!   queueing delay is not hidden). `--batch B` submits `batch` lines
-//!   of `B` configs instead of individual `run` lines. Reports
-//!   throughput and p50/p99/p999 latency.
-//! - **Suite mode** (`--suite`): spawns an in-process server and runs
-//!   the comparison matrix — pipelined, batched, and an open-loop
-//!   latency probe — writing `BENCH_serve.json` (see `--json`).
+//! A single-threaded, event-driven load harness firing `N` requests,
+//! cycling over `K` distinct configurations, on `C` pipelined
+//! connections (`--connections`, default 1) multiplexed over the serve
+//! crate's own poller. Closed-loop by default (each connection keeps
+//! `--pipeline D` requests in flight); open-loop with `--open-rate R`
+//! (requests scheduled at `R`/s across all connections, latency
+//! measured from the *scheduled* arrival so queueing delay is not
+//! hidden). `--batch B` submits `batch` lines of `B` configs instead of
+//! individual `run` lines. Reports throughput and p50/p99/p999 latency.
 //!
 //! ```text
 //! ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N]
 //!                   [--unique K] [--scale S] [--require-hits]
 //!                   [--connections C] [--pipeline D] [--batch B]
-//!                   [--open-rate R] [--suite] [--json PATH]
-//!                   [--introspect PATH]
+//!                   [--open-rate R] [--json PATH] [--introspect PATH]
 //! ```
 //!
 //! The harness primes the cache (one warm-up run per unique config)
@@ -35,8 +28,7 @@
 //! the load (an `Introspect` request on a fresh connection) and writes
 //! the report — worst-K span trees, last-N spans, per-phase p50/p99
 //! decomposition — as pretty JSON to PATH; CI uploads it as the
-//! tail-latency attribution artifact. Applies to harness mode and to
-//! `--suite`.
+//! tail-latency attribution artifact.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -56,7 +48,7 @@ use ugpc_serve::{
 struct Args {
     addr: Option<String>,
     spawn: bool,
-    requests: Option<usize>,
+    requests: usize,
     unique: usize,
     scale: usize,
     require_hits: bool,
@@ -64,7 +56,6 @@ struct Args {
     pipeline: usize,
     batch: usize,
     open_rate: f64,
-    suite: bool,
     json: Option<String>,
     introspect: Option<String>,
 }
@@ -73,15 +64,14 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: None,
         spawn: false,
-        requests: None,
+        requests: 10_000,
         unique: 4,
         scale: 8,
         require_hits: false,
-        connections: 0,
+        connections: 1,
         pipeline: 1,
         batch: 0,
         open_rate: 0.0,
-        suite: false,
         json: None,
         introspect: None,
     };
@@ -93,12 +83,12 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--addr" => args.addr = Some(val("--addr")?),
             "--spawn" => args.spawn = true,
-            "--requests" => args.requests = Some(parse_num(&val("--requests")?, "--requests")?),
+            "--requests" => args.requests = parse_num(&val("--requests")?, "--requests")?,
             "--unique" => args.unique = parse_num(&val("--unique")?, "--unique")?.max(1),
             "--scale" => args.scale = parse_num(&val("--scale")?, "--scale")?.max(1),
             "--require-hits" => args.require_hits = true,
             "--connections" => {
-                args.connections = parse_num(&val("--connections")?, "--connections")?;
+                args.connections = parse_num(&val("--connections")?, "--connections")?.max(1);
             }
             "--pipeline" => args.pipeline = parse_num(&val("--pipeline")?, "--pipeline")?.max(1),
             "--batch" => args.batch = parse_num(&val("--batch")?, "--batch")?,
@@ -107,7 +97,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<f64>()
                     .map_err(|e| format!("bad --open-rate: {e}"))?;
             }
-            "--suite" => args.suite = true,
             "--json" => args.json = Some(val("--json")?),
             "--introspect" => args.introspect = Some(val("--introspect")?),
             "--help" | "-h" => {
@@ -115,15 +104,15 @@ fn parse_args() -> Result<Args, String> {
                     "usage: ugpc-bench-client [--addr HOST:PORT | --spawn] [--requests N] \
                      [--unique K] [--scale S] [--require-hits] \
                      [--connections C] [--pipeline D] [--batch B] [--open-rate R] \
-                     [--suite] [--json PATH] [--introspect PATH]"
+                     [--json PATH] [--introspect PATH]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if args.addr.is_none() && !args.spawn && !args.suite {
-        return Err("need --addr, --spawn, or --suite".into());
+    if args.addr.is_none() && !args.spawn {
+        return Err("need --addr or --spawn".into());
     }
     Ok(args)
 }
@@ -147,7 +136,7 @@ fn config(index: usize, scale: usize) -> RunConfig {
 }
 
 // ---------------------------------------------------------------------
-// Harness mode: single-threaded event-driven load over C connections.
+// Single-threaded event-driven load over C connections.
 
 struct LoadSpec {
     label: String,
@@ -512,91 +501,6 @@ fn capture_introspect(addr: &str, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The comparison suite behind `results/bench/BENCH_serve.json`.
-fn run_suite(args: &Args) -> Result<(String, u64), String> {
-    let n = args.requests.unwrap_or(100_000);
-    let connections = if args.connections > 0 {
-        args.connections
-    } else {
-        1024
-    };
-    let pipeline = if args.pipeline > 1 { args.pipeline } else { 8 };
-    let batch = if args.batch > 1 { args.batch } else { 16 };
-    let mut results: Vec<LoadResult> = Vec::new();
-
-    // Pipelined, batched, then an open-loop probe. The suite server logs
-    // nowhere — at suite request rates the per-request log lines would
-    // dominate the measurement.
-    let server = Server::bind_with_logger(
-        "127.0.0.1:0",
-        ServeOptions::default(),
-        ugpc_telemetry::Logger::disabled(),
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    let handle = server.spawn();
-    let addr = handle.addr().to_string();
-    results.push(run_load(
-        &addr,
-        &LoadSpec {
-            label: format!("eventloop/c{connections}/d{pipeline}"),
-            connections,
-            pipeline,
-            batch: 0,
-            requests: n,
-            unique: args.unique,
-            scale: args.scale,
-            open_rate: 0.0,
-        },
-    )?);
-    results.push(run_load(
-        &addr,
-        &LoadSpec {
-            label: format!("eventloop/c{connections}/b{batch}"),
-            connections,
-            pipeline: pipeline.max(batch),
-            batch,
-            requests: n,
-            unique: args.unique,
-            scale: args.scale,
-            open_rate: 0.0,
-        },
-    )?);
-    let closed_rps = results[0].throughput_rps;
-    results.push(run_load(
-        &addr,
-        &LoadSpec {
-            label: format!("eventloop/c{connections}/open"),
-            connections,
-            pipeline,
-            batch: 0,
-            requests: (n / 5).max(1000),
-            unique: args.unique,
-            scale: args.scale,
-            // Below the closed-loop ceiling, so the probe measures
-            // latency at a sustainable arrival rate rather than queue
-            // growth at saturation.
-            open_rate: (closed_rps * 0.25).max(100.0),
-        },
-    )?);
-    // Drain the flight recorder while the load's span records are still
-    // in the rings — the tail-latency attribution artifact.
-    if let Some(path) = &args.introspect {
-        capture_introspect(&addr, path)?;
-    }
-    handle.stop();
-
-    let errors: u64 = results.iter().map(|r| r.errors).sum();
-    let body: Vec<String> = results
-        .iter()
-        .map(|r| format!("    {}", r.to_json()))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n"),
-    );
-    Ok((json, errors))
-}
-
 fn main() -> ExitCode {
     match parse_args().and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
@@ -607,20 +511,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run the suite or one harness load; `Err` is the failure to report.
+/// Run one harness load; `Err` is the failure to report.
 fn run(args: &Args) -> Result<(), String> {
-    if args.suite {
-        let (json, errors) = run_suite(args)?;
-        print!("{json}");
-        if let Some(path) = &args.json {
-            write_json(path, &json)?;
-        }
-        if errors > 0 {
-            return Err(format!("{errors} error replies during the suite"));
-        }
-        return Ok(());
-    }
-
     let spawned = if args.spawn {
         let server = Server::bind("127.0.0.1:0", ServeOptions::default())
             .map_err(|e| format!("bind: {e}"))?;
@@ -634,13 +526,13 @@ fn run(args: &Args) -> Result<(), String> {
         .or(args.addr.clone())
         .expect("validated in parse_args");
 
-    let connections = args.connections.max(1);
+    let connections = args.connections;
     let spec = LoadSpec {
         label: format!("eventloop/c{connections}/d{}", args.pipeline),
         connections,
         pipeline: args.pipeline,
         batch: args.batch,
-        requests: args.requests.unwrap_or(10_000),
+        requests: args.requests,
         unique: args.unique,
         scale: args.scale,
         open_rate: args.open_rate,

@@ -11,16 +11,18 @@
 //! clock and counters — concurrent connections on different keys never
 //! contend. Because a key maps to exactly one shard, per-shard
 //! single-flight *is* global single-flight: one leader per key,
-//! process-wide (the model checker's `ShardedSingleFlight` variant
+//! process-wide (the model checker's `SingleFlight` at two shards
 //! proves this composition). Shard count is clamped by capacity
 //! (`max(1, capacity/32)`, rounded down to a power of two) so small
 //! caches keep exact global LRU semantics.
 //!
 //! **Single-flight:** the first requester of a key becomes its *leader*
-//! and computes; concurrent requesters of the same key either park on a
-//! condvar ([`ResultCache::wait`]) or subscribe a completion callback
-//! ([`ResultCache::subscribe`] — the event loop's non-blocking path) and
-//! receive the leader's result — one simulation, N identical responses.
+//! and computes; concurrent requesters of the same key subscribe a
+//! completion callback ([`ResultCache::subscribe`]) and receive the
+//! leader's result — one simulation, N identical responses. The leader's
+//! own request subscribes the same way ([`LeadGuard::flight`]) while its
+//! pool job computes, so every answer to a miss arrives through one
+//! callback path, model-checked as `ugpc_analysis::model::singleflight`.
 //!
 //! **LRU bounding:** at most `capacity` ready entries across all shards
 //! (capacity split evenly; per-shard least-recently-touched eviction).
@@ -37,7 +39,7 @@ use crate::persist::AppendLog;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use ugpc_core::CacheKey;
 
 /// The outcome a waiter observes for an in-flight computation.
@@ -51,25 +53,20 @@ struct FlightState {
     callbacks: Vec<FlightCallback>,
 }
 
-/// Shared slot the leader fulfills; waiters park on the condvar
-/// ([`ResultCache::wait`]) or register a callback
-/// ([`ResultCache::subscribe`]). Uses `std::sync` rather than the
-/// parking_lot shim because the shim carries no `Condvar`; poisoning is
-/// ignored (a panicked leader is reported through the [`LeadGuard`] drop
-/// path, not the lock).
+/// Shared slot the leader resolves; requesters register a completion
+/// callback ([`ResultCache::subscribe`]). A panicked leader is reported
+/// through the [`LeadGuard`] drop path.
 pub struct Flight {
-    slot: std::sync::Mutex<FlightState>,
-    cv: std::sync::Condvar,
+    slot: Mutex<FlightState>,
 }
 
 impl Flight {
     fn new() -> Arc<Flight> {
         Arc::new(Flight {
-            slot: std::sync::Mutex::new(FlightState {
+            slot: Mutex::new(FlightState {
                 result: None,
                 callbacks: Vec::new(),
             }),
-            cv: std::sync::Condvar::new(),
         })
     }
 }
@@ -89,7 +86,7 @@ pub struct CacheCounters {
     pub hits: AtomicU64,
     /// Requests that became computation leaders.
     pub misses: AtomicU64,
-    /// Requests that parked behind an in-flight leader.
+    /// Requests that coalesced behind an in-flight leader.
     pub coalesced: AtomicU64,
     /// Ready entries dropped by the LRU bound.
     pub evictions: AtomicU64,
@@ -124,8 +121,8 @@ pub struct PersistSnapshot {
 pub enum Begin {
     /// Ready value — answer immediately, no simulation.
     Hit(Arc<str>),
-    /// Someone else is computing this key — park on the flight
-    /// ([`ResultCache::wait`]) or subscribe ([`ResultCache::subscribe`]).
+    /// Someone else is computing this key — subscribe to the flight
+    /// ([`ResultCache::subscribe`]).
     Wait(Arc<Flight>),
     /// You are the leader: compute, then [`LeadGuard::fulfill`] (the
     /// guard reports failure automatically if you unwind first).
@@ -133,8 +130,8 @@ pub enum Begin {
 }
 
 /// Leader's obligation token. Dropping it without fulfilling (worker
-/// panic, pool rejection) fails the flight so waiters wake with an
-/// error instead of parking forever.
+/// panic, pool rejection) fails the flight so subscribers receive an
+/// error instead of never being called.
 pub struct LeadGuard {
     cache: Arc<ResultCache>,
     key: CacheKey,
@@ -155,13 +152,13 @@ impl LeadGuard {
     }
 
     /// Publish the computed payload: the entry becomes ready (subject to
-    /// the LRU bound) and all waiters wake with it.
+    /// the LRU bound) and every subscriber receives it.
     pub fn fulfill(mut self, value: Arc<str>) {
         self.done = true;
         self.cache.finish(self.key, &self.flight, Ok(value));
     }
 
-    /// Fail the flight: nothing is cached, waiters wake with the error.
+    /// Fail the flight: nothing is cached, subscribers receive the error.
     pub fn fail(mut self, message: String) {
         self.done = true;
         self.cache.finish(self.key, &self.flight, Err(message));
@@ -354,23 +351,13 @@ impl ResultCache {
         }
     }
 
-    /// Park until the flight resolves; returns the leader's outcome.
-    pub fn wait(flight: &Flight) -> FlightResult {
-        let mut slot = flight.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(r) = slot.result.as_ref() {
-                return r.clone();
-            }
-            slot = flight.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Register a completion callback instead of blocking: `callback`
-    /// runs exactly once with the flight's outcome — immediately (on the
-    /// calling thread) if the flight already resolved, otherwise on the
-    /// resolving thread. The event loop's non-blocking coalesce path.
+    /// Register a completion callback: `callback` runs exactly once with
+    /// the flight's outcome — immediately (on the calling thread) if the
+    /// flight already resolved, otherwise on the resolving thread. The
+    /// check and the queueing happen under one slot lock, so a publish
+    /// cannot slip between them.
     pub fn subscribe(flight: &Flight, callback: FlightCallback) {
-        let mut slot = flight.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = flight.slot.lock();
         match slot.result.clone() {
             Some(r) => {
                 // Invoke outside the slot lock.
@@ -382,8 +369,8 @@ impl ResultCache {
     }
 
     /// Resolve a flight: store the result (evicting per LRU if needed,
-    /// appending to the persistent tier if attached), wake every waiter,
-    /// run every subscribed callback.
+    /// appending to the persistent tier if attached), then run every
+    /// subscribed callback.
     fn finish(&self, key: CacheKey, flight: &Arc<Flight>, result: FlightResult) {
         let mut retained = false;
         {
@@ -418,9 +405,8 @@ impl ResultCache {
             }
         }
         let callbacks = {
-            let mut slot = flight.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = flight.slot.lock();
             slot.result = Some(result.clone());
-            flight.cv.notify_all();
             std::mem::take(&mut slot.callbacks)
         };
         for cb in callbacks {
@@ -516,6 +502,18 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
+    /// Subscribe to `flight` and block on the callback's delivery.
+    fn await_flight(flight: &Flight) -> FlightResult {
+        let (tx, rx) = std::sync::mpsc::channel();
+        ResultCache::subscribe(
+            flight,
+            Box::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        rx.recv().expect("the callback runs")
+    }
+
     fn get_or_compute(
         cache: &Arc<ResultCache>,
         key: CacheKey,
@@ -523,7 +521,7 @@ mod tests {
     ) -> Arc<str> {
         match cache.begin(key) {
             Begin::Hit(v) => v,
-            Begin::Wait(flight) => ResultCache::wait(&flight).expect("flight ok"),
+            Begin::Wait(flight) => await_flight(&flight).expect("flight ok"),
             Begin::Lead(guard) => {
                 let v: Arc<str> = f().into();
                 guard.fulfill(v.clone());
@@ -557,7 +555,7 @@ mod tests {
                     get_or_compute(&cache, CacheKey(7), || {
                         computations.fetch_add(1, Ordering::SeqCst);
                         // Hold the flight open long enough for the other
-                        // threads to park behind it.
+                        // threads to subscribe behind it.
                         std::thread::sleep(Duration::from_millis(50));
                         "result".to_string()
                     })
@@ -629,7 +627,7 @@ mod tests {
         let waiter = {
             let cache = cache.clone();
             std::thread::spawn(move || match cache.begin(k) {
-                Begin::Wait(f) => ResultCache::wait(&f),
+                Begin::Wait(f) => await_flight(&f),
                 _ => panic!("second requester must wait"),
             })
         };

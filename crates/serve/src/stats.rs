@@ -199,7 +199,7 @@ impl Metrics {
             gauge_cache_misses: r.gauge("ugpc_cache_misses", "Cache misses."),
             gauge_cache_coalesced: r.gauge(
                 "ugpc_cache_coalesced",
-                "Requests that parked behind an in-flight identical request.",
+                "Requests that coalesced behind an in-flight identical request.",
             ),
             gauge_cache_evictions: r.gauge("ugpc_cache_evictions", "LRU evictions."),
             gauge_cache_hit_rate: r
@@ -295,7 +295,7 @@ pub struct CacheStats {
     pub capacity: usize,
     pub hits: u64,
     pub misses: u64,
-    /// Requests that parked behind an in-flight identical request.
+    /// Requests that coalesced behind an in-flight identical request.
     pub coalesced: u64,
     pub evictions: u64,
     /// hits / (hits + misses + coalesced).

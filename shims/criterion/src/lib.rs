@@ -144,12 +144,6 @@ impl BenchmarkId {
             label: format!("{}/{}", function_id.into(), parameter),
         }
     }
-
-    pub fn from_parameter<P: Display>(parameter: P) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
 }
 
 impl From<&str> for BenchmarkId {
@@ -196,14 +190,6 @@ impl BenchmarkGroup<'_> {
 
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
-        self
-    }
-
-    pub fn measurement_time(&mut self, _dur: Duration) -> &mut Self {
-        self
-    }
-
-    pub fn warm_up_time(&mut self, _dur: Duration) -> &mut Self {
         self
     }
 
@@ -373,7 +359,6 @@ mod tests {
     #[test]
     fn benchmark_id_formats() {
         assert_eq!(BenchmarkId::new("gemm", 64).label, "gemm/64");
-        assert_eq!(BenchmarkId::from_parameter("dmdas").label, "dmdas");
     }
 
     #[test]
