@@ -16,8 +16,9 @@
 //!   artifact CI uploads
 //! * `--rules`      list rule ids and descriptions, then exit
 //! * `--model`      exhaustively check the concurrency protocol models
-//!   (single-flight cache, worker-pool backpressure) and report the
-//!   interleaving counts; any violation fails the run
+//!   (single-flight cache, worker-pool backpressure, control-plane
+//!   re-cap path) and report the interleaving counts; any violation
+//!   fails the run
 //! * `--strict`     exit non-zero on warnings too, not just errors
 //!
 //! Exit codes: `0` clean, `1` non-baselined error-tier findings (or any
@@ -29,7 +30,6 @@ use std::process::ExitCode;
 use ugpc_analysis::lints::{self, all_rules};
 use ugpc_analysis::model::backpressure::Backpressure;
 use ugpc_analysis::model::controlplane::ControlPlaneModel;
-use ugpc_analysis::model::seqlock::SeqlockModel;
 use ugpc_analysis::model::singleflight::SingleFlight;
 use ugpc_analysis::model::{Checker, Model};
 
@@ -74,7 +74,7 @@ fn check_model<M: Model>(name: &str, model: &M) -> bool {
 
 /// The `--model` leg: the shipped protocols at the configurations the
 /// transition-labeling tests in `ugpc-serve` exercise, plus the control
-/// plane's re-cap path and the flight recorder's seqlock ring.
+/// plane's re-cap path.
 fn check_models() -> bool {
     let mut ok = true;
     ok &= check_model(
@@ -90,10 +90,6 @@ fn check_models() -> bool {
         &Backpressure::correct(2, 2, 1),
     );
     ok &= check_model("control-plane(ticks=6)", &ControlPlaneModel::correct(6));
-    ok &= check_model(
-        "seqlock-ring(pushes=3, drains=2)",
-        &SeqlockModel::correct(3, 2),
-    );
     ok
 }
 

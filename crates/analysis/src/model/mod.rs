@@ -25,12 +25,6 @@
 //!   every decision sequence a bounded tick train could emit, checked
 //!   for lost or stale re-caps, domain escapes, and the neutrality
 //!   guarantee that the all-hold path leaves the run untouched.
-//! * [`seqlock`]: the flight recorder's seqlock-per-slot ring drain
-//!   (`ugpc-telemetry::RingShard`) — writer micro-steps (odd mark,
-//!   payload words, even publish) interleaved with a drain's
-//!   check/copy/re-check steps over a wrapping two-slot ring;
-//!   invariants: no torn record is ever accepted, sequence marks stay
-//!   legal, and a quiescent drain returns every settled slot.
 //!
 //! Each model also has a deliberately broken variant reproducing a
 //! classic bug (a subscribe that checks, unlocks, then queues; signaling
@@ -45,7 +39,6 @@
 
 pub mod backpressure;
 pub mod controlplane;
-pub mod seqlock;
 pub mod singleflight;
 
 use std::collections::HashSet;

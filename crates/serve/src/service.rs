@@ -18,7 +18,7 @@ use crate::protocol::{
 };
 use crate::stats::{CacheStats, Metrics, PersistStats, StatsReport};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use ugpc_core::{run_dynamic_study, try_run_study_with, RunConfig, StudyOptions, TracedRun};
@@ -97,10 +97,6 @@ pub struct Service {
     pub(crate) pool: WorkerPool,
     pub(crate) metrics: Metrics,
     pub(crate) logger: Arc<Logger>,
-    /// Simulations actually run, counted *before* the result publishes —
-    /// so a leader observing its own reply already sees the increment
-    /// (unlike the pool's job counter, which lags the flight).
-    simulations: Arc<AtomicU64>,
     /// Per-shard span rings + phase histograms; `None` when
     /// `ServeOptions::recorder` is off.
     recorder: Option<Arc<FlightRecorder>>,
@@ -154,7 +150,6 @@ impl Service {
             ),
             metrics: Metrics::new(options.shards.max(1)),
             logger,
-            simulations: Arc::new(AtomicU64::new(0)),
             recorder: options.recorder.then(|| {
                 FlightRecorder::new(options.shards.max(1), options.recorder_capacity.max(1))
             }),
@@ -414,8 +409,7 @@ impl Service {
         spans_cell: Option<SpanCell>,
     ) -> Option<String> {
         let job_run = run.clone();
-        let sims = self.simulations.clone();
-        let sims_metric = self.metrics.simulations.clone();
+        let sims = self.metrics.simulations.clone();
         let rec = self.recorder.clone();
         let submitted = self.pool.try_submit_traced(
             Box::new(move || {
@@ -424,8 +418,7 @@ impl Service {
                 mark_cell(&rec, &spans_cell, Phase::QueueWait);
                 let response = simulate_response(&job_run);
                 mark_cell(&rec, &spans_cell, Phase::Simulate);
-                sims.fetch_add(1, Ordering::SeqCst);
-                sims_metric.inc();
+                sims.inc();
                 let line = encode(&response);
                 mark_cell(&rec, &spans_cell, Phase::Serialize);
                 // `fulfill` runs the subscribed completion callbacks
@@ -664,7 +657,7 @@ impl Service {
             parse_errors: self.metrics.parse_errors.get(),
             invalid_configs: self.metrics.invalid_configs.get(),
             backpressure_rejections: self.metrics.backpressure_rejections.get(),
-            simulations_executed: self.simulations.load(Ordering::SeqCst),
+            simulations_executed: self.metrics.simulations.get(),
             cache: CacheStats {
                 entries: self.cache.len(),
                 capacity: self.cache.capacity(),
@@ -698,7 +691,7 @@ fn mark_cell(rec: &Option<Arc<FlightRecorder>>, cell: &Option<SpanCell>, phase: 
     }
 }
 
-/// Project one decoded span tree into its wire form.
+/// Project one drained span tree into its wire form.
 fn dump_tree(t: &SpanTree) -> SpanDump {
     SpanDump {
         trace: t.trace_hex(),

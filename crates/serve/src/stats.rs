@@ -93,8 +93,13 @@ pub struct Metrics {
     pub parse_errors: Arc<Counter>,
     pub invalid_configs: Arc<Counter>,
     pub backpressure_rejections: Arc<Counter>,
-    /// Simulations actually executed on the pool (incremented by the
-    /// worker job before the result publishes).
+    /// Simulations actually executed on the pool, counted by the worker
+    /// job *before* the result publishes — so a leader observing its own
+    /// reply already sees the increment (unlike the pool's job counter,
+    /// which lags the flight). The counter's `Relaxed` increment is
+    /// enough: `fulfill` publishes the reply through the cache mutex
+    /// after it, so whoever saw the reply sees the count. `Stats` reads
+    /// this same counter.
     pub simulations: Arc<Counter>,
     /// Latency of ops requests (stats, metrics, introspect).
     pub stats_op: Arc<Histogram>,

@@ -16,8 +16,8 @@
 //!   an `UGPC_LOG` env filter and a swappable sink for tests.
 //! - **Request spans & flight recorder** ([`RequestSpans`],
 //!   [`FlightRecorder`]): per-phase request timing with telescoping
-//!   (exactly-summing) durations, journaled into per-shard seqlock ring
-//!   buffers with zero hot-path allocation and drained on demand — the
+//!   (exactly-summing) durations, journaled into per-shard mutex-guarded
+//!   rings with zero hot-path allocation and drained on demand — the
 //!   "why is p99 39 ms" answer behind the serve layer's `Introspect`.
 //! - **Critical-path profiler** ([`CriticalPathProfiler`]): an
 //!   `Observer` that replays the executor event stream against
@@ -36,7 +36,7 @@ pub mod trace;
 pub use histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use log::{json_str, Level, Logger};
 pub use profiler::{CriticalPathProfiler, GroupRow, HotTask, ProfileReport, WorkerRow};
-pub use recorder::{FlightRecorder, RingShard};
+pub use recorder::FlightRecorder;
 pub use registry::{Counter, Gauge, Registry};
-pub use span::{span_tree_json, Phase, RequestSpans, SpanTree, PHASES, RECORD_WORDS};
+pub use span::{Phase, RequestSpans, SpanTree, PHASES};
 pub use trace::{TraceCtx, ID_BITS};

@@ -1,110 +1,70 @@
-//! The flight recorder: fixed-capacity per-shard ring buffers of
-//! encoded span records, written lock-free by each shard's owning
-//! thread and drained on demand by the `Introspect` ops call.
+//! The flight recorder: fixed-capacity per-shard rings of request span
+//! records, written by each shard's owning thread and drained on demand
+//! by the `Introspect` ops call.
 //!
-//! ## Seqlock-per-slot protocol
+//! Each ring is a preallocated array of [`RequestSpans`] values behind
+//! one mutex. The shard's thread takes the lock once per request to
+//! store a record by value; a drain takes it once per shard to copy the
+//! live records out and converts them to [`SpanTree`]s after releasing
+//! it. Every record a drain sees is therefore whole, and a writer waits
+//! at most for one drain's copy of one ring (a few hundred records).
 //!
-//! Each slot carries a sequence word next to its payload. The (single)
-//! writer of a shard stores an *odd* sequence, writes the payload
-//! words, then stores the *even* sequence encoding the record's
-//! generation. A drain reads the sequence, skips odd (in-progress)
-//! slots, copies the payload, and re-reads the sequence: any change
-//! means the copy may be torn, and the slot is skipped. Payload words
-//! are relaxed atomics, so a torn read is *detectable data*, never
-//! undefined behavior — the protocol is modeled exhaustively in
-//! `ugpc-analysis` (`model::seqlock`) and the `buggy_*` variants there
-//! show which orderings the invariant catches.
-//!
-//! Writes never block and never allocate: an overwritten slot simply
-//! loses the oldest record (it's a flight recorder, not a log). Each
-//! shard also feeds per-phase latency histograms at write time, so the
-//! drain can report a p50/p99 decomposition over *every* recorded
-//! request, not just the ones still in the ring.
+//! Writes never allocate: an overwritten slot simply loses the oldest
+//! record (it's a flight recorder, not a log). Each shard also feeds
+//! per-phase latency histograms at write time, so the drain can report a
+//! p50/p99 decomposition over *every* recorded request, not just the
+//! ones still in the ring.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::span::{Phase, RequestSpans, SpanTree, PHASES, RECORD_WORDS};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::span::{Phase, RequestSpans, SpanTree, PHASES};
+use crate::trace::TraceCtx;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Slot {
-    /// Odd while the writer is mid-record; `2 * (index + 1)` once the
-    /// record at ring index `index` is published.
-    seq: AtomicU64,
-    words: [AtomicU64; RECORD_WORDS],
+/// One shard's ring: `slots[i % capacity]` holds record `i`.
+struct Ring {
+    /// Records ever pushed to this ring.
+    head: u64,
+    slots: Box<[RequestSpans]>,
 }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// One shard's ring. Exactly one thread may call [`RingShard::push`]
-/// (the shard's event-loop thread); any thread may drain.
-pub struct RingShard {
-    /// Records ever pushed by this shard's writer.
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl RingShard {
-    fn new(capacity: usize) -> RingShard {
-        RingShard {
-            head: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        let empty = RequestSpans::begin(
+            TraceCtx {
+                trace_id: 0,
+                span_id: 0,
+            },
+            0,
+            0,
+        );
+        Ring {
+            head: 0,
+            slots: vec![empty; capacity.max(1)].into_boxed_slice(),
         }
     }
 
-    /// Publish one record. **Single-writer**: only the owning shard
-    /// thread may call this.
-    pub fn push(&self, words: &[u64; RECORD_WORDS]) {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(head % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * head + 1, Ordering::Release);
-        for (w, &v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * (head + 1), Ordering::Release);
-        self.head.store(head + 1, Ordering::Release);
-    }
-
-    /// Copy out every intact record, oldest first. Slots the writer is
-    /// overwriting concurrently fail the seq re-check and are skipped —
-    /// a drain never returns torn data.
-    pub fn drain(&self) -> Vec<[u64; RECORD_WORDS]> {
-        let head = self.head.load(Ordering::Acquire);
+    /// Store one record, overwriting the oldest once the ring is full.
+    fn push(&mut self, spans: RequestSpans) {
         let cap = self.slots.len() as u64;
-        let mut out = Vec::new();
-        for index in head.saturating_sub(cap)..head {
-            let slot = &self.slots[(index % cap) as usize];
-            let expect = 2 * (index + 1);
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue; // overwritten or mid-write
-            }
-            let words: [u64; RECORD_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue; // torn: the writer lapped us mid-copy
-            }
-            out.push(words);
-        }
-        out
+        self.slots[(self.head % cap) as usize] = spans;
+        self.head += 1;
     }
 
-    /// Records ever pushed (drops included).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+    /// The records still in the ring, oldest first.
+    fn live(&self) -> Vec<RequestSpans> {
+        let cap = self.slots.len() as u64;
+        (self.head.saturating_sub(cap)..self.head)
+            .map(|i| self.slots[(i % cap) as usize])
+            .collect()
     }
 }
 
 /// See the module docs.
 pub struct FlightRecorder {
     epoch: Instant,
-    shards: Vec<RingShard>,
+    rings: Vec<Mutex<Ring>>,
     /// Per-shard, per-phase latency histograms (writer-local updates).
     phase_hist: Vec<[Histogram; PHASES]>,
     /// Per-shard root-span (total) latency histograms.
@@ -118,7 +78,7 @@ impl FlightRecorder {
         let n = shards.max(1);
         Arc::new(FlightRecorder {
             epoch: Instant::now(),
-            shards: (0..n).map(|_| RingShard::new(capacity)).collect(),
+            rings: (0..n).map(|_| Mutex::new(Ring::new(capacity))).collect(),
             phase_hist: (0..n)
                 .map(|_| std::array::from_fn(|_| Histogram::new()))
                 .collect(),
@@ -133,38 +93,25 @@ impl FlightRecorder {
     }
 
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.rings.len()
     }
 
-    /// Record one finished request on `shard`'s ring (single-writer:
-    /// the shard's owning thread). Also feeds the per-phase and total
-    /// histograms. Zero allocation.
+    /// Record one finished request on `shard`'s ring and feed the
+    /// per-phase and total histograms. Zero allocation.
     pub fn record(&self, shard: usize, spans: &RequestSpans) {
-        let i = shard % self.shards.len();
-        self.shards[i].push(&spans.to_words());
-        let tree = spans.to_words();
-        let n = (tree[1] >> 48) as usize;
-        let mut last = tree[2];
-        for &word in tree.iter().take(3 + n.min(PHASES)).skip(3) {
-            let tag = (word >> 56) as usize;
-            let cum = word & ((1 << 56) - 1);
-            if let Some(h) = self.phase_hist[i].get(tag) {
-                h.record_us(cum.saturating_sub(last));
-            }
-            last = cum;
+        let i = shard % self.rings.len();
+        self.rings[i].lock().push(*spans);
+        for (phase, us) in spans.phases() {
+            self.phase_hist[i][phase as usize].record_us(us);
         }
         self.total_hist[i].record_us(spans.total_us());
     }
 
-    /// Decode every intact record across all shards, oldest-first per
-    /// shard, then globally ordered by root-span open time.
+    /// Every record still in the rings, oldest-first per shard, then
+    /// globally ordered by root-span open time.
     pub fn drain(&self) -> Vec<SpanTree> {
-        let mut out: Vec<SpanTree> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.drain())
-            .filter_map(|w| SpanTree::from_words(&w))
-            .collect();
+        let live: Vec<RequestSpans> = self.rings.iter().flat_map(|r| r.lock().live()).collect();
+        let mut out: Vec<SpanTree> = live.iter().map(SpanTree::from).collect();
         out.sort_by_key(|t| (t.start_us, t.trace_id));
         out
     }
@@ -191,14 +138,14 @@ impl FlightRecorder {
 
     /// Requests ever recorded, across all shards (ring drops included).
     pub fn recorded(&self) -> u64 {
-        self.shards.iter().map(RingShard::pushed).sum()
+        self.rings.iter().map(|r| r.lock().head).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceCtx;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn spans(trace: u64, start: u64, sim_end: u64) -> RequestSpans {
         let mut s = RequestSpans::begin(
@@ -261,7 +208,7 @@ mod tests {
     #[test]
     fn concurrent_drains_never_see_torn_records() {
         // A writer hammering a tiny ring while readers drain: every
-        // drained record must decode and carry a self-consistent
+        // drained record must be whole: a self-consistent
         // (trace, total) pair the writer actually produced. Draining
         // goes on until the writer has lapped the ring many times, so the
         // drains overlap writes however late the writer thread starts.
@@ -301,7 +248,7 @@ mod tests {
                     assert_eq!(
                         t.total_us(),
                         t.trace_id % 1000,
-                        "torn record leaked through the seq check: {t:?}"
+                        "torn record leaked through the lock: {t:?}"
                     );
                 }
                 drains += 1;
@@ -326,43 +273,52 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The record the single writer publishes for push number `i`:
-    /// every word carries `i + 1`, so an intact drain result is fully
-    /// determined by (and checkable against) its position.
-    fn record(i: u64) -> [u64; RECORD_WORDS] {
-        [i + 1; RECORD_WORDS]
+    /// The record the writer publishes for push number `i`: its trace
+    /// id, open time and mark all carry `i + 1`, so an intact drain
+    /// result is fully determined by (and checkable against) its
+    /// position.
+    fn record(i: u64) -> RequestSpans {
+        let mut s = RequestSpans::begin(
+            TraceCtx {
+                trace_id: i + 1,
+                span_id: i + 1,
+            },
+            0,
+            i + 1,
+        );
+        s.mark(Phase::Simulate, 2 * (i + 1));
+        s
     }
 
     proptest! {
         /// Quiescent drains through arbitrary push/drain interleavings:
         /// after any prefix of pushes, a drain returns exactly the last
-        /// `min(capacity, pushed)` records, oldest first, every word
+        /// `min(capacity, pushed)` records, oldest first, every field
         /// intact — wraparound loses only lapped history. (Concurrent
-        /// torn-read rejection is covered by the threaded stress test
-        /// above and exhaustively by `ugpc-analysis::model::seqlock`.)
+        /// drains are covered by the threaded stress test above.)
         #[test]
         fn wraparound_keeps_the_newest_records_in_order(
             capacity in 1usize..9,
             // true = push, false = drain
             ops in proptest::collection::vec(proptest::bool::ANY, 1..60),
         ) {
-            let ring = RingShard::new(capacity);
+            let mut ring = Ring::new(capacity);
             let mut pushed = 0u64;
             for op in ops {
                 if op {
-                    ring.push(&record(pushed));
+                    ring.push(record(pushed));
                     pushed += 1;
                 } else {
-                    let got = ring.drain();
+                    let got = ring.live();
                     let expect = pushed.min(capacity as u64);
                     prop_assert_eq!(got.len() as u64, expect);
-                    for (k, words) in got.iter().enumerate() {
+                    for (k, spans) in got.iter().enumerate() {
                         let index = pushed - expect + k as u64;
-                        prop_assert_eq!(words, &record(index));
+                        prop_assert_eq!(spans, &record(index));
                     }
                 }
             }
-            prop_assert_eq!(ring.pushed(), pushed);
+            prop_assert_eq!(ring.head, pushed);
         }
     }
 }

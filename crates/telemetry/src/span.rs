@@ -12,9 +12,9 @@
 //! lets `Introspect` cross-check a span tree against its own phase
 //! decomposition.
 //!
-//! The builder is `Copy`-sized (a handful of words, no heap) and encodes
-//! to a fixed [`RECORD_WORDS`]-word binary record for the flight
-//! recorder's ring buffer — zero allocation on the hot path.
+//! The builder is `Copy` and heap-free (a handful of words), so the
+//! flight recorder's ring stores it by value — zero allocation on the
+//! hot path.
 //!
 //! The phase taxonomy covers the whole serve pipeline:
 //! accept → shard inbox wait → parse → cache lookup → single-flight wait
@@ -23,12 +23,10 @@
 //! hit has no `Simulate`), and marks are strictly append-ordered.
 
 use crate::trace::TraceCtx;
-use std::fmt::Write as _;
 
-/// One phase of a request's life. The discriminants are the wire tags
-/// inside ring-buffer records — append-only, never renumber.
+/// One phase of a request's life. The discriminants are pipeline order
+/// and index the recorder's per-phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum Phase {
     /// Connection accepted / request picked up by the owning shard.
     Accept = 0,
@@ -52,9 +50,6 @@ pub enum Phase {
 
 /// Number of distinct phases (and the max marks one request can carry).
 pub const PHASES: usize = 9;
-
-/// Fixed binary size of one encoded span record, in `u64` words.
-pub const RECORD_WORDS: usize = 3 + PHASES;
 
 impl Phase {
     /// All phases, in pipeline order.
@@ -84,15 +79,10 @@ impl Phase {
             Phase::Write => "write",
         }
     }
-
-    /// Decode a wire tag.
-    pub fn from_u8(tag: u8) -> Option<Phase> {
-        Phase::ALL.get(tag as usize).copied()
-    }
 }
 
 /// The per-request span builder. See the module docs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSpans {
     trace_id: u64,
     span_id: u64,
@@ -101,8 +91,8 @@ pub struct RequestSpans {
     start_us: u64,
     /// Number of marks taken so far.
     n: u8,
-    /// `(phase tag, cumulative µs at phase end)`, append-ordered.
-    marks: [(u8, u64); PHASES],
+    /// `(phase, cumulative µs at phase end)`, append-ordered.
+    marks: [(Phase, u64); PHASES],
 }
 
 impl RequestSpans {
@@ -114,7 +104,7 @@ impl RequestSpans {
             shard: (shard & 0xffff) as u16,
             start_us: now_us,
             n: 0,
-            marks: [(0, 0); PHASES],
+            marks: [(Phase::Accept, 0); PHASES],
         }
     }
 
@@ -126,7 +116,7 @@ impl RequestSpans {
     pub fn mark(&mut self, phase: Phase, now_us: u64) {
         if (self.n as usize) < PHASES {
             let floor = self.last_us();
-            self.marks[self.n as usize] = (phase as u8, now_us.max(floor));
+            self.marks[self.n as usize] = (phase, now_us.max(floor));
             self.n += 1;
         }
     }
@@ -152,22 +142,23 @@ impl RequestSpans {
         self.last_us() - self.start_us
     }
 
-    /// Encode to the fixed ring-record form.
-    pub fn to_words(&self) -> [u64; RECORD_WORDS] {
-        let mut w = [0u64; RECORD_WORDS];
-        w[0] = self.trace_id | (u64::from(self.shard) << 48);
-        w[1] = self.span_id | (u64::from(self.n) << 48);
-        w[2] = self.start_us;
-        for i in 0..self.n as usize {
-            let (tag, cum) = self.marks[i];
-            w[3 + i] = (u64::from(tag) << 56) | (cum & ((1 << 56) - 1));
-        }
-        w
+    /// `(phase, duration µs)` for every mark, in append order: first
+    /// differences of the checkpoints, so they sum to
+    /// [`RequestSpans::total_us`] exactly.
+    pub fn phases(&self) -> impl Iterator<Item = (Phase, u64)> + '_ {
+        let mut last = self.start_us;
+        self.marks[..self.n as usize]
+            .iter()
+            .map(move |&(phase, cum)| {
+                let duration = cum - last;
+                last = cum;
+                (phase, duration)
+            })
     }
 }
 
-/// One decoded span record, as drained from the flight recorder: the
-/// root span plus its telescoped child phases.
+/// One span record, as drained from the flight recorder: the root span
+/// plus its telescoped child phases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanTree {
     pub trace_id: u64,
@@ -180,37 +171,19 @@ pub struct SpanTree {
     pub phases: Vec<(Phase, u64)>,
 }
 
-impl SpanTree {
-    /// Decode a ring record. Returns `None` on any malformed content
-    /// (unknown phase tag, non-monotone checkpoints) — the drain treats
-    /// that like a torn read and skips the slot.
-    pub fn from_words(w: &[u64; RECORD_WORDS]) -> Option<SpanTree> {
-        const ID_MASK: u64 = (1 << 48) - 1;
-        let n = (w[1] >> 48) as usize;
-        if n > PHASES {
-            return None;
+impl From<&RequestSpans> for SpanTree {
+    fn from(spans: &RequestSpans) -> SpanTree {
+        SpanTree {
+            trace_id: spans.trace_id,
+            span_id: spans.span_id,
+            shard: spans.shard,
+            start_us: spans.start_us,
+            phases: spans.phases().collect(),
         }
-        let start_us = w[2];
-        let mut phases = Vec::with_capacity(n);
-        let mut last = start_us;
-        for &word in &w[3..3 + n] {
-            let phase = Phase::from_u8((word >> 56) as u8)?;
-            let cum = word & ((1 << 56) - 1);
-            if cum < last {
-                return None;
-            }
-            phases.push((phase, cum - last));
-            last = cum;
-        }
-        Some(SpanTree {
-            trace_id: w[0] & ID_MASK,
-            span_id: w[1] & ID_MASK,
-            shard: (w[0] >> 48) as u16,
-            start_us,
-            phases,
-        })
     }
+}
 
+impl SpanTree {
     /// Total root-span duration: the exact sum of the phase durations.
     pub fn total_us(&self) -> u64 {
         self.phases.iter().map(|&(_, d)| d).sum()
@@ -220,52 +193,6 @@ impl SpanTree {
     pub fn trace_hex(&self) -> String {
         format!("{:012x}", self.trace_id)
     }
-}
-
-/// Render span trees as a Chrome trace-event / Perfetto JSON document —
-/// the same format the runtime's `PerfettoSink` streams, so a drained
-/// flight recorder opens directly in `ui.perfetto.dev`. One lane per
-/// request (named by its trace id); the root span is a complete event
-/// and each phase a child complete event telescoped inside it, so the
-/// reconstruction is exact: children tile the parent with no gaps.
-pub fn span_tree_json(trees: &[SpanTree]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-    };
-    for (lane, t) in trees.iter().enumerate() {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"args\":{{\"name\":\"{}\"}}}}",
-            t.trace_hex()
-        );
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"request\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{lane},\"ts\":{},\"dur\":{},\"args\":{{\"trace_id\":\"{}\",\"shard\":{}}}}}",
-            t.start_us,
-            t.total_us(),
-            t.trace_hex(),
-            t.shard
-        );
-        let mut at = t.start_us;
-        for &(phase, dur) in &t.phases {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":{lane},\"ts\":{at},\"dur\":{dur},\"args\":{{}}}}",
-                phase.name()
-            );
-            at += dur;
-        }
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]
@@ -280,12 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_tags_round_trip_and_are_pinned() {
+    fn phase_indices_follow_pipeline_order() {
         for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(*p as u8 as usize, i, "{p:?} tag is append-only");
-            assert_eq!(Phase::from_u8(*p as u8), Some(*p));
+            assert_eq!(*p as usize, i, "{p:?} indexes its histogram");
         }
-        assert_eq!(Phase::from_u8(PHASES as u8), None);
         assert_eq!(Phase::Accept.name(), "accept");
         assert_eq!(Phase::Write.name(), "write");
     }
@@ -298,7 +223,7 @@ mod tests {
         s.mark(Phase::Simulate, 1_000_000);
         s.mark(Phase::Write, 1_000_400);
         assert_eq!(s.total_us(), 1_000_300);
-        let tree = SpanTree::from_words(&s.to_words()).expect("decodes");
+        let tree = SpanTree::from(&s);
         assert_eq!(tree.trace_id, 0xabc);
         assert_eq!(tree.span_id, 0xdef);
         assert_eq!(tree.shard, 3);
@@ -326,29 +251,8 @@ mod tests {
         let mut s = RequestSpans::begin(ctx(), 0, 500);
         s.mark(Phase::Parse, 400); // clock went "backwards"
         assert_eq!(s.total_us(), 0);
-        let tree = SpanTree::from_words(&s.to_words()).expect("decodes");
+        let tree = SpanTree::from(&s);
         assert_eq!(tree.phases, vec![(Phase::Parse, 0)]);
-    }
-
-    #[test]
-    fn malformed_words_are_rejected() {
-        let mut s = RequestSpans::begin(ctx(), 0, 10);
-        s.mark(Phase::Parse, 20);
-        let mut w = s.to_words();
-        // Unknown phase tag.
-        w[3] |= 0xff << 56;
-        assert_eq!(SpanTree::from_words(&w), None);
-        // Mark count beyond the record size.
-        let mut w = s.to_words();
-        w[1] |= (PHASES as u64 + 1) << 48;
-        assert_eq!(SpanTree::from_words(&w), None);
-        // Non-monotone checkpoint.
-        let mut s2 = RequestSpans::begin(ctx(), 0, 10);
-        s2.mark(Phase::Parse, 30);
-        s2.mark(Phase::Write, 40);
-        let mut w = s2.to_words();
-        w[4] = (u64::from(Phase::Write as u8) << 56) | 5;
-        assert_eq!(SpanTree::from_words(&w), None);
     }
 
     #[test]
@@ -359,27 +263,8 @@ mod tests {
             trace_id: 0x123,
             span_id: 0x456,
         });
-        let tree = SpanTree::from_words(&s.to_words()).expect("decodes");
+        let tree = SpanTree::from(&s);
         assert_eq!(tree.trace_id, 0x123);
         assert_eq!(tree.phases, vec![(Phase::Parse, 3)]);
-    }
-
-    #[test]
-    fn perfetto_export_tiles_parents_exactly() {
-        let mut a = RequestSpans::begin(ctx(), 0, 0);
-        a.mark(Phase::Parse, 5);
-        a.mark(Phase::Simulate, 50);
-        a.mark(Phase::Write, 60);
-        let trees = vec![SpanTree::from_words(&a.to_words()).expect("a")];
-        let json = span_tree_json(&trees);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.trim_end().ends_with("]}"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"name\":\"request\""));
-        assert!(json.contains("\"name\":\"parse\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":5"));
-        // Children tile the root: simulate starts where parse ended.
-        assert!(json.contains("\"name\":\"simulate\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":5,\"dur\":45"));
-        assert!(json.contains("\"name\":\"write\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":50,\"dur\":10"));
-        assert!(json.contains("\"trace_id\":\"000000000abc\""));
     }
 }

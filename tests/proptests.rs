@@ -29,6 +29,56 @@ fn arb_dvfs() -> impl Strategy<Value = DvfsParams> {
         .prop_filter("valid model", |p| p.validate().is_ok())
 }
 
+/// Finite `f64`s from three pools: any bit pattern (subnormals, huge
+/// exponents, both zeros), plain decimals, and the edges of the shim's
+/// integral-print rule.
+fn arb_finite_f64() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_994.0,
+        0.1,
+    ];
+    (0u8..3, 0..u64::MAX, -1e6..1e6f64)
+        .prop_map(|(pool, bits, decimal)| match pool {
+            0 => f64::from_bits(bits),
+            1 => decimal,
+            _ => EDGES[(bits % EDGES.len() as u64) as usize],
+        })
+        .prop_filter("finite", |x| x.is_finite())
+}
+
+/// One char from the classes a JSON string writer must get right: the
+/// two escaped ASCII chars, control characters below 0x20, printable
+/// ASCII, BMP code points above ASCII (surrogates skipped), and non-BMP
+/// code points.
+fn arb_json_char() -> impl Strategy<Value = char> {
+    (0u8..6, 0..u32::MAX).prop_map(|(class, raw)| {
+        let code = match class {
+            0 => u32::from('"'),
+            1 => u32::from('\\'),
+            2 => raw % 0x20,
+            3 => 0x20 + raw % (0x7f - 0x20),
+            4 => {
+                let c = 0x80 + raw % (0xD800 - 0x80 + 0x1_0000 - 0xE000);
+                if c < 0xD800 {
+                    c
+                } else {
+                    c + 0x800
+                }
+            }
+            _ => 0x1_0000 + raw % (0x11_0000 - 0x1_0000),
+        };
+        char::from_u32(code).unwrap()
+    })
+}
+
 proptest! {
     /// The governor never exceeds the cap (unless pinned at x_min) and is
     /// monotone in the cap.
@@ -264,5 +314,46 @@ proptest! {
             .collect();
         let parsed: CapConfig = s.parse().unwrap();
         prop_assert_eq!(parsed.to_string(), s);
+    }
+
+    /// The JSON shim carries every number as an `f64`; a finite `f64`
+    /// must come back `==` to what was written. Signed zero is the one
+    /// value whose bits change: `-0.0` takes the integral-print path,
+    /// is written as `0` and reads back as `+0.0`, which `==` treats as
+    /// equal. Reply bytes depend on that spelling, so it is pinned too.
+    #[test]
+    fn json_shim_round_trips_finite_f64(x in arb_finite_f64()) {
+        let text = serde_json::to_string(&x).unwrap();
+        let back: f64 = serde_json::from_str(&text).unwrap();
+        prop_assert!(back == x, "{x:?} -> {text} -> {back:?}");
+        if x == 0.0 {
+            prop_assert_eq!(text.as_str(), "0");
+        }
+    }
+
+    /// Integers inside the f64-exact range (|n| < 2⁵³) round-trip and
+    /// print as plain decimal digits, with no fraction or exponent.
+    #[test]
+    fn json_shim_round_trips_safe_integers(n in -9_007_199_254_740_991i64..9_007_199_254_740_992) {
+        let text = serde_json::to_string(&n).unwrap();
+        prop_assert_eq!(&text, &n.to_string());
+        let back: i64 = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(back, n);
+        if let Ok(u) = u64::try_from(n) {
+            let back: u64 = serde_json::from_str(&serde_json::to_string(&u).unwrap()).unwrap();
+            prop_assert_eq!(back, u);
+        }
+    }
+
+    /// Strings with quotes, backslashes, control characters, and BMP and
+    /// non-BMP unicode round-trip exactly, and the written form keeps
+    /// every control character escaped.
+    #[test]
+    fn json_shim_round_trips_escaped_strings(chars in proptest::collection::vec(arb_json_char(), 0..40)) {
+        let s: String = chars.into_iter().collect();
+        let text = serde_json::to_string(&s).unwrap();
+        prop_assert!(!text.chars().any(|c| u32::from(c) < 0x20), "raw control char in {text:?}");
+        let back: String = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(back, s);
     }
 }
