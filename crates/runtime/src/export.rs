@@ -6,38 +6,11 @@
 //! tasks, one lane per DMA engine for transfers and writebacks, an
 //! instant-event lane per GPU for evictions, and counter tracks for the
 //! power samples. The output opens directly in `ui.perfetto.dev`.
-//!
-//! [`chrome_trace`] renders a finished [`RunTrace`]'s task records
-//! through the same sink (task lanes only — the post-hoc trace does not
-//! retain transfer or eviction timing).
 
 use crate::data::MemNode;
-use crate::graph::TaskGraph;
 use crate::observer::{ExecEvent, Observer, RunContext};
-use crate::trace::RunTrace;
 use crate::worker::Worker;
 use std::fmt::Write as _;
-use ugpc_hwsim::Joules;
-
-/// Why a trace could not be exported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceError {
-    /// The run did not keep per-task records
-    /// (`SimOptions::keep_records` / `RunConfig::with_records`).
-    RecordsNotKept,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::RecordsNotKept => {
-                f.write_str("the run kept no per-task records (enable keep_records)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Escape a string into `out` as JSON string content (the subset we
 /// emit: names are ASCII identifiers, but be safe anyway). One output
@@ -103,8 +76,7 @@ impl PerfettoSink {
         self.trace_ids = Some((trace_id.to_string(), span_id.to_string()));
     }
 
-    /// Open the document and name the worker lanes. Called by `on_start`;
-    /// [`chrome_trace`] calls it directly when replaying records.
+    /// Open the document and name the worker lanes (at `on_start`).
     fn begin(&mut self, workers: &[Worker], n_gpus: usize) {
         self.out = String::from("{\"traceEvents\":[\n");
         self.first = true;
@@ -310,45 +282,13 @@ impl Observer for PerfettoSink {
     }
 }
 
-/// Render the per-task records of `trace` as a Chrome trace-event JSON
-/// document. Requires the run to have kept records
-/// (`SimOptions::keep_records`).
-pub fn chrome_trace(
-    trace: &RunTrace,
-    graph: &TaskGraph,
-    workers: &[Worker],
-) -> Result<String, TraceError> {
-    if trace.records.is_empty() && !graph.is_empty() {
-        return Err(TraceError::RecordsNotKept);
-    }
-    let mut sink = PerfettoSink::new();
-    let n_gpus = workers.iter().filter(|w| w.is_gpu()).count();
-    sink.begin(workers, n_gpus);
-    for r in &trace.records {
-        let desc = graph.task(r.task);
-        sink.on_event(&ExecEvent::TaskEnd {
-            task: r.task,
-            worker: r.worker,
-            start: r.start,
-            end: r.end,
-            duration: r.end - r.start,
-            kind: desc.kind,
-            precision: desc.precision,
-            nb: desc.nb,
-            priority: desc.priority,
-            flops: desc.flops(),
-            energy: Joules::ZERO,
-        });
-    }
-    Ok(sink.into_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::DataRegistry;
+    use crate::graph::TaskGraph;
     use crate::observer::StatsCollector;
-    use crate::sim::{simulate, simulate_observed, SimOptions};
+    use crate::sim::{simulate_observed, SimOptions};
     use crate::task::{AccessMode, KernelKind, TaskDesc};
     use crate::PerfModel;
     use ugpc_hwsim::{Bytes, Node, PlatformId, Precision};
@@ -359,65 +299,53 @@ mod tests {
         out
     }
 
-    fn run(keep: bool) -> (RunTrace, TaskGraph, Vec<Worker>) {
+    /// Stream a run of `tasks` read-write GEMMs on one tile through `sink`.
+    fn export(tasks: usize, mut sink: PerfettoSink) -> String {
         let mut node = Node::new(PlatformId::Intel2V100);
         let mut data = DataRegistry::new();
         let mut g = TaskGraph::new();
         let t = data.register(Bytes(8.0 * 960.0 * 960.0));
-        for _ in 0..3 {
+        for _ in 0..tasks {
             g.submit(
                 TaskDesc::new(KernelKind::Gemm, Precision::Double, 960)
                     .access(t, AccessMode::ReadWrite),
             );
         }
-        let trace = simulate(
+        simulate_observed(
             &mut node,
             &g,
             &mut data,
-            SimOptions {
-                keep_records: keep,
-                ..Default::default()
-            },
+            SimOptions::default(),
+            &mut PerfModel::new(),
+            &mut [&mut sink],
         );
-        let (workers, _) = crate::worker::build_workers(node.spec());
-        (trace, g, workers)
+        sink.into_json()
     }
 
     #[test]
     fn exports_valid_json_shape() {
-        let (trace, g, workers) = run(true);
-        let json = chrome_trace(&trace, &g, &workers).expect("records kept");
+        let json = export(3, PerfettoSink::new());
+        let workers = crate::worker::build_workers(Node::new(PlatformId::Intel2V100).spec()).0;
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.trim_end().ends_with("]}"));
-        // One X event per task plus thread metadata.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), workers.len());
+        // One task event per task; every worker lane is named.
+        assert_eq!(json.matches("\"cat\":\"dp\",\"ph\":\"X\"").count(), 3);
+        assert!(json.matches("\"name\":\"thread_name\"").count() >= workers.len());
         assert!(json.contains("\"name\":\"gemm\""));
-        assert!(json.contains("\"cat\":\"dp\""));
         // Balanced braces — a cheap well-formedness smoke check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
-    fn requires_records() {
-        let (trace, g, workers) = run(false);
-        assert_eq!(
-            chrome_trace(&trace, &g, &workers),
-            Err(TraceError::RecordsNotKept)
-        );
-        assert!(TraceError::RecordsNotKept.to_string().contains("records"));
-    }
-
-    #[test]
     fn empty_graph_exports_empty_trace() {
-        let g = TaskGraph::new();
-        let mut node = Node::new(PlatformId::Intel2V100);
-        let mut data = DataRegistry::new();
-        let trace = simulate(&mut node, &g, &mut data, SimOptions::default());
-        let (workers, _) = crate::worker::build_workers(node.spec());
-        let json = chrome_trace(&trace, &g, &workers).expect("empty graph is fine");
+        let json = export(0, PerfettoSink::new());
         assert!(json.contains("traceEvents"));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 0);
+        // A sink never attached to a run is still a valid document.
+        assert_eq!(
+            PerfettoSink::new().into_json(),
+            "{\"traceEvents\":[\n\n]}\n"
+        );
     }
 
     #[test]
@@ -466,35 +394,15 @@ mod tests {
 
     #[test]
     fn trace_ids_are_stamped_as_metadata() {
-        let (trace, g, workers) = run(true);
         let mut sink = PerfettoSink::new();
         sink.set_trace_ids("00deadbeef01", "00cafef00d02");
-        let n_gpus = workers.iter().filter(|w| w.is_gpu()).count();
-        sink.begin(&workers, n_gpus);
-        for r in &trace.records {
-            let desc = g.task(r.task);
-            sink.on_event(&ExecEvent::TaskEnd {
-                task: r.task,
-                worker: r.worker,
-                start: r.start,
-                end: r.end,
-                duration: r.end - r.start,
-                kind: desc.kind,
-                precision: desc.precision,
-                nb: desc.nb,
-                priority: desc.priority,
-                flops: desc.flops(),
-                energy: Joules::ZERO,
-            });
-        }
-        let json = sink.into_json();
+        let json = export(3, sink);
         assert!(json.contains("\"name\":\"trace_context\""));
         assert!(json.contains("\"trace_id\":\"00deadbeef01\""));
         assert!(json.contains("\"span_id\":\"00cafef00d02\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Unstamped sinks carry no trace_context record.
-        let unstamped = chrome_trace(&trace, &g, &workers).expect("records kept");
-        assert!(!unstamped.contains("trace_context"));
+        assert!(!export(3, PerfettoSink::new()).contains("trace_context"));
     }
 
     #[test]

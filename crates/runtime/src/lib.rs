@@ -44,7 +44,7 @@ pub use arena::{with_run_arena, RunArena};
 pub use control::{ControlDecision, ControlHook, RecapEvent, SimEvent};
 pub use data::{DataId, DataRegistry, MemNode};
 pub use des::{EventQueue, QueueBackend};
-pub use export::{chrome_trace, PerfettoSink, TraceError};
+pub use export::PerfettoSink;
 pub use graph::TaskGraph;
 pub use memory::GpuMemory;
 pub use native::{NativeExecutor, NativeStats};

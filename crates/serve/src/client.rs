@@ -1,6 +1,7 @@
 //! A small blocking client for the JSON-lines protocol, used by the
-//! round-trip example, the integration tests, and the
-//! `ugpc-bench-client` load generator.
+//! round-trip example and the integration tests (the load smoke in
+//! `tests/service.rs` pipelines through [`Client::send`] and
+//! [`Client::recv`]).
 
 use crate::protocol::{
     decode, encode, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun, Request,
@@ -119,33 +120,6 @@ impl Client {
         }
     }
 
-    /// Submit `configs` as one `batch` line and collect the N ordered
-    /// reports. The whole batch fails on the first error slot (replies
-    /// for later slots are still consumed, keeping the stream in sync).
-    pub fn run_batch(&mut self, configs: Vec<RunConfig>) -> Result<Vec<RunReport>, ClientError> {
-        let n = configs.len();
-        let runs: Vec<RunRequest> = configs.into_iter().map(RunRequest::new).collect();
-        self.send(&Request::Batch(runs))?;
-        let mut reports = Vec::with_capacity(n);
-        let mut first_err: Option<ClientError> = None;
-        for _ in 0..n {
-            match self.recv() {
-                Ok(Response::Run(report)) => reports.push(report),
-                Ok(Response::Error(e)) => {
-                    first_err.get_or_insert(ClientError::Server(e));
-                }
-                Ok(other) => {
-                    first_err.get_or_insert(ClientError::UnexpectedVariant(format!("{other:?}")));
-                }
-                Err(e) => return Err(first_err.unwrap_or(e)),
-            }
-        }
-        match first_err {
-            None => Ok(reports),
-            Some(e) => Err(e),
-        }
-    }
-
     /// Run the k-iteration dynamic-capping study on the service.
     pub fn run_dynamic(
         &mut self,
@@ -188,16 +162,11 @@ impl Client {
         }
     }
 
-    /// Run one static study and get back a Perfetto trace export stamped
-    /// with a server-minted trace context.
-    pub fn run_perfetto(&mut self, config: RunConfig) -> Result<PerfettoRun, ClientError> {
-        self.run_perfetto_traced(config, None)
-    }
-
-    /// [`run_perfetto`](Client::run_perfetto) with a client-supplied
-    /// trace context, so the caller can correlate the server's JSON log
-    /// lines and the exported trace with its own ids.
-    pub fn run_perfetto_traced(
+    /// Run one static study and get back a Perfetto trace export. With
+    /// `trace: None` the server mints the trace context; a client-supplied
+    /// one lets the caller correlate the server's JSON log lines and the
+    /// exported trace with its own ids.
+    pub fn run_perfetto(
         &mut self,
         config: RunConfig,
         trace: Option<TraceCtx>,

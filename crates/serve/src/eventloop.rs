@@ -1,6 +1,7 @@
 //! The non-blocking event-loop transport: an acceptor thread dispatches
 //! connections round-robin across shard threads, each running a
-//! level-triggered readiness loop over its own [`Poller`].
+//! level-triggered readiness loop over its own `Poller` (the crate's
+//! private epoll wrapper, `net.rs`).
 //!
 //! ## Pipelining and ordering
 //!
@@ -19,8 +20,7 @@
 //! set ([`crate::stats::Metrics::latency_shard`]). Cross-thread input
 //! arrives through two mailboxes — `inbox` (new connections from the
 //! acceptor) and `completions` (reply lines from pool workers resolving
-//! flights) — each drained at the top of the loop after a
-//! [`crate::net::WAKE`] token.
+//! flights) — each drained at the top of the loop after a `WAKE` token.
 //!
 //! ## Shutdown
 //!

@@ -38,7 +38,7 @@
 pub mod cache;
 pub mod client;
 pub mod eventloop;
-pub mod net;
+mod net;
 pub mod persist;
 pub mod pool;
 pub mod protocol;
@@ -52,9 +52,10 @@ pub use persist::AppendLog;
 pub use pool::WorkerPool;
 pub use protocol::{
     error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun, PhaseLatency,
-    Request, Response, RunRequest, SpanDump, MAX_LINE_BYTES,
+    Request, Response, RunRequest, SpanDump, MAX_BATCH, MAX_DYNAMIC_ITERATIONS, MAX_LINE_BYTES,
+    MAX_NT, MAX_POWER_BINS,
 };
 pub use server::{Server, ServerHandle};
-pub use service::{ServeOptions, Service};
+pub use service::{ServeOptions, Service, CACHE_SHARDS, RECORDER_CAPACITY};
 pub use stats::{CacheStats, OpLatency, PersistStats, ShardDepths, StatsReport};
 pub use ugpc_telemetry::{Level, Logger, Registry, TraceCtx};

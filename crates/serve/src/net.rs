@@ -30,8 +30,9 @@ pub enum Interest {
 pub struct Event {
     pub token: u64,
     /// Input available — or error/hangup, which a read also surfaces.
+    /// Write readiness needs no flag: the event loop flushes on every
+    /// event for a connection.
     pub readable: bool,
-    pub writable: bool,
 }
 
 #[cfg(target_os = "linux")]
@@ -187,7 +188,6 @@ mod sys {
                 out.push(Event {
                     token,
                     readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
                 });
             }
             Ok(())
@@ -219,7 +219,7 @@ mod sys {
     /// so this trades CPU (a 1 ms cadence) for correctness without any
     /// OS-specific code.
     pub struct Poller {
-        registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
+        registered: Mutex<HashMap<RawFd, u64>>,
         woken: AtomicBool,
     }
 
@@ -231,13 +231,13 @@ mod sys {
             })
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.lock().insert(fd, (token, interest));
+        pub fn register(&self, fd: RawFd, token: u64, _interest: Interest) -> io::Result<()> {
+            self.lock().insert(fd, token);
             Ok(())
         }
 
-        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.lock().insert(fd, (token, interest));
+        pub fn rearm(&self, fd: RawFd, token: u64, _interest: Interest) -> io::Result<()> {
+            self.lock().insert(fd, token);
             Ok(())
         }
 
@@ -256,20 +256,18 @@ mod sys {
                 out.push(Event {
                     token: WAKE,
                     readable: true,
-                    writable: false,
                 });
             }
-            for (&_fd, &(token, interest)) in self.lock().iter() {
+            for &token in self.lock().values() {
                 out.push(Event {
                     token,
                     readable: true,
-                    writable: matches!(interest, Interest::ReadWrite),
                 });
             }
             Ok(())
         }
 
-        fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<RawFd, (u64, Interest)>> {
+        fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<RawFd, u64>> {
             self.registered
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -339,19 +337,19 @@ mod tests {
         let n = server.read(&mut buf).expect("read");
         assert_eq!(&buf[..n], b"hello");
 
-        // Write interest surfaces on an idle socket.
+        // Write interest surfaces an event on an idle, drained socket.
         poller
             .rearm(server.as_raw_fd(), 7, Interest::ReadWrite)
             .expect("rearm");
         events.clear();
         for _ in 0..200 {
             poller.wait(&mut events, 1_000).expect("wait");
-            if events.iter().any(|e| e.token == 7 && e.writable) {
+            if events.iter().any(|e| e.token == 7) {
                 break;
             }
             events.clear();
         }
-        assert!(events.iter().any(|e| e.token == 7 && e.writable));
+        assert!(events.iter().any(|e| e.token == 7));
         poller.deregister(server.as_raw_fd()).expect("deregister");
     }
 }

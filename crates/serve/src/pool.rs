@@ -59,13 +59,9 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// `workers` threads draining a queue bounded at `queue_capacity`
     /// pending jobs (the job a worker is executing no longer counts).
-    pub fn new(workers: usize, queue_capacity: usize) -> Self {
-        Self::new_with_logger(workers, queue_capacity, Logger::disabled())
-    }
-
-    /// Like [`new`](WorkerPool::new), with worker log lines (dequeue at
-    /// debug, job panic at error) going to `logger`.
-    pub fn new_with_logger(workers: usize, queue_capacity: usize, logger: Arc<Logger>) -> Self {
+    /// Worker log lines (dequeue at debug, job panic at error) go to
+    /// `logger`.
+    pub fn new(workers: usize, queue_capacity: usize, logger: Arc<Logger>) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -91,14 +87,9 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueue a job, or reject it if the queue is full.
-    pub fn try_submit(&self, job: Job) -> Result<(), QueueFull> {
-        self.try_submit_traced(job, None)
-    }
-
     /// Enqueue a job carrying the trace context of the request that
     /// spawned it, or reject it if the queue is full.
-    pub fn try_submit_traced(&self, job: Job, trace: Option<TraceCtx>) -> Result<(), QueueFull> {
+    pub fn try_submit(&self, job: Job, trace: Option<TraceCtx>) -> Result<(), QueueFull> {
         let mut queue = lock_queue(&self.shared);
         if queue.len() >= self.shared.capacity {
             drop(queue);
@@ -210,11 +201,11 @@ mod tests {
 
     #[test]
     fn executes_submitted_jobs() {
-        let pool = WorkerPool::new(2, 16);
+        let pool = WorkerPool::new(2, 16, Logger::disabled());
         let (tx, rx) = mpsc::channel();
         for i in 0..10u32 {
             let tx = tx.clone();
-            pool.try_submit(Box::new(move || tx.send(i).expect("send")))
+            pool.try_submit(Box::new(move || tx.send(i).expect("send")), None)
                 .expect("submit");
         }
         let mut got: Vec<u32> = (0..10).map(|_| rx.recv().expect("recv")).collect();
@@ -225,20 +216,23 @@ mod tests {
 
     #[test]
     fn rejects_when_queue_full() {
-        let pool = WorkerPool::new(1, 2);
+        let pool = WorkerPool::new(1, 2, Logger::disabled());
         // Block the single worker…
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.try_submit(Box::new(move || {
-            let _ = gate_rx.recv_timeout(Duration::from_secs(5));
-        }))
+        pool.try_submit(
+            Box::new(move || {
+                let _ = gate_rx.recv_timeout(Duration::from_secs(5));
+            }),
+            None,
+        )
         .expect("blocker");
         // Give the worker a moment to take the blocker off the queue.
         std::thread::sleep(Duration::from_millis(30));
         // …fill the queue…
-        pool.try_submit(Box::new(|| ())).expect("fits 1");
-        pool.try_submit(Box::new(|| ())).expect("fits 2");
+        pool.try_submit(Box::new(|| ()), None).expect("fits 1");
+        pool.try_submit(Box::new(|| ()), None).expect("fits 2");
         // …and the next submission must bounce.
-        assert!(pool.try_submit(Box::new(|| ())).is_err());
+        assert!(pool.try_submit(Box::new(|| ()), None).is_err());
         assert_eq!(pool.rejected(), 1);
         assert!(pool.retry_after_ms() > 0);
         gate_tx.send(()).expect("release");
@@ -247,14 +241,17 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_worker() {
-        let pool = WorkerPool::new(1, 8);
+        let pool = WorkerPool::new(1, 8, Logger::disabled());
         let done = Arc::new(AtomicUsize::new(0));
-        pool.try_submit(Box::new(|| panic!("boom")))
+        pool.try_submit(Box::new(|| panic!("boom")), None)
             .expect("submit");
         let d = done.clone();
-        pool.try_submit(Box::new(move || {
-            d.fetch_add(1, Ordering::SeqCst);
-        }))
+        pool.try_submit(
+            Box::new(move || {
+                d.fetch_add(1, Ordering::SeqCst);
+            }),
+            None,
+        )
         .expect("submit");
         // The worker survives the panic and runs the second job.
         for _ in 0..200 {
@@ -271,12 +268,12 @@ mod tests {
     #[test]
     fn traced_jobs_log_with_their_trace_ids() {
         let (logger, buf) = ugpc_telemetry::Logger::to_buffer(ugpc_telemetry::Level::Debug);
-        let pool = WorkerPool::new_with_logger(1, 8, logger);
+        let pool = WorkerPool::new(1, 8, logger);
         let ctx = TraceCtx {
             trace_id: 0xabc,
             span_id: 0xdef,
         };
-        pool.try_submit_traced(Box::new(|| panic!("boom")), Some(ctx))
+        pool.try_submit(Box::new(|| panic!("boom")), Some(ctx))
             .expect("submit");
         pool.shutdown();
         let text = String::from_utf8(buf.lock().clone()).expect("utf8");
@@ -287,13 +284,16 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_jobs() {
-        let pool = WorkerPool::new(1, 64);
+        let pool = WorkerPool::new(1, 64, Logger::disabled());
         let count = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let c = count.clone();
-            pool.try_submit(Box::new(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }))
+            pool.try_submit(
+                Box::new(move || {
+                    c.fetch_add(1, Ordering::SeqCst);
+                }),
+                None,
+            )
             .expect("submit");
         }
         pool.shutdown();

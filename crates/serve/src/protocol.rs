@@ -209,9 +209,9 @@ pub enum Request {
     /// Batch submission: one request line carrying N runs, answered as N
     /// ordered response lines (reply `i` answers run `i`; each run is
     /// validated, cached, and single-flighted independently). An empty
-    /// batch is answered with zero lines; a batch beyond the server's
-    /// `max_batch` limit answers every slot with a `bad_request` error
-    /// so the client's reply count always matches its request count.
+    /// batch is answered with zero lines; a batch beyond [`MAX_BATCH`]
+    /// answers every slot with a `bad_request` error so the client's
+    /// reply count always matches its request count.
     Batch(Vec<RunRequest>),
     /// Ops snapshot: uptime, queue, cache counters, latency histograms.
     Stats,
@@ -233,6 +233,20 @@ pub enum Request {
 /// over 30 times the largest 64-slot batch line. A connection that sends
 /// more without a newline is answered `bad_request` and closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most tiles per dimension a run may ask for; a bigger config is
+/// answered `invalid_config` (guards against graph-building DoS).
+pub const MAX_NT: usize = 64;
+
+/// Largest accepted `dynamic_iterations`.
+pub const MAX_DYNAMIC_ITERATIONS: usize = 200;
+
+/// Largest accepted `power_bins` (bounds the size of a traced reply).
+pub const MAX_POWER_BINS: usize = 4096;
+
+/// Largest accepted [`Request::Batch`]; a bigger batch answers every
+/// slot with `bad_request`.
+pub const MAX_BATCH: usize = 64;
 
 /// Machine-readable error categories.
 pub mod error_code {

@@ -14,7 +14,8 @@ use crate::persist::AppendLog;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     decode, encode, error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun,
-    PhaseLatency, Request, Response, RunRequest, SpanDump, MAX_LINE_BYTES,
+    PhaseLatency, Request, Response, RunRequest, SpanDump, MAX_BATCH, MAX_DYNAMIC_ITERATIONS,
+    MAX_LINE_BYTES, MAX_NT, MAX_POWER_BINS,
 };
 use crate::stats::{CacheStats, Metrics, PersistStats, StatsReport};
 use parking_lot::Mutex;
@@ -33,7 +34,16 @@ use ugpc_telemetry::{
 /// the flight's completion callback, so both sides share this cell.
 type SpanCell = Arc<Mutex<Option<RequestSpans>>>;
 
-/// Tunables for one service instance.
+/// Result-cache shards requested of [`ResultCache::with_options`]
+/// (clamped by capacity there).
+pub const CACHE_SHARDS: usize = 8;
+
+/// Flight-recorder span-ring capacity per event-loop shard (newest wins
+/// on wrap).
+pub const RECORDER_CAPACITY: usize = 256;
+
+/// The settings a deployment picks for one service instance. Request
+/// limits are fixed constants ([`MAX_NT`], [`MAX_BATCH`], …).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Simulation worker threads.
@@ -42,22 +52,9 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Ready-entry bound of the result cache.
     pub cache_capacity: usize,
-    /// Reject configs with more than this many tiles per dimension
-    /// (guards the service against graph-building DoS by huge requests).
-    pub max_nt: usize,
-    /// Cap on `dynamic_iterations`.
-    pub max_dynamic_iterations: usize,
-    /// Cap on `power_bins` (bounds the size of a traced response).
-    pub max_power_bins: usize,
     /// Event-loop shard threads (connections are dispatched across
     /// them; also sizes the per-shard latency histogram sets).
     pub shards: usize,
-    /// Requested result-cache shards (clamped by capacity — see
-    /// [`ResultCache::with_options`]).
-    pub cache_shards: usize,
-    /// Largest accepted `Request::Batch` (bigger batches answer every
-    /// slot with `bad_request`).
-    pub max_batch: usize,
     /// Append-log path for the persistent cache tier. `None` (default)
     /// disables persistence. An unopenable log is a warning, not a
     /// startup failure — the service falls back to memory-only.
@@ -67,8 +64,6 @@ pub struct ServeOptions {
     /// default; turning it off is the differential-test axis proving
     /// the recorder never changes a reply byte.
     pub recorder: bool,
-    /// Span-ring capacity per event-loop shard (newest wins on wrap).
-    pub recorder_capacity: usize,
 }
 
 impl Default for ServeOptions {
@@ -78,15 +73,9 @@ impl Default for ServeOptions {
             workers: cores,
             queue_capacity: 64,
             cache_capacity: 256,
-            max_nt: 64,
-            max_dynamic_iterations: 200,
-            max_power_bins: 4096,
             shards: cores.min(8),
-            cache_shards: 8,
-            max_batch: 64,
             persist_path: None,
             recorder: true,
-            recorder_capacity: 256,
         }
     }
 }
@@ -142,17 +131,13 @@ impl Service {
                     }
                 });
         Arc::new(Service {
-            cache: ResultCache::with_options(options.cache_capacity, options.cache_shards, persist),
-            pool: WorkerPool::new_with_logger(
-                options.workers,
-                options.queue_capacity,
-                logger.clone(),
-            ),
+            cache: ResultCache::with_options(options.cache_capacity, CACHE_SHARDS, persist),
+            pool: WorkerPool::new(options.workers, options.queue_capacity, logger.clone()),
             metrics: Metrics::new(options.shards.max(1)),
             logger,
-            recorder: options.recorder.then(|| {
-                FlightRecorder::new(options.shards.max(1), options.recorder_capacity.max(1))
-            }),
+            recorder: options
+                .recorder
+                .then(|| FlightRecorder::new(options.shards.max(1), RECORDER_CAPACITY)),
             options,
             shutdown: AtomicBool::new(false),
         })
@@ -237,13 +222,12 @@ impl Service {
     /// Batch admission: every slot of an over-sized batch gets the same
     /// error line so the client's reply count matches its request count.
     pub(crate) fn admit_batch(&self, runs: &[RunRequest]) -> Result<(), String> {
-        if runs.len() > self.options.max_batch {
+        if runs.len() > MAX_BATCH {
             return Err(encode(&Response::Error(ErrorReply::new(
                 error_code::BAD_REQUEST,
                 format!(
-                    "batch of {} exceeds this service's limit of {}",
-                    runs.len(),
-                    self.options.max_batch
+                    "batch of {} exceeds this service's limit of {MAX_BATCH}",
+                    runs.len()
                 ),
             ))));
         }
@@ -411,7 +395,7 @@ impl Service {
         let job_run = run.clone();
         let sims = self.metrics.simulations.clone();
         let rec = self.recorder.clone();
-        let submitted = self.pool.try_submit_traced(
+        let submitted = self.pool.try_submit(
             Box::new(move || {
                 // The gap since the leader's CacheLookup mark is time
                 // spent queued behind other jobs.
@@ -573,14 +557,10 @@ impl Service {
         let cfg = run.effective_config();
         cfg.validate()
             .map_err(|e| ErrorReply::new(error_code::INVALID_CONFIG, e.to_string()))?;
-        if cfg.nt() > self.options.max_nt {
+        if cfg.nt() > MAX_NT {
             return Err(ErrorReply::new(
                 error_code::INVALID_CONFIG,
-                format!(
-                    "nt = {} exceeds this service's limit of {}",
-                    cfg.nt(),
-                    self.options.max_nt
-                ),
+                format!("nt = {} exceeds this service's limit of {MAX_NT}", cfg.nt()),
             ));
         }
         match run.dynamic_iterations {
@@ -590,12 +570,12 @@ impl Service {
                     "dynamic_iterations must be >= 1",
                 ))
             }
-            Some(k) if k > self.options.max_dynamic_iterations => {
+            Some(k) if k > MAX_DYNAMIC_ITERATIONS => {
                 return Err(ErrorReply::new(
                     error_code::INVALID_CONFIG,
                     format!(
-                        "dynamic_iterations = {k} exceeds this service's limit of {}",
-                        self.options.max_dynamic_iterations
+                        "dynamic_iterations = {k} exceeds this service's limit of \
+                         {MAX_DYNAMIC_ITERATIONS}"
                     ),
                 ))
             }
@@ -608,13 +588,10 @@ impl Service {
                     "power_bins must be >= 1",
                 ))
             }
-            Some(b) if b > self.options.max_power_bins => {
+            Some(b) if b > MAX_POWER_BINS => {
                 return Err(ErrorReply::new(
                     error_code::INVALID_CONFIG,
-                    format!(
-                        "power_bins = {b} exceeds this service's limit of {}",
-                        self.options.max_power_bins
-                    ),
+                    format!("power_bins = {b} exceeds this service's limit of {MAX_POWER_BINS}"),
                 ))
             }
             Some(_) if run.dynamic_iterations.is_some() => {
@@ -673,7 +650,7 @@ impl Service {
                 recovered: p.recovered,
                 appended: p.appended,
                 bytes: p.bytes,
-                truncated_bytes: Some(p.truncated_bytes),
+                truncated_bytes: p.truncated_bytes,
                 errors: p.errors,
             }),
         }
@@ -852,12 +829,52 @@ mod tests {
         }
         // Over-sized problems bounce on the nt guard.
         let mut big = tiny();
-        big.n = big.nb * (svc.options().max_nt + 1);
+        big.n = big.nb * (MAX_NT + 1);
         let out = svc.handle_line(&encode(&Request::Run(RunRequest::new(big))));
         match decode::<Response>(&out).expect("decode") {
             Response::Error(e) => assert_eq!(e.code, error_code::INVALID_CONFIG),
             other => panic!("{other:?}"),
         }
+        assert_eq!(svc.stats_report().simulations_executed, 0);
+    }
+
+    #[test]
+    fn limit_errors_keep_their_wording() {
+        let svc = small_service();
+        let message = |line: String| match decode::<Response>(&line).expect("decode") {
+            Response::Error(e) => e.message,
+            other => panic!("{other:?}"),
+        };
+        let mut big = tiny();
+        big.n = big.nb * (MAX_NT + 1);
+        let mut dynamic = RunRequest::new(tiny());
+        dynamic.dynamic_iterations = Some(MAX_DYNAMIC_ITERATIONS + 1);
+        let mut traced = RunRequest::new(tiny());
+        traced.power_bins = Some(MAX_POWER_BINS + 1);
+        for (run, expected) in [
+            (
+                RunRequest::new(big),
+                "nt = 65 exceeds this service's limit of 64",
+            ),
+            (
+                dynamic,
+                "dynamic_iterations = 201 exceeds this service's limit of 200",
+            ),
+            (
+                traced,
+                "power_bins = 4097 exceeds this service's limit of 4096",
+            ),
+        ] {
+            assert_eq!(
+                message(svc.handle_line(&encode(&Request::Run(run)))),
+                expected
+            );
+        }
+        let batch = vec![RunRequest::new(tiny()); MAX_BATCH + 1];
+        assert_eq!(
+            message(svc.admit_batch(&batch).expect_err("over the limit")),
+            "batch of 65 exceeds this service's limit of 64"
+        );
         assert_eq!(svc.stats_report().simulations_executed, 0);
     }
 
@@ -904,7 +921,7 @@ mod tests {
             },
             {
                 let mut r = req.clone();
-                r.power_bins = Some(svc.options().max_power_bins + 1);
+                r.power_bins = Some(MAX_POWER_BINS + 1);
                 r
             },
             {
@@ -1063,9 +1080,12 @@ mod tests {
         });
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         svc.pool
-            .try_submit(Box::new(move || {
-                let _ = gate_rx.recv_timeout(std::time::Duration::from_secs(10));
-            }))
+            .try_submit(
+                Box::new(move || {
+                    let _ = gate_rx.recv_timeout(std::time::Duration::from_secs(10));
+                }),
+                None,
+            )
             .expect("blocker");
         // Wait for the worker to take the blocker off the queue, then
         // occupy the single queue slot.
@@ -1080,7 +1100,9 @@ mod tests {
             0,
             "worker never picked up the blocker"
         );
-        svc.pool.try_submit(Box::new(|| ())).expect("fills queue");
+        svc.pool
+            .try_submit(Box::new(|| ()), None)
+            .expect("fills queue");
         let out = svc.handle_line(&encode(&Request::Run(RunRequest::new(tiny()))));
         match decode::<Response>(&out).expect("decode") {
             Response::Error(e) => {

@@ -72,7 +72,8 @@ impl ShardLatencies {
 /// merge discipline as the per-shard latency histograms).
 #[derive(Default)]
 pub struct ShardDepths {
-    /// Parsed lines sitting in the shard's inbox, not yet processed.
+    /// Request slots the shard's connections have admitted but not yet
+    /// answered (a batch line counts once per slot).
     pub inbox_depth: AtomicU64,
     /// Bytes buffered across the shard's connection write buffers.
     pub write_backlog_bytes: AtomicU64,
@@ -122,7 +123,8 @@ pub struct Metrics {
     pub gauge_cache_coalesced: Arc<Gauge>,
     pub gauge_cache_evictions: Arc<Gauge>,
     pub gauge_cache_hit_rate: Arc<Gauge>,
-    /// Sum of every shard's inbox depth (scrape-time).
+    /// Sum of every shard's admitted-but-unanswered request slots
+    /// (scrape-time).
     pub gauge_inbox_depth: Arc<Gauge>,
     /// Sum of every shard's buffered write bytes (scrape-time).
     pub gauge_write_backlog_bytes: Arc<Gauge>,
@@ -211,7 +213,7 @@ impl Metrics {
                 .gauge("ugpc_cache_hit_rate", "hits / (hits + misses + coalesced)."),
             gauge_inbox_depth: r.gauge(
                 "ugpc_inbox_depth",
-                "Parsed request lines waiting in event-loop shard inboxes.",
+                "Request slots admitted by event-loop shards but not yet answered.",
             ),
             gauge_write_backlog_bytes: r.gauge(
                 "ugpc_write_backlog_bytes",
@@ -320,8 +322,7 @@ pub struct PersistStats {
     /// Current log size in bytes.
     pub bytes: u64,
     /// Bytes the boot-time scan discarded as a corrupt or torn tail.
-    /// `None` when decoding reports from servers that predate the field.
-    pub truncated_bytes: Option<u64>,
+    pub truncated_bytes: u64,
     /// Append failures (the cache keeps serving from memory).
     pub errors: u64,
 }
@@ -412,7 +413,7 @@ mod tests {
                 recovered: 2,
                 appended: 3,
                 bytes: 123,
-                truncated_bytes: Some(7),
+                truncated_bytes: 7,
                 errors: 0,
             }),
         };
@@ -424,15 +425,11 @@ mod tests {
         let p = back.persist.expect("persist present");
         assert_eq!(p.recovered, 2);
         assert_eq!(p.bytes, 123);
-        assert_eq!(p.truncated_bytes, Some(7));
+        assert_eq!(p.truncated_bytes, 7);
         // Seed-era reports lack the field entirely; it decodes as None.
         let seedish = json.replace(",\"persist\":{", ",\"ignored\":{");
         let old: StatsReport = serde_json::from_str(&seedish).expect("parse seed form");
         assert!(old.persist.is_none());
-        // Pre-PR-10 reports have persist without truncated_bytes.
-        let pre = json.replace(",\"truncated_bytes\":7", "");
-        let old: StatsReport = serde_json::from_str(&pre).expect("parse pre-truncation form");
-        assert_eq!(old.persist.expect("present").truncated_bytes, None);
     }
 
     /// Satellite regression: a fixed duration sequence recorded

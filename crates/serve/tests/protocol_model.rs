@@ -28,6 +28,7 @@ use ugpc_analysis::model::{accepts_trace, Checker};
 use ugpc_core::CacheKey;
 use ugpc_serve::cache::{Begin, Flight, ResultCache};
 use ugpc_serve::pool::WorkerPool;
+use ugpc_serve::Logger;
 
 /// Unpack `begin` into the role the model names, failing loudly on a
 /// protocol divergence.
@@ -314,7 +315,7 @@ fn subscribers_racing_the_leader_are_each_called_once() {
 
 #[test]
 fn pool_backpressure_run_is_a_model_path() {
-    let pool = WorkerPool::new(1, 1);
+    let pool = WorkerPool::new(1, 1, Logger::disabled());
     // Let the worker reach its park (empty queue, no stop).
     std::thread::sleep(Duration::from_millis(30));
     let mut trace: Vec<&str> = Vec::new();
@@ -324,10 +325,13 @@ fn pool_backpressure_run_is_a_model_path() {
     // which dequeues and blocks inside the job (Executing).
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let (running_tx, running_rx) = mpsc::channel::<()>();
-    pool.try_submit(Box::new(move || {
-        running_tx.send(()).unwrap();
-        let _ = gate_rx.recv_timeout(Duration::from_secs(10));
-    }))
+    pool.try_submit(
+        Box::new(move || {
+            running_tx.send(()).unwrap();
+            let _ = gate_rx.recv_timeout(Duration::from_secs(10));
+        }),
+        None,
+    )
     .expect("c0 fits an empty queue");
     trace.push("c0:push");
     trace.push("c0:notify>w0");
@@ -339,7 +343,7 @@ fn pool_backpressure_run_is_a_model_path() {
 
     // c1 fills the single queue slot while the worker is busy.
     let (done_tx, done_rx) = mpsc::channel::<()>();
-    pool.try_submit(Box::new(move || done_tx.send(()).unwrap()))
+    pool.try_submit(Box::new(move || done_tx.send(()).unwrap()), None)
         .expect("c1 fits the empty slot");
     trace.push("c1:push");
     trace.push("c1:notify:none");
@@ -348,7 +352,7 @@ fn pool_backpressure_run_is_a_model_path() {
     // c2 bounces off the bound — the model's reject transition is the
     // only one enabled for it.
     assert!(
-        pool.try_submit(Box::new(|| ())).is_err(),
+        pool.try_submit(Box::new(|| ()), None).is_err(),
         "queue full must reject"
     );
     trace.push("c2:reject");
@@ -405,7 +409,7 @@ fn model_separates_fixed_from_buggy_shutdown() {
 #[test]
 fn shutdown_never_loses_the_stop_wakeup() {
     for round in 0..50 {
-        let pool = WorkerPool::new(2, 4);
+        let pool = WorkerPool::new(2, 4, Logger::disabled());
         if round % 2 == 0 {
             // Half the rounds give workers time to park; the other half
             // race shutdown straight against their first queue check.

@@ -1,6 +1,6 @@
 //! End-to-end tests of the TCP service: byte-fidelity, single-flight
 //! under concurrent clients, malformed-input resilience, backpressure,
-//! and the ops surface.
+//! the ops surface, and the pipelined multi-connection load smoke.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -8,9 +8,11 @@
 
 use ugpc_core::{run_study, RunConfig};
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
+use ugpc_runtime::SchedPolicy;
 use ugpc_serve::protocol::{decode, encode};
 use ugpc_serve::{
-    error_code, Client, Logger, Request, Response, RunRequest, ServeOptions, Server, Service,
+    error_code, Client, IntrospectRequest, Logger, Request, Response, RunRequest, ServeOptions,
+    Server, Service,
 };
 
 fn tiny() -> RunConfig {
@@ -224,7 +226,7 @@ fn cache_eviction_respects_bound_over_the_wire() {
     });
     let mut client = Client::connect(handle.addr()).unwrap();
     for seed in 0..4u64 {
-        let cfg = tiny().with_scheduler(ugpc_runtime::SchedPolicy::Random { seed });
+        let cfg = tiny().with_scheduler(SchedPolicy::Random { seed });
         client.run(cfg).unwrap();
     }
     let stats = client.stats().unwrap();
@@ -276,4 +278,80 @@ fn shutdown_stops_the_accept_loop() {
         Client::connect(addr).and_then(|mut c| c.ping()).is_err(),
         "server should be gone"
     );
+}
+
+/// The load smoke: prime four configurations, then pipeline twelve
+/// requests on each of eight connections at once, so every reply is a
+/// cache hit served while other connections are busy. With
+/// `UGPC_BENCH_JSON` set, the flight recorder's report (last-N and
+/// worst-K span trees, per-phase p50/p99) is written to
+/// `$UGPC_BENCH_JSON/SPANS_serve.json`; a relative directory is taken
+/// from the workspace root, not from this crate's test directory.
+#[test]
+fn pipelined_load_on_eight_connections_is_served_from_cache() {
+    const CONNECTIONS: usize = 8;
+    const PIPELINE: usize = 12;
+    let configs = [
+        tiny(),
+        tiny().with_scheduler(SchedPolicy::Dmda),
+        tiny().with_gpu_config("BBBB".parse().unwrap()),
+        tiny().with_scheduler(SchedPolicy::Random { seed: 3 }),
+    ];
+    let handle = spawn_server(ServeOptions::default());
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    for cfg in &configs {
+        client.run(cfg.clone()).unwrap();
+    }
+
+    let errors: usize = std::thread::scope(|s| {
+        let conns: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let configs = &configs;
+                s.spawn(move || {
+                    let mut conn = Client::connect(addr).unwrap();
+                    for i in 0..PIPELINE {
+                        let cfg = configs[(c + i) % configs.len()].clone();
+                        conn.send(&Request::Run(RunRequest::new(cfg))).unwrap();
+                    }
+                    (0..PIPELINE)
+                        .filter(|_| match conn.recv().unwrap() {
+                            Response::Run(_) => false,
+                            Response::Error(_) => true,
+                            other => panic!("unexpected reply {other:?}"),
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        conns.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(errors, 0, "error replies under load");
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.simulations_executed, 4, "only the primes simulate");
+    assert!(stats.cache.hit_rate > 0.0, "{stats:?}");
+
+    let report = client
+        .introspect(IntrospectRequest {
+            last: Some(32),
+            worst: Some(8),
+        })
+        .unwrap();
+    assert!(
+        report.recorded >= (CONNECTIONS * PIPELINE) as u64,
+        "recorded {}",
+        report.recorded
+    );
+    if let Ok(dir) = std::env::var("UGPC_BENCH_JSON") {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap();
+        let dir = root.join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        std::fs::write(dir.join("SPANS_serve.json"), json).unwrap();
+    }
+    handle.stop();
 }

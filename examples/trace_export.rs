@@ -4,8 +4,8 @@
 //!
 //! The sinks all ride the executor's observer stream: one simulation
 //! feeds the `RunTrace` aggregates (via `TraceBuilder`), the streaming
-//! Perfetto export (with transfer and eviction lanes the post-hoc
-//! `chrome_trace` cannot reconstruct), and a per-device power timeline.
+//! Perfetto export (task, transfer and eviction lanes), and a
+//! per-device power timeline.
 //!
 //! ```text
 //! cargo run --release --example trace_export

@@ -22,7 +22,7 @@
 //!   ([`control::run_dynamic`])
 //! * [`experiments`] — per-figure/table reproduction runners
 //! * [`serve`] — concurrent TCP simulation service with a content-addressed
-//!   result cache, bounded worker pool, client, and load generator
+//!   result cache, bounded worker pool, and blocking client
 //! * [`telemetry`] — metrics registry with Prometheus exposition,
 //!   trace-context propagation, structured JSON logging, and the
 //!   critical-path energy-attribution profiler

@@ -8,7 +8,9 @@
 
 use ugpc::linalg::{build_getrf, build_posv, build_potrf};
 use ugpc::prelude::*;
-use ugpc::runtime::{build_workers, chrome_trace, simulate, DataRegistry, PerfModel, SimOptions};
+use ugpc::runtime::{
+    simulate, simulate_observed, DataRegistry, PerfModel, PerfettoSink, SimOptions,
+};
 
 #[test]
 fn eviction_fires_on_oversubscribed_problems_only() {
@@ -51,28 +53,31 @@ fn chrome_trace_round_trips_through_json() {
     let mut node = Node::new(PlatformId::Intel2V100);
     let mut reg = DataRegistry::new();
     let op = build_potrf(4, 960, Precision::Double, &mut reg);
-    let trace = simulate(
+    let mut sink = PerfettoSink::new();
+    let summary = simulate_observed(
         &mut node,
         &op.graph,
         &mut reg,
-        SimOptions {
-            keep_records: true,
-            ..Default::default()
-        },
+        SimOptions::default(),
+        &mut PerfModel::new(),
+        &mut [&mut sink],
     );
-    let (workers, _) = build_workers(node.spec());
-    let json = chrome_trace(&trace, &op.graph, &workers).expect("records kept");
-    // Must parse as JSON with one complete event per task.
+    let json = sink.into_json();
+    // Must parse as JSON with one complete event per task (the other
+    // complete events sit on the DMA lanes).
     let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     let events = value["traceEvents"].as_array().expect("array");
-    let x_events = events.iter().filter(|e| e["ph"] == "X").count();
-    assert_eq!(x_events, op.graph.len());
+    let tasks: Vec<_> = events
+        .iter()
+        .filter(|e| e["ph"] == "X" && e["cat"] != "dma")
+        .collect();
+    assert_eq!(tasks.len(), op.graph.len());
     // Durations are positive and within the makespan.
-    for e in events.iter().filter(|e| e["ph"] == "X") {
+    for e in tasks {
         let ts = e["ts"].as_f64().unwrap();
         let dur = e["dur"].as_f64().unwrap();
         assert!(dur > 0.0);
-        assert!(ts + dur <= trace.makespan.value() * 1e6 + 1.0);
+        assert!(ts + dur <= summary.makespan.value() * 1e6 + 1.0);
     }
 }
 
