@@ -471,6 +471,40 @@ mod tests {
         assert_eq!(recorded.cache_key(), explicit.cache_key());
     }
 
+    /// The cache keys of the five reply shapes, pinned: an append log
+    /// written by an earlier build keeps hitting only while these hold.
+    #[test]
+    fn request_keys_are_pinned() {
+        use ugpc_control::ObjectiveKind;
+        let mut traced = req();
+        traced.power_bins = Some(64);
+        let mut dynamic = req();
+        dynamic.dynamic_iterations = Some(3);
+        let mut perfetto = req();
+        perfetto.perfetto = Some(true);
+        perfetto.trace = Some(TraceCtx {
+            trace_id: 0x1234,
+            span_id: 0x5678,
+        });
+        let mut controlled = req();
+        controlled.controller = Some(ControllerSpec::new(ObjectiveKind::GflopsPerWatt));
+        let keys: Vec<u64> = [req(), traced, dynamic, perfetto, controlled]
+            .iter()
+            .map(|r| r.cache_key().0)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                0xee56_6dad_15f4_ed1e,
+                0x7387_877c_2152_1129,
+                0x3f82_ca3b_a817_b79a,
+                0x7607_1e4d_6946_d25c,
+                0x0858_f293_791e_a5c7,
+            ],
+            "{keys:#x?}"
+        );
+    }
+
     #[test]
     fn controlled_keys_never_alias_static_over_the_wire() {
         use ugpc_control::ObjectiveKind;
