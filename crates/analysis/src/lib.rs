@@ -2,7 +2,7 @@
 //!
 //! Three layers of checking, from graph semantics down to source hygiene:
 //!
-//! 1. **Graph linter** ([`lint`] / [`lint_with`]): re-derives the
+//! 1. **Graph linter** ([`lint()`] / [`lint_with`]): re-derives the
 //!    RAW/WAW/WAR hazard edges every task graph must contain from its
 //!    declared `(DataId, AccessMode)` lists — independently of the
 //!    runtime's own inference — and diffs them against the edges actually
@@ -41,7 +41,7 @@ pub mod parallelism;
 pub mod reach;
 
 pub use lint::{lint, lint_with, Finding, FindingKind, Hazard, LintOptions, LintReport, Severity};
-pub use lints::{audit_workspace, AuditReport, SourceFinding};
+pub use lints::{AuditReport, SourceFinding};
 pub use model::{CheckOutcome, Checker};
 pub use parallelism::{analyze, KindCount, ParallelismReport};
 pub use reach::Reachability;

@@ -11,15 +11,14 @@
 //!   reply/golden invariants, a [`locks::LockAcrossBlockingRule`]
 //!   guarding the serve concurrency rewrite, and a
 //!   [`panics::PanicPathRule`] for service/worker request paths;
-//! * severity tiers reusing [`Severity`](crate::lint::Severity) and
+//! * severity tiers reusing [`Severity`] and
 //!   structured, deterministically ordered JSON findings;
 //! * a committed baseline (`lint-baseline.json`) so a new rule can land
 //!   while its pre-existing, justified findings are suppressed instead
 //!   of forcing a flag-day fix — the CI gate fails only on
 //!   **non-baselined error-tier** findings.
 //!
-//! Run it via `cargo run -p ugpc-analysis --bin ugpc-audit` (CI does) or
-//! `repro --validate --audit`.
+//! Run it via `cargo run -p ugpc-analysis --bin ugpc-audit` (CI does).
 
 pub mod determinism;
 pub mod locks;
@@ -164,7 +163,7 @@ impl Baseline {
 /// The audit driver's result over one source tree.
 #[derive(Debug, Clone, Serialize)]
 pub struct AuditReport {
-    /// Non-baselined findings, in [`SourceFinding::sort_key`] order.
+    /// Non-baselined findings, in `SourceFinding::sort_key` order.
     pub findings: Vec<SourceFinding>,
     /// Findings suppressed by the baseline (kept for the JSON artifact:
     /// a baselined finding is still a finding).

@@ -28,8 +28,8 @@
 //!   statement of the neutrality differential suite
 //!   (`tests/control_differential.rs`).
 //!
-//! The deliberately broken variant ([`late_recap`](ControlPlaneModel::
-//! late_recap)) schedules the re-cap one period after its decision —
+//! The deliberately broken variant
+//! ([`late_recap`](ControlPlaneModel::late_recap())) schedules the re-cap one period after its decision —
 //! the classic "apply at the next epoch boundary" bug, under which a
 //! workload event slips through on the stale cap. The checker must
 //! catch it within one tick.

@@ -26,10 +26,9 @@
 //!
 //! Determinism contract: decisions depend only on event payloads and
 //! virtual timestamps — never wall clock or ambient randomness — so a
-//! controlled run is byte-reproducible across `--jobs N` and both DES
-//! queue backends, and a quiescent controller (disabled, or converged at
-//! the current caps) leaves the run byte-identical to an uncontrolled
-//! one.
+//! controlled run is byte-reproducible across `--jobs N`, and a
+//! quiescent controller (disabled, or converged at the current caps)
+//! leaves the run byte-identical to an uncontrolled one.
 
 pub mod capper;
 pub mod objective;

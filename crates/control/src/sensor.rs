@@ -6,7 +6,7 @@
 //! node-level occupancy signals (assigned vs. completed task counts, a
 //! ready-queue-depth proxy). Everything is derived from event payloads
 //! and virtual timestamps, never wall clock, so sensor readings are
-//! byte-deterministic across `--jobs N` and queue backends.
+//! byte-deterministic across `--jobs N`.
 
 use crate::objective::WindowMetrics;
 use ugpc_hwsim::{Flops, Joules, Secs, Watts};

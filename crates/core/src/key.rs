@@ -31,7 +31,7 @@
 //!
 //! | tag | field | encoding |
 //! |-----|-------|----------|
-//! | `0x0A` | `controller` | [`ControllerSpec::canonical_bytes`] (objective tag, period bits, floor bits, enabled, seed) |
+//! | `0x0A` | `controller` | `ControllerSpec::canonical_bytes` (objective tag, period bits, floor bits, enabled, seed) |
 //!
 //! The layout is frozen: changing it invalidates every persisted or
 //! remote cache, so additions must append new tags, never renumber.

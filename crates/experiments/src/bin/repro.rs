@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [fig1|table1|table2|fig3|fig4|fig5|fig6|fig7|ablation|power|profile|control|all]...
+//! repro [--validate] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [fig1|table1|table2|fig3|fig4|fig5|fig6|fig7|ablation|power|profile|control|all]...
 //! repro --serve [ADDR] [--persist PATH]
 //! repro --trace-out DIR [--scale K]
 //! ```
@@ -33,10 +33,6 @@
 //! `--validate` lints the GEMM and POTRF task graphs (hazard-edge audit
 //! plus a parallelism report) before anything else and fails the run on
 //! errors; alone, it runs only the validation.
-//! `--audit` runs the `ugpc-audit` source rules over the workspace
-//! (same gate as CI: fails on non-baselined error-tier findings);
-//! combines with `--validate` and, like it, runs alone if no
-//! experiments are named.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,7 +43,6 @@ struct Args {
     scale: usize,
     json_dir: Option<PathBuf>,
     validate: bool,
-    audit: bool,
     smoke: bool,
     explain: bool,
     serve: Option<String>,
@@ -82,7 +77,6 @@ fn parse_args() -> Result<Args, String> {
         scale: 1,
         json_dir: None,
         validate: false,
-        audit: false,
         smoke: false,
         explain: false,
         serve: None,
@@ -113,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
                 args.json_dir = Some(PathBuf::from(v));
             }
             "--validate" => args.validate = true,
-            "--audit" => args.audit = true,
             "--smoke" => args.smoke = true,
             "--explain" => args.explain = true,
             "--trace-out" => {
@@ -150,7 +143,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--validate] [--audit] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [{}|all]...\n       repro --serve [ADDR] [--persist PATH]   (default {DEFAULT_SERVE_ADDR})\n       repro --trace-out DIR [--scale K]",
+                    "usage: repro [--validate] [--smoke] [--explain] [--scale K] [--jobs N] [--json DIR] [{}|all]...\n       repro --serve [ADDR] [--persist PATH]   (default {DEFAULT_SERVE_ADDR})\n       repro --trace-out DIR [--scale K]",
                     ALL.join("|")
                 );
                 std::process::exit(0);
@@ -166,12 +159,11 @@ fn parse_args() -> Result<Args, String> {
     if args.explain && !args.experiments.iter().any(|e| e == "control") {
         return Err("--explain only applies to the `control` experiment".into());
     }
-    // `repro --validate` / `--audit` alone run only those checks;
+    // `repro --validate` alone runs only the validation;
     // `--serve` and `--trace-out` never run experiments; everything
     // else keeps the run-all default.
     if args.experiments.is_empty()
         && !args.validate
-        && !args.audit
         && args.serve.is_none()
         && args.trace_out.is_none()
     {
@@ -368,31 +360,6 @@ fn validate_graphs() -> bool {
     clean
 }
 
-/// Run the `ugpc-audit` source rules over the workspace with the
-/// committed baseline — the same gate CI's `audit` leg enforces.
-fn audit_sources() -> bool {
-    let root = match std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-    {
-        Some(r) => r,
-        None => {
-            eprintln!("error: cannot locate the workspace root");
-            return false;
-        }
-    };
-    match ugpc_analysis::audit_workspace(root) {
-        Ok(report) => {
-            print!("[audit] {}", report.render());
-            report.is_clean()
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            false
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -412,11 +379,6 @@ fn main() -> ExitCode {
 
     if args.validate && !validate_graphs() {
         eprintln!("error: task-graph validation failed");
-        return ExitCode::FAILURE;
-    }
-
-    if args.audit && !audit_sources() {
-        eprintln!("error: source audit failed");
         return ExitCode::FAILURE;
     }
 

@@ -64,10 +64,10 @@ pub struct ObjectiveRow {
 pub struct ControlCase {
     pub op: String,
     /// Window scores buffered per re-cap decision for this operation
-    /// (see [`controller_tuning`]).
+    /// (see `controller_tuning`).
     pub votes: u32,
     /// Occupancy gate below which a window is discarded as idle-phase
-    /// noise (see [`controller_tuning`]).
+    /// noise (see `controller_tuning`).
     pub min_occupancy: f64,
     /// Uncapped static reference (`HHHH`) — also the perf-floor
     /// objective's reference performance.

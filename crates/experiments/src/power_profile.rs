@@ -3,7 +3,7 @@
 //! run: per-device power timelines for the uncapped `HHHH` run versus the
 //! fully capped `BBBB` run on the 4-A100 platform.
 //!
-//! Built on [`run_study_traced`]: a [`PowerTimeline`] observer rides the
+//! Built on [`run_study_traced`]: a [`PowerTimeline`](ugpc_runtime::PowerTimeline) observer rides the
 //! executor event stream, so the profile comes from the exact same run
 //! that produced the report (not a re-simulation).
 

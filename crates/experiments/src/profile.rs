@@ -2,7 +2,7 @@
 //!
 //! Profiles the uncapped `HHHH` run against the fully capped `BBBB` run
 //! (GEMM double on the 4-A100 platform) with the
-//! [`CriticalPathProfiler`](ugpc_telemetry::CriticalPathProfiler) riding
+//! [`CriticalPathProfiler`] riding
 //! the executor event stream, and compares where the makespan and the
 //! busy joules went: on-path vs off-path work per device, worker
 //! idle/imbalance, hottest tasks. Capping stretches on-path kernels, so

@@ -6,7 +6,7 @@
 //! Energy-Efficiency Sweet Spots in Modern GPUs"; "Power-Capping Metric
 //! Evaluation") closes the loop *during* the run. This module is the
 //! executor-side half of that loop: a [`ControlHook`] rides the run,
-//! observes the same [`ExecEvent`](crate::observer::ExecEvent) stream the
+//! observes the same [`ExecEvent`] stream the
 //! observers see, and — unlike observers, which are read-only witnesses —
 //! is **deliberately non-neutral**: at scheduled tick times it may emit
 //! [`RecapEvent`]s that change device power limits while the DAG

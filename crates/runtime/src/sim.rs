@@ -9,9 +9,9 @@
 //!
 //! The executor keeps only *execution* state (queue drain times, DMA
 //! engines, residency, the ready frontier); every statistic is emitted as
-//! an [`ExecEvent`](crate::observer::ExecEvent) through the observer
+//! an [`ExecEvent`] through the observer
 //! pipeline — [`simulate`] is a thin wrapper attaching a
-//! [`TraceBuilder`](crate::trace::TraceBuilder) to [`simulate_observed`],
+//! [`TraceBuilder`] to [`simulate_observed`],
 //! which is [`simulate_controlled`] without a control hook.
 
 use crate::arena::with_run_arena;
@@ -34,10 +34,6 @@ pub struct SimOptions {
     pub policy: SchedPolicy,
     /// Retain per-task records (needed for Gantt/Fig. 5-style breakdowns).
     pub keep_records: bool,
-    /// Enforce GPU memory capacity with LRU eviction and writebacks. The
-    /// paper's problem sizes exceed HBM several times over, so real runs
-    /// continuously re-stream tiles; disable only for controlled studies.
-    pub enforce_gpu_memory: bool,
     /// Feed observed execution times back into the history model during
     /// the run (StarPU's online refinement). Disable to study frozen /
     /// stale models.
@@ -51,7 +47,6 @@ impl Default for SimOptions {
         SimOptions {
             policy: SchedPolicy::Dmdas,
             keep_records: false,
-            enforce_gpu_memory: true,
             refine_models: true,
             queue: QueueBackend::resolve(),
         }
@@ -335,60 +330,58 @@ fn simulate_in_arena(
 
                 // GPU memory management: make room for (and pin) every
                 // operand before planning the fetches.
-                if options.enforce_gpu_memory {
-                    if let MemNode::Gpu(g) = dst {
-                        let operands = graph.unique_data(task);
-                        let incoming: ugpc_hwsim::Bytes = operands
-                            .iter()
-                            .filter(|&&d| !gpu_mem[g].is_resident(d))
-                            .map(|&d| data.bytes(d))
-                            .sum();
-                        // Pin first so make_room cannot evict our own
-                        // already-resident operands.
-                        for &d in operands {
-                            if gpu_mem[g].is_resident(d) {
-                                gpu_mem[g].pin(d);
-                            }
+                if let MemNode::Gpu(g) = dst {
+                    let operands = graph.unique_data(task);
+                    let incoming: ugpc_hwsim::Bytes = operands
+                        .iter()
+                        .filter(|&&d| !gpu_mem[g].is_resident(d))
+                        .map(|&d| data.bytes(d))
+                        .sum();
+                    // Pin first so make_room cannot evict our own
+                    // already-resident operands.
+                    for &d in operands {
+                        if gpu_mem[g].is_resident(d) {
+                            gpu_mem[g].pin(d);
                         }
-                        for (victim, writeback) in gpu_mem[g].make_room(incoming, data) {
+                    }
+                    for (victim, writeback) in gpu_mem[g].make_room(incoming, data) {
+                        feed(
+                            observers,
+                            &mut hook,
+                            &ExecEvent::Eviction {
+                                data: victim,
+                                device: g,
+                                at: now,
+                            },
+                        );
+                        if writeback {
+                            let bytes = data.bytes(victim);
+                            let st = now.max(d2h_free[g]);
+                            let en = st + links.d2h_time(bytes);
+                            d2h_free[g] = en;
+                            data.add_replica(victim, MemNode::Host);
                             feed(
                                 observers,
                                 &mut hook,
-                                &ExecEvent::Eviction {
+                                &ExecEvent::Writeback {
                                     data: victim,
                                     device: g,
-                                    at: now,
+                                    bytes,
+                                    start: st,
+                                    end: en,
                                 },
                             );
-                            if writeback {
-                                let bytes = data.bytes(victim);
-                                let st = now.max(d2h_free[g]);
-                                let en = st + links.d2h_time(bytes);
-                                d2h_free[g] = en;
-                                data.add_replica(victim, MemNode::Host);
-                                feed(
-                                    observers,
-                                    &mut hook,
-                                    &ExecEvent::Writeback {
-                                        data: victim,
-                                        device: g,
-                                        bytes,
-                                        start: st,
-                                        end: en,
-                                    },
-                                );
-                                // Space is free once the copy-out lands.
-                                data_ready = data_ready.max(en);
-                            }
-                            data.invalidate_at(victim, MemNode::Gpu(g));
+                            // Space is free once the copy-out lands.
+                            data_ready = data_ready.max(en);
                         }
-                        // Allocate + pin incoming operands (transfers for
-                        // reads are planned below; writes just allocate).
-                        for &d in operands {
-                            if !gpu_mem[g].is_resident(d) {
-                                gpu_mem[g].note_resident(d, data.bytes(d));
-                                gpu_mem[g].pin(d);
-                            }
+                        data.invalidate_at(victim, MemNode::Gpu(g));
+                    }
+                    // Allocate + pin incoming operands (transfers for
+                    // reads are planned below; writes just allocate).
+                    for &d in operands {
+                        if !gpu_mem[g].is_resident(d) {
+                            gpu_mem[g].note_resident(d, data.bytes(d));
+                            gpu_mem[g].pin(d);
                         }
                     }
                 }
@@ -552,11 +545,9 @@ fn simulate_in_arena(
                 // other devices are invalidated and their memory freed.
                 for &(d, mode) in &desc.data {
                     if mode.writes() {
-                        if options.enforce_gpu_memory {
-                            for (g, mem) in gpu_mem.iter_mut().enumerate() {
-                                if MemNode::Gpu(g) != dst {
-                                    mem.drop_if_present(d);
-                                }
+                        for (g, mem) in gpu_mem.iter_mut().enumerate() {
+                            if MemNode::Gpu(g) != dst {
+                                mem.drop_if_present(d);
                             }
                         }
                         data.write_at(d, dst);
@@ -631,11 +622,9 @@ fn simulate_in_arena(
                 for ev in completed.iter() {
                     let SimEvent::Task(task) = *ev else { continue };
                     remaining -= 1;
-                    if options.enforce_gpu_memory {
-                        if let WorkerKind::Gpu { device } = workers[task_worker[task]].kind {
-                            for &d in graph.unique_data(task) {
-                                gpu_mem[device].unpin(d);
-                            }
+                    if let WorkerKind::Gpu { device } = workers[task_worker[task]].kind {
+                        for &d in graph.unique_data(task) {
+                            gpu_mem[device].unpin(d);
                         }
                     }
                     for &s in graph.successors(task) {

@@ -74,10 +74,15 @@ impl Client {
 
     /// Write one request line without waiting for the reply — the
     /// pipelining half of [`Client::recv`]. Replies arrive in request
-    /// order (one per request; one per slot for `Batch`).
+    /// order, one per request.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let line = encode(request);
-        self.writer.write_all(line.as_bytes())?;
+        self.send_raw(encode(request).as_bytes())
+    }
+
+    /// [`Client::send`] for raw bytes, which need be neither JSON nor
+    /// UTF-8 — the tests use this to probe malformed-input handling.
+    pub fn send_raw(&mut self, raw_line: &[u8]) -> Result<(), ClientError> {
+        self.writer.write_all(raw_line)?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         Ok(())
@@ -86,15 +91,6 @@ impl Client {
     /// Read the next in-order response line — the other half of
     /// [`Client::send`].
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        self.read_response()
-    }
-
-    /// Send raw bytes (not necessarily valid JSON) and read the reply —
-    /// the tests use this to probe malformed-input handling.
-    pub fn roundtrip_raw(&mut self, raw_line: &str) -> Result<Response, ClientError> {
-        self.writer.write_all(raw_line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         self.read_response()
     }
 

@@ -6,13 +6,12 @@
 //! ## Pipelining and ordering
 //!
 //! A connection may send many request lines without reading replies.
-//! Every line (and every slot of a `batch` line) is assigned a
-//! connection-local sequence number when it is parsed; replies are
-//! emitted strictly in sequence order, buffered in a reorder window when
-//! simulations complete out of order. The reply *bytes* on every path
-//! are produced by the same [`Service`] entry points as the in-process
-//! [`Service::handle_line`], so the two are byte-identical by
-//! construction (the differential suite pins this).
+//! Every line is assigned a connection-local sequence number when it is
+//! parsed; replies are emitted strictly in sequence order, buffered in a
+//! reorder window when simulations complete out of order. The reply
+//! *bytes* on every path are produced by the same [`Service`] entry
+//! points as the in-process [`Service::handle_line`], so the two are
+//! byte-identical by construction (the differential suite pins this).
 //!
 //! ## Shard anatomy
 //!
@@ -392,15 +391,12 @@ fn read_and_process(
     let mut start = 0usize;
     while let Some(nl) = rbuf[scan..].iter().position(|&b| b == b'\n') {
         let end = scan + nl;
-        let Ok(line) = std::str::from_utf8(&rbuf[start..end]) else {
-            // Invalid UTF-8 is not a request line: drop the connection.
-            conn.read_closed = true;
-            start = rbuf.len();
-            break;
-        };
+        let line = &rbuf[start..end];
         start = end + 1;
         scan = start;
-        if line.trim().is_empty() {
+        // Blank lines are skipped; a line that is not UTF-8 is answered
+        // `bad_request` in its slot like any other unparseable line.
+        if std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         process_line(shard_idx, shared, service, token, conn, line, memo, arrival);
@@ -452,7 +448,7 @@ fn record_span(service: &Arc<Service>, shard_idx: usize, mut spans: Option<Reque
     }
 }
 
-/// Parse one wire line and enqueue its reply slot(s). Byte-identical
+/// Parse one wire line and enqueue its reply slot. Byte-identical
 /// repeats of plain `run` lines short-circuit through the
 /// request-identity memo when allowed (see `Service::memo_allowed`).
 #[allow(clippy::too_many_arguments)]
@@ -462,14 +458,14 @@ fn process_line(
     service: &Arc<Service>,
     token: u64,
     conn: &mut Conn,
-    line: &str,
+    line: &[u8],
     memo: &mut HashMap<Box<[u8]>, CacheKey>,
     arrival: Option<(u64, u64)>,
 ) {
     let mut spans = begin_spans(service, shard_idx, arrival);
     let memo_ok = service.memo_allowed();
     if memo_ok {
-        if let Some(&key) = memo.get(line.as_bytes()) {
+        if let Some(&key) = memo.get(line) {
             if let Some(reply) = service.fast_run_hit(key, shard_idx) {
                 service.mark_phase(&mut spans, Phase::CacheLookup);
                 let seq = conn.alloc_seq();
@@ -491,32 +487,27 @@ fn process_line(
             // Perfetto replies embed a server-minted trace context when
             // the client supplies none, so only plain runs are
             // memoizable by line bytes.
-            if memo_ok && !run.wants_perfetto() && !memo.contains_key(line.as_bytes()) {
+            if memo_ok && !run.wants_perfetto() && !memo.contains_key(line) {
                 if memo.len() >= MEMO_CAP {
                     memo.clear();
                 }
-                memo.insert(line.as_bytes().into(), run.cache_key());
+                memo.insert(line.into(), run.cache_key());
             }
-            submit_run(shard_idx, shared, service, token, conn, run, spans)
-        }
-        Ok(Request::Batch(runs)) => match service.admit_batch(&runs) {
-            Err(error_line) => {
-                let error_line: Arc<str> = error_line.into();
-                for _ in 0..runs.len() {
-                    let seq = conn.alloc_seq();
-                    conn.pending.insert(seq, error_line.clone());
-                }
+            // Immediate replies (validation errors, cache hits,
+            // backpressure) land in the reorder window now; otherwise the
+            // flight's completion callback routes the reply back through
+            // `completions`.
+            let seq = conn.alloc_seq();
+            let cb_shared = shared.clone();
+            let immediate = service.handle_run_async(run, shard_idx, spans, move |line, spans| {
+                cb_shared.completions.lock().push((token, seq, line, spans));
+                cb_shared.poller.wake();
+            });
+            if let Some((reply, spans)) = immediate {
+                conn.pending.insert(seq, reply);
                 record_span(service, shard_idx, spans);
             }
-            Ok(()) => {
-                // Each batch slot journals its own span (the checkpoint
-                // struct is `Copy`); they share the open/Accept/Parse
-                // checkpoints of the carrying line.
-                for run in runs {
-                    submit_run(shard_idx, shared, service, token, conn, run, spans);
-                }
-            }
-        },
+        }
         // Ops requests are cheap and answered inline (Shutdown sets the
         // flag; the loop observes it after this event round).
         Ok(other) => {
@@ -526,30 +517,6 @@ fn process_line(
             conn.pending.insert(seq, reply.into());
             record_span(service, shard_idx, spans);
         }
-    }
-}
-
-/// Start one run slot: immediate replies (validation errors, cache hits,
-/// backpressure) land in the reorder window now; otherwise the flight's
-/// completion callback routes the reply back through `completions`.
-fn submit_run(
-    shard_idx: usize,
-    shared: &Arc<ShardShared>,
-    service: &Arc<Service>,
-    token: u64,
-    conn: &mut Conn,
-    run: crate::protocol::RunRequest,
-    spans: Option<RequestSpans>,
-) {
-    let seq = conn.alloc_seq();
-    let cb_shared = shared.clone();
-    let immediate = service.handle_run_async(run, shard_idx, spans, move |line, spans| {
-        cb_shared.completions.lock().push((token, seq, line, spans));
-        cb_shared.poller.wake();
-    });
-    if let Some((reply, spans)) = immediate {
-        conn.pending.insert(seq, reply);
-        record_span(service, shard_idx, spans);
     }
 }
 

@@ -52,8 +52,8 @@ pub use persist::AppendLog;
 pub use pool::WorkerPool;
 pub use protocol::{
     error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun, PhaseLatency,
-    Request, Response, RunRequest, SpanDump, MAX_BATCH, MAX_DYNAMIC_ITERATIONS, MAX_LINE_BYTES,
-    MAX_NT, MAX_POWER_BINS,
+    Request, Response, RunRequest, SpanDump, MAX_DYNAMIC_ITERATIONS, MAX_LINE_BYTES, MAX_NT,
+    MAX_POWER_BINS,
 };
 pub use server::{Server, ServerHandle};
 pub use service::{ServeOptions, Service, CACHE_SHARDS, RECORDER_CAPACITY};

@@ -2,7 +2,7 @@
 //! response line per request, in order.
 //!
 //! ```text
-//! -> {"Run": {"config": {...RunConfig...}, "record_tasks": false, "dynamic_iterations": null}}
+//! -> {"Run": {"config": {...RunConfig...}, "dynamic_iterations": null}}
 //! <- {"Run": {...RunReport...}}
 //! -> {"Stats": null}
 //! <- {"Stats": {...StatsReport...}}
@@ -20,13 +20,13 @@ use ugpc_control::ControllerSpec;
 use ugpc_core::{CacheKey, ControlledRun, DynamicStudyReport, RunConfig, RunReport, TracedRun};
 use ugpc_telemetry::TraceCtx;
 
-/// One simulation request: a full [`RunConfig`] plus service-level options.
+/// One simulation request: a full [`RunConfig`] plus service-level
+/// options. `config` is the whole run identity. Every other field is an
+/// `Option`, so a line that omits it still decodes, and a field the
+/// request does not know is ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRequest {
     pub config: RunConfig,
-    /// Keep per-task records in the simulator trace (forces
-    /// `config.keep_records`; part of the cache identity).
-    pub record_tasks: bool,
     /// `Some(k)` runs the k-iteration dynamic-capping study instead of a
     /// single static run, answering with `Response::Dynamic`.
     pub dynamic_iterations: Option<usize>,
@@ -61,7 +61,6 @@ impl RunRequest {
     pub fn new(config: RunConfig) -> Self {
         RunRequest {
             config,
-            record_tasks: false,
             dynamic_iterations: None,
             power_bins: None,
             trace: None,
@@ -75,27 +74,11 @@ impl RunRequest {
         self.perfetto == Some(true)
     }
 
-    /// The effective config the simulator will see (`record_tasks`
-    /// folded in).
-    pub fn effective_config(&self) -> RunConfig {
-        let mut cfg = self.config.clone();
-        cfg.keep_records |= self.record_tasks;
-        cfg
-    }
-
-    /// Content-addressed identity of this request: the effective
-    /// config's key, extended with the request kind and the dynamic
-    /// iteration count so static and dynamic studies of the same config
-    /// never alias.
+    /// Content-addressed identity of this request: the config's key,
+    /// extended with the request kind and the dynamic iteration count so
+    /// static and dynamic studies of the same config never alias.
     pub fn cache_key(&self) -> CacheKey {
-        self.cache_key_with(&self.effective_config())
-    }
-
-    /// [`cache_key`](RunRequest::cache_key) with the effective config
-    /// already at hand — the service's hot path computes it once for
-    /// validation and reuses it here instead of recloning the config.
-    pub fn cache_key_with(&self, effective: &RunConfig) -> CacheKey {
-        let key = effective.cache_key();
+        let key = self.config.cache_key();
         let mut tail = vec![0x10];
         match self.dynamic_iterations {
             None => tail.push(0x00),
@@ -204,15 +187,9 @@ pub struct IntrospectReport {
 /// Everything a client can ask the service.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Request {
-    /// Simulate (or fetch from cache) one run.
+    /// Simulate (or fetch from cache) one run. Many runs are many
+    /// pipelined `Run` lines, answered in request order.
     Run(RunRequest),
-    /// Batch submission: one request line carrying N runs, answered as N
-    /// ordered response lines (reply `i` answers run `i`; each run is
-    /// validated, cached, and single-flighted independently). An empty
-    /// batch is answered with zero lines; a batch beyond [`MAX_BATCH`]
-    /// answers every slot with a `bad_request` error so the client's
-    /// reply count always matches its request count.
-    Batch(Vec<RunRequest>),
     /// Ops snapshot: uptime, queue, cache counters, latency histograms.
     Stats,
     /// Prometheus text exposition of every registered instrument.
@@ -230,8 +207,9 @@ pub enum Request {
 }
 
 /// Longest request line the service buffers, newline excluded: 1 MiB,
-/// over 30 times the largest 64-slot batch line. A connection that sends
-/// more without a newline is answered `bad_request` and closed.
+/// over 2 000 times the largest encoded `Run` line (a controlled POTRF
+/// run with a CPU cap and a trace context, 445 bytes). A connection that
+/// sends more without a newline is answered `bad_request` and closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Most tiles per dimension a run may ask for; a bigger config is
@@ -243,10 +221,6 @@ pub const MAX_DYNAMIC_ITERATIONS: usize = 200;
 
 /// Largest accepted `power_bins` (bounds the size of a traced reply).
 pub const MAX_POWER_BINS: usize = 4096;
-
-/// Largest accepted [`Request::Batch`]; a bigger batch answers every
-/// slot with `bad_request`.
-pub const MAX_BATCH: usize = 64;
 
 /// Machine-readable error categories.
 pub mod error_code {
@@ -357,8 +331,7 @@ mod tests {
         for r in [
             Request::Run(req()),
             Request::Run(traced),
-            Request::Batch(vec![]),
-            Request::Batch(vec![req(), dynamic]),
+            Request::Run(dynamic),
             Request::Stats,
             Request::Metrics,
             Request::ClearCache,
@@ -460,15 +433,6 @@ mod tests {
         traced64.power_bins = Some(64);
         assert_ne!(stat.cache_key(), traced32.cache_key());
         assert_ne!(traced32.cache_key(), traced64.cache_key());
-        // record_tasks is part of the identity (it changes the effective
-        // config), but two requests with the same effective config share
-        // a key.
-        let mut recorded = req();
-        recorded.record_tasks = true;
-        assert_ne!(stat.cache_key(), recorded.cache_key());
-        let mut explicit = req();
-        explicit.config.keep_records = true;
-        assert_eq!(recorded.cache_key(), explicit.cache_key());
     }
 
     /// The cache keys of the five reply shapes, pinned: an append log
@@ -503,6 +467,21 @@ mod tests {
             ],
             "{keys:#x?}"
         );
+    }
+
+    /// Every `Run` line an earlier build encoded carries a flag field
+    /// the request no longer has. Such a line still decodes, to the key
+    /// of the same request without it.
+    #[test]
+    fn legacy_run_lines_keep_their_key() {
+        let line = encode(&Request::Run(req()));
+        let legacy = line.replacen("{\"Run\":{", "{\"Run\":{\"record_tasks\":false,", 1);
+        assert_ne!(legacy, line, "field not inserted");
+        let Request::Run(old) = decode::<Request>(&legacy).expect("legacy line decodes") else {
+            panic!("wrong variant");
+        };
+        assert_eq!(old.cache_key(), req().cache_key());
+        assert_eq!(encode(&Request::Run(old)), line);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The TCP layer: bind a listener and hand it to the non-blocking
-//! sharded event loop in [`crate::eventloop`], with request pipelining
-//! and batch submission. The server exits when a `Shutdown` request
+//! sharded event loop in [`crate::eventloop`], with request pipelining.
+//! The server exits when a `Shutdown` request
 //! arrives — the handler sets the service flag and pokes the listener
 //! with a loopback connect so `accept` returns.
 

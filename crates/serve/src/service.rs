@@ -14,15 +14,15 @@ use crate::persist::AppendLog;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     decode, encode, error_code, ErrorReply, IntrospectReport, IntrospectRequest, PerfettoRun,
-    PhaseLatency, Request, Response, RunRequest, SpanDump, MAX_BATCH, MAX_DYNAMIC_ITERATIONS,
-    MAX_LINE_BYTES, MAX_NT, MAX_POWER_BINS,
+    PhaseLatency, Request, Response, RunRequest, SpanDump, MAX_DYNAMIC_ITERATIONS, MAX_LINE_BYTES,
+    MAX_NT, MAX_POWER_BINS,
 };
 use crate::stats::{CacheStats, Metrics, PersistStats, StatsReport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use ugpc_core::{run_dynamic_study, try_run_study_with, RunConfig, StudyOptions, TracedRun};
+use ugpc_core::{run_dynamic_study, try_run_study_with, StudyOptions, TracedRun};
 use ugpc_runtime::{Observer, PerfettoSink, PowerTimeline};
 use ugpc_telemetry::{
     json_str, FlightRecorder, HistogramSnapshot, Level, Logger, Phase, RequestSpans, SpanTree,
@@ -43,7 +43,7 @@ pub const CACHE_SHARDS: usize = 8;
 pub const RECORDER_CAPACITY: usize = 256;
 
 /// The settings a deployment picks for one service instance. Request
-/// limits are fixed constants ([`MAX_NT`], [`MAX_BATCH`], …).
+/// limits are fixed constants ([`MAX_NT`], [`MAX_POWER_BINS`], …).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Simulation worker threads.
@@ -162,49 +162,51 @@ impl Service {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Decode one wire line, counting it and producing the parse-error
-    /// reply line on failure. One increment of `requests_total` per wire
-    /// line, batch or not.
-    pub(crate) fn decode_line(&self, line: &str) -> Result<Request, String> {
+    /// Decode one wire line, counting it; a line that is not UTF-8 or not
+    /// a request gets the `bad_request` reply line instead.
+    pub(crate) fn decode_line(&self, line: &[u8]) -> Result<Request, String> {
         self.metrics.requests_total.inc();
-        decode::<Request>(line.trim()).map_err(|e| {
-            self.metrics.parse_errors.inc();
-            self.logger.warn("unparseable request line", None, &[]);
-            encode(&Response::Error(ErrorReply::new(
-                error_code::BAD_REQUEST,
-                format!("unparseable request: {e}"),
-            )))
-        })
+        std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(|line| decode::<Request>(line.trim()))
+            .map_err(|e| {
+                self.parse_error(
+                    "unparseable request line",
+                    format!("unparseable request: {e}"),
+                )
+            })
     }
 
     /// The reply to a line longer than [`MAX_LINE_BYTES`], counted as a
     /// request that failed to parse.
     pub(crate) fn oversized_line_reply(&self) -> String {
         self.metrics.requests_total.inc();
+        self.parse_error(
+            "request line over the size limit",
+            format!("request line longer than {MAX_LINE_BYTES} bytes"),
+        )
+    }
+
+    /// Count, log and encode one `bad_request` reply.
+    fn parse_error(&self, log: &str, message: String) -> String {
         self.metrics.parse_errors.inc();
-        self.logger
-            .warn("request line over the size limit", None, &[]);
+        self.logger.warn(log, None, &[]);
         encode(&Response::Error(ErrorReply::new(
             error_code::BAD_REQUEST,
-            format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            message,
         )))
     }
 
     /// Handle one wire line, returning the response line (without the
     /// trailing newline). Never panics on malformed input. Runs take the
-    /// event loop's path and block until their completion callback
-    /// fires, so the bytes are the wire's bytes. Single-reply entry
-    /// point: a `Batch` line is answered with a structured error.
+    /// event loop's path on shard 0 and block until their completion
+    /// callback fires, so the bytes are the wire's bytes.
     pub fn handle_line(self: &Arc<Self>, line: &str) -> String {
-        match self.decode_line(line) {
-            Err(error_line) => error_line,
-            Ok(Request::Run(run)) => self.handle_run(run),
-            Ok(request) => self.handle_op(request),
-        }
-    }
-
-    /// [`Service::handle_run_async`] on shard 0, waiting for the reply.
-    fn handle_run(self: &Arc<Self>, run: RunRequest) -> String {
+        let run = match self.decode_line(line.as_bytes()) {
+            Err(error_line) => return error_line,
+            Ok(Request::Run(run)) => run,
+            Ok(request) => return self.handle_op(request),
+        };
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let immediate = self.handle_run_async(run, 0, None, move |line, _| {
             let _ = tx.send(line);
@@ -219,23 +221,8 @@ impl Service {
         line.to_string()
     }
 
-    /// Batch admission: every slot of an over-sized batch gets the same
-    /// error line so the client's reply count matches its request count.
-    pub(crate) fn admit_batch(&self, runs: &[RunRequest]) -> Result<(), String> {
-        if runs.len() > MAX_BATCH {
-            return Err(encode(&Response::Error(ErrorReply::new(
-                error_code::BAD_REQUEST,
-                format!(
-                    "batch of {} exceeds this service's limit of {MAX_BATCH}",
-                    runs.len()
-                ),
-            ))));
-        }
-        Ok(())
-    }
-
-    /// Answer one ops request inline: everything but `Run` and `Batch`,
-    /// which need the run path.
+    /// Answer one ops request inline: everything but `Run`, which needs
+    /// the run path.
     pub(crate) fn handle_op(&self, request: Request) -> String {
         match request {
             Request::Ping => encode(&Response::Pong),
@@ -267,11 +254,10 @@ impl Service {
                 self.request_shutdown();
                 encode(&Response::ShuttingDown)
             }
-            // Only a `Batch` line through `handle_line` gets here: both
-            // callers dispatch runs before calling this.
-            Request::Run(_) | Request::Batch(_) => encode(&Response::Error(ErrorReply::new(
+            // Both callers dispatch runs before calling this.
+            Request::Run(_) => encode(&Response::Error(ErrorReply::new(
                 error_code::BAD_REQUEST,
-                "batch requests need a batch-aware transport entry point",
+                "run requests need the run path",
             ))),
         }
     }
@@ -456,19 +442,16 @@ impl Service {
             s.set_trace(ctx);
         }
         let lat = self.metrics.latency_shard(shard);
-        let cfg = match self.validate_run(&run) {
-            Ok(cfg) => cfg,
-            Err(reply) => {
-                self.metrics.invalid_configs.inc();
-                self.logger.warn(
-                    "run rejected",
-                    Some(ctx),
-                    &[("reason", json_str(&reply.message))],
-                );
-                return Some((encode(&Response::Error(reply)).into(), spans));
-            }
-        };
-        let begun = self.cache.begin(run.cache_key_with(&cfg));
+        if let Err(reply) = self.validate_run(&run) {
+            self.metrics.invalid_configs.inc();
+            self.logger.warn(
+                "run rejected",
+                Some(ctx),
+                &[("reason", json_str(&reply.message))],
+            );
+            return Some((encode(&Response::Error(reply)).into(), spans));
+        }
+        let begun = self.cache.begin(run.cache_key());
         self.mark_phase(&mut spans, Phase::CacheLookup);
         match begun {
             Begin::Hit(line) => {
@@ -551,10 +534,8 @@ impl Service {
     }
 
     /// Service-level admission checks on top of `RunConfig::validate`.
-    /// Returns the effective config on success so the run paths can key
-    /// the cache without recomputing it.
-    fn validate_run(&self, run: &RunRequest) -> Result<RunConfig, ErrorReply> {
-        let cfg = run.effective_config();
+    fn validate_run(&self, run: &RunRequest) -> Result<(), ErrorReply> {
+        let cfg = &run.config;
         cfg.validate()
             .map_err(|e| ErrorReply::new(error_code::INVALID_CONFIG, e.to_string()))?;
         if cfg.nt() > MAX_NT {
@@ -619,7 +600,7 @@ impl Service {
             spec.validate()
                 .map_err(|e| ErrorReply::new(error_code::INVALID_CONFIG, e))?;
         }
-        Ok(cfg)
+        Ok(())
     }
 
     pub fn stats_report(&self) -> StatsReport {
@@ -711,9 +692,9 @@ fn render_flight(res: Result<Arc<str>, String>) -> Arc<str> {
 /// different options; the between-iteration dynamic study is a loop of
 /// them.
 fn simulate_response(run: &RunRequest) -> Response {
-    let cfg = run.effective_config();
+    let cfg = &run.config;
     if let Some(k) = run.dynamic_iterations {
-        return match run_dynamic_study(&cfg, k) {
+        return match run_dynamic_study(cfg, k) {
             Ok(report) => Response::Dynamic(report),
             Err(e) => Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string())),
         };
@@ -739,7 +720,7 @@ fn simulate_response(run: &RunRequest) -> Response {
         observers,
         ..Default::default()
     };
-    let study = match try_run_study_with(&cfg, options) {
+    let study = match try_run_study_with(cfg, options) {
         Ok(study) => study,
         Err(e) => {
             return Response::Error(ErrorReply::new(error_code::INVALID_CONFIG, e.to_string()))
@@ -801,6 +782,22 @@ mod tests {
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.simulations_executed, 1, "hit skipped the pool");
+    }
+
+    /// A client writing the line by hand sends only the config; every
+    /// other field of the request is optional.
+    #[test]
+    fn a_run_line_with_only_a_config_is_served() {
+        let svc = small_service();
+        let bare = format!("{{\"Run\":{{\"config\":{}}}}}", encode(&tiny()));
+        let first = svc.handle_line(&bare);
+        assert!(
+            matches!(decode::<Response>(&first), Ok(Response::Run(_))),
+            "{first}"
+        );
+        let full = encode(&Request::Run(RunRequest::new(tiny())));
+        assert_eq!(svc.handle_line(&full), first, "one request, one cache slot");
+        assert_eq!(svc.stats_report().simulations_executed, 1);
     }
 
     #[test]
@@ -870,11 +867,6 @@ mod tests {
                 expected
             );
         }
-        let batch = vec![RunRequest::new(tiny()); MAX_BATCH + 1];
-        assert_eq!(
-            message(svc.admit_batch(&batch).expect_err("over the limit")),
-            "batch of 65 exceeds this service's limit of 64"
-        );
         assert_eq!(svc.stats_report().simulations_executed, 0);
     }
 

@@ -72,8 +72,8 @@ impl ShardLatencies {
 /// merge discipline as the per-shard latency histograms).
 #[derive(Default)]
 pub struct ShardDepths {
-    /// Request slots the shard's connections have admitted but not yet
-    /// answered (a batch line counts once per slot).
+    /// Request lines the shard's connections have admitted but not yet
+    /// answered.
     pub inbox_depth: AtomicU64,
     /// Bytes buffered across the shard's connection write buffers.
     pub write_backlog_bytes: AtomicU64,

@@ -18,7 +18,7 @@ use ugpc_serve::{
 };
 
 #[test]
-fn the_largest_batch_line_is_far_below_the_line_limit() {
+fn the_largest_run_line_is_far_below_the_line_limit() {
     let mut run = RunRequest::new(
         RunConfig::paper(PlatformId::Amd4A100, OpKind::Potrf, Precision::Double)
             .with_cpu_cap(0, Watts(100.0)),
@@ -28,8 +28,56 @@ fn the_largest_batch_line_is_far_below_the_line_limit() {
         trace_id: u64::MAX,
         span_id: u64::MAX,
     });
-    let line = encode(&Request::Batch(vec![run; 64]));
-    assert!(line.len() * 8 < MAX_LINE_BYTES, "{} bytes", line.len());
+    let line = encode(&Request::Run(run));
+    assert!(line.len() * 2048 < MAX_LINE_BYTES, "{} bytes", line.len());
+}
+
+fn assert_bad_request(reply: Response) {
+    match reply {
+        Response::Error(e) => assert_eq!(e.code, error_code::BAD_REQUEST, "{e:?}"),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_line_that_is_not_utf8_gets_bad_request_in_its_slot() {
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default())
+        .unwrap()
+        .spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.send(&Request::Ping).unwrap();
+    client.send_raw(b"{\"Ping\xff\":null}").unwrap();
+    client.send(&Request::Ping).unwrap();
+    assert!(matches!(client.recv().unwrap(), Response::Pong));
+    assert_bad_request(client.recv().unwrap());
+    assert!(matches!(client.recv().unwrap(), Response::Pong));
+    let stats = client.stats().unwrap();
+    handle.stop();
+    // The three lines and the Stats request itself.
+    assert_eq!((stats.requests_total, stats.parse_errors), (4, 1));
+}
+
+/// The removed batch form, as an earlier build accepted it: one line
+/// of two runs, each with the flag field that build required.
+#[test]
+fn a_batch_line_is_one_bad_request_and_runs_nothing() {
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default())
+        .unwrap()
+        .spawn();
+    let cfg = encode(
+        &RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double).scaled_down(8),
+    );
+    let run = format!("{{\"config\":{cfg},\"record_tasks\":false}}");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client
+        .send_raw(format!("{{\"Batch\":[{run},{run}]}}").as_bytes())
+        .unwrap();
+    assert_bad_request(client.recv().unwrap());
+    client.ping().unwrap();
+    let stats = client.stats().unwrap();
+    handle.stop();
+    assert_eq!(stats.parse_errors, 1);
+    assert_eq!(stats.simulations_executed, 0);
 }
 
 #[test]

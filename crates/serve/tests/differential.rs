@@ -6,8 +6,8 @@
 //! produces **byte-identical reply lines** to an in-process service fed
 //! the same lines, the same cache-slot behavior (same misses, same
 //! simulation count, same retained entries), and the same structured
-//! errors — whether requests arrive one at a time (sequential), many in
-//! flight on one connection (pipelined), or as a single `batch` line.
+//! errors — whether requests arrive one at a time (sequential) or many in
+//! flight on one connection (pipelined).
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -118,29 +118,17 @@ fn exchange_pipelined(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     read_replies(&mut reader, lines.len())
 }
 
-/// One `batch` wire line carrying N configs; N ordered reply lines.
-fn exchange_batched(addr: SocketAddr, configs: &[RunConfig]) -> Vec<String> {
-    let (mut reader, mut writer) = connect(addr);
-    let runs: Vec<RunRequest> = configs.iter().cloned().map(RunRequest::new).collect();
-    let line = encode(&Request::Batch(runs));
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.write_all(b"\n").unwrap();
-    writer.flush().unwrap();
-    read_replies(&mut reader, configs.len())
-}
-
 fn stats_of(addr: SocketAddr) -> StatsReport {
     Client::connect(addr).unwrap().stats().unwrap()
 }
 
-const SCENARIOS: [&str; 3] = ["sequential", "pipelined", "batched"];
+const SCENARIOS: [&str; 2] = ["sequential", "pipelined"];
 
 /// Submit `configs` to the server at `addr` in the `scenario` shape.
 fn exchange(addr: SocketAddr, scenario: &str, configs: &[RunConfig]) -> Vec<String> {
     match scenario {
         "sequential" => exchange_sequential(addr, &run_lines(configs)),
         "pipelined" => exchange_pipelined(addr, &run_lines(configs)),
-        "batched" => exchange_batched(addr, configs),
         other => panic!("unknown scenario {other}"),
     }
 }
@@ -155,13 +143,13 @@ fn run_scenario(scenario: &str) -> (Vec<String>, StatsReport) {
     (replies, stats)
 }
 
-/// Every submission shape (sequential, pipelined, batched) against the
+/// Every submission shape (sequential, pipelined) against the
 /// in-process reference. Reply bytes must be identical across every
 /// shape, and cache-slot behavior must agree: four misses (the four
 /// distinct configs), four simulations, four retained entries, and the
 /// repeated slot answered without a fifth simulation — from the ready
 /// entry (a hit) or by coalescing behind the identical in-flight leader
-/// (pipelined/batched submission races the repeat against its twin; both
+/// (pipelined submission races the repeat against its twin; both
 /// are legal, and either way the bytes match).
 #[test]
 fn reply_bytes_match_in_process_across_scenarios() {
@@ -198,25 +186,6 @@ fn reply_bytes_match_in_process_across_scenarios() {
         assert_eq!(stats.parse_errors, 0, "{scenario}");
         assert_eq!(stats.invalid_configs, 0, "{scenario}");
     }
-}
-
-/// A batch slot and a standalone run of the same config share one cache
-/// slot: the standalone run's entry answers the batch slot (and the
-/// bytes match).
-#[test]
-fn batch_slots_share_cache_slots_with_single_runs() {
-    let handle = spawn();
-    let single = exchange_sequential(handle.addr(), &run_lines(&[tiny()]));
-    let batch = exchange_batched(handle.addr(), &[tiny(), seeded(9)]);
-    let stats = stats_of(handle.addr());
-    handle.stop();
-    assert_eq!(
-        batch[0], single[0],
-        "batch slot must replay the single run's bytes"
-    );
-    assert_eq!(stats.cache.misses, 2, "tiny() missed only once");
-    assert_eq!(stats.cache.hits, 1, "the batch slot hit it");
-    assert_eq!(stats.simulations_executed, 2);
 }
 
 /// Error slots are part of the differential contract too: an invalid
@@ -269,9 +238,8 @@ fn request_identity_memo_is_invisible_on_the_wire() {
     assert_eq!(stats.cache.hits + stats.cache.coalesced, 11);
 }
 
-/// Raw garbage (not a batch concern — it is not addressable in a batch)
-/// gets the in-process `bad_request` bytes, and the connection survives
-/// to serve the next request identically.
+/// Raw garbage gets the in-process `bad_request` bytes, and the
+/// connection survives to serve the next request identically.
 #[test]
 fn malformed_lines_match_in_process() {
     let lines = [

@@ -1,7 +1,7 @@
 //! Offline shim for `proptest` (see `shims/README.md`).
 //!
 //! Implements the surface this workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`/`prop_filter`, range and tuple
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_filter`, range and tuple
 //! strategies, `collection::vec`, `bool::ANY`, and the `proptest!`,
 //! `prop_assert!`, `prop_assert_eq!` macros. Unlike real proptest there
 //! is no shrinking: a failing case panics with its case index and seed,

@@ -31,24 +31,6 @@ fn eviction_fires_on_oversubscribed_problems_only() {
 }
 
 #[test]
-fn disabling_memory_enforcement_removes_evictions() {
-    let mut node = Node::new(PlatformId::Amd4A100);
-    let mut reg = DataRegistry::new();
-    let op = build_potrf(40, 2880, Precision::Double, &mut reg);
-    let trace = simulate(
-        &mut node,
-        &op.graph,
-        &mut reg,
-        SimOptions {
-            enforce_gpu_memory: false,
-            ..Default::default()
-        },
-    );
-    assert_eq!(trace.evictions, 0);
-    assert_eq!(trace.writebacks, 0);
-}
-
-#[test]
 fn chrome_trace_round_trips_through_json() {
     let mut node = Node::new(PlatformId::Intel2V100);
     let mut reg = DataRegistry::new();
