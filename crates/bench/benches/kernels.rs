@@ -1,6 +1,6 @@
 //! Micro-benches of the substrate itself: reference tile kernels, the
-//! native work-stealing executor, the virtual-time simulator, and DAG
-//! construction — the costs a downstream user of the library pays.
+//! virtual-time simulator, and DAG construction — the costs a downstream
+//! user of the library pays.
 
 // Bench setup code may unwrap, same as tests (the workspace denies
 // unwrap_used in library code only).
@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use ugpc_hwsim::{Node, PlatformId, Precision};
-use ugpc_linalg::{build_gemm, build_potrf, run_potrf_native, spd_tiled, Tile, Trans};
+use ugpc_linalg::{build_gemm, build_potrf, Tile, Trans};
 use ugpc_runtime::{simulate, DataRegistry, SimOptions};
 
 fn tile_kernels(c: &mut Criterion) {
@@ -37,26 +37,6 @@ fn tile_kernels(c: &mut Criterion) {
                 black_box(w)
             })
         });
-    }
-    group.finish();
-}
-
-fn native_executor(c: &mut Criterion) {
-    let mut group = c.benchmark_group("native_executor");
-    group.sample_size(10);
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("potrf_6x32", threads),
-            &threads,
-            |b, &threads| {
-                let mut reg = DataRegistry::new();
-                let op = build_potrf(6, 32, Precision::Double, &mut reg);
-                b.iter(|| {
-                    let a = spd_tiled::<f64>(6, 32, 42);
-                    black_box(run_potrf_native(&op, &a, threads).unwrap().executed)
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -107,11 +87,5 @@ fn graph_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    tile_kernels,
-    native_executor,
-    simulator,
-    graph_construction
-);
+criterion_group!(benches, tile_kernels, simulator, graph_construction);
 criterion_main!(benches);

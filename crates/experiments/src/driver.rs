@@ -3,8 +3,8 @@
 //! Every experiment in this crate is a fan-out of *independent* pure
 //! simulations — ladder configurations, cap-sweep points, tile sizes,
 //! placements. [`par_map`] distributes such a batch over a pool of
-//! worker threads (crossbeam deques, same pattern as the runtime's
-//! `NativeExecutor`) while collecting results in **submission order**:
+//! worker threads (a crossbeam injector feeding per-thread deques, with
+//! stealing) while collecting results in **submission order**:
 //! each job writes into its own index slot, so the output `Vec` is
 //! positionally identical to the serial `items.into_iter().map(f)` —
 //! and, the jobs being pure, byte-identical once serialized. The

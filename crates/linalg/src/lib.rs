@@ -8,8 +8,10 @@
 //!
 //! * handed to the virtual-time simulator (`ugpc_runtime::simulate`) for
 //!   the energy experiments, or
-//! * executed natively on host threads with the real reference kernels in
-//!   [`kernels`], which is how numerical correctness is validated.
+//! * run with the real reference kernels in [`kernels`], one task at a
+//!   time in any topological order (`ugpc_runtime::execute_in_order`),
+//!   which is how numerical correctness is validated: every order must
+//!   give the same bits.
 
 pub mod kernels;
 pub mod matrix;

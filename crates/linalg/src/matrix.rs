@@ -1,5 +1,5 @@
 //! Tiled matrices: an `nt × nt` grid of `nb × nb` tiles (Chameleon's
-//! descriptor layout), with per-tile locks for native parallel execution.
+//! descriptor layout), each tile behind its own lock.
 
 use crate::scalar::Scalar;
 use crate::tile::Tile;

@@ -9,10 +9,10 @@
 use crate::kernels::gemm::{gemm, Trans};
 use crate::matrix::TiledMatrix;
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use ugpc_hwsim::Precision;
 use ugpc_runtime::{
-    AccessMode, DataId, DataRegistry, KernelKind, NativeExecutor, NativeStats, TaskDesc, TaskGraph,
+    execute_in_order, AccessMode, DataId, DataRegistry, KernelKind, TaskDesc, TaskGraph, TaskId,
 };
 
 /// Task coordinates: update `C[i][j] += A[i][k] · B[k][j]`.
@@ -85,23 +85,27 @@ pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     }
 }
 
-/// Execute the operation natively: `c ← a·b + c` with real kernels on host
-/// threads. Returns the executor stats.
-///
-/// Read tiles are copied out under a brief lock, then only the written C
-/// tile is held — no lock-ordering hazard regardless of interleaving.
+/// Execute the operation with the real kernels, one task at a time in
+/// `order` (see [`execute_in_order`]): `c ← a·b + c`.
 pub fn run_gemm_native<T: Scalar>(
     op: &GemmOp,
     a: &TiledMatrix<T>,
     b: &TiledMatrix<T>,
     c: &TiledMatrix<T>,
-    threads: usize,
-) -> NativeStats {
+    order: &[TaskId],
+) {
     assert_eq!(T::precision(), op.precision, "scalar type mismatch");
-    assert_eq!(a.nt(), op.nt);
-    assert_eq!(a.nb(), op.nb);
-    let executed = AtomicUsize::new(0);
-    let stats = NativeExecutor::new(threads).execute(&op.graph, |tid, _| {
+    for (name, m) in [("A", a), ("B", b), ("C", c)] {
+        assert!(
+            m.nt() == op.nt && m.nb() == op.nb,
+            "{name} tile shape mismatch: nt {} nb {}, operation nt {} nb {}",
+            m.nt(),
+            m.nb(),
+            op.nt,
+            op.nb
+        );
+    }
+    execute_in_order(&op.graph, order, |tid| {
         let GemmTaskRef { i, j, k } = op.refs[tid];
         let a_ik = a.tile_clone(i, k);
         let b_kj = b.tile_clone(k, j);
@@ -115,10 +119,9 @@ pub fn run_gemm_native<T: Scalar>(
             T::ONE,
             &mut c_ij,
         );
-        executed.fetch_add(1, Ordering::Relaxed);
-    });
-    debug_assert_eq!(executed.load(Ordering::Relaxed), op.graph.len());
-    stats
+        Ok::<(), Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
 }
 
 #[cfg(test)]
@@ -167,8 +170,7 @@ mod tests {
         let b = TiledMatrix::<f64>::from_fn(nt, nb, |i, j| ((i * 13 + j * 5) % 5) as f64 - 2.0);
         let c = TiledMatrix::<f64>::from_fn(nt, nb, |i, j| ((i + j) % 3) as f64);
         let c0 = c.to_dense();
-        let stats = run_gemm_native(&op, &a, &b, &c, 4);
-        assert_eq!(stats.executed, nt * nt * nt);
+        run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
 
         // Dense reference.
         let mut want = c0;
@@ -195,7 +197,7 @@ mod tests {
         let a = TiledMatrix::<f32>::from_fn(2, 4, |i, _| i as f32);
         let b = TiledMatrix::<f32>::from_fn(2, 4, |_, j| j as f32);
         let c = TiledMatrix::<f32>::zeros(2, 4);
-        run_gemm_native(&op, &a, &b, &c, 2);
+        run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
         let mut want = Tile::zeros(8);
         gemm(
             Trans::No,
@@ -219,6 +221,28 @@ mod tests {
         let a = TiledMatrix::<f32>::zeros(2, 4);
         let b = TiledMatrix::<f32>::zeros(2, 4);
         let c = TiledMatrix::<f32>::zeros(2, 4);
-        run_gemm_native(&op, &a, &b, &c, 1);
+        run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
+    }
+
+    #[test]
+    #[should_panic(expected = "B tile shape mismatch")]
+    fn short_b_panics_before_any_kernel_runs() {
+        let mut reg = DataRegistry::new();
+        let op = build_gemm(3, 4, Precision::Double, &mut reg);
+        let a = TiledMatrix::<f64>::zeros(3, 4);
+        let b = TiledMatrix::<f64>::zeros(2, 4);
+        let c = TiledMatrix::<f64>::zeros(3, 4);
+        run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
+    }
+
+    #[test]
+    #[should_panic(expected = "C tile shape mismatch")]
+    fn wrong_c_tile_size_panics_before_any_kernel_runs() {
+        let mut reg = DataRegistry::new();
+        let op = build_gemm(2, 4, Precision::Double, &mut reg);
+        let a = TiledMatrix::<f64>::zeros(2, 4);
+        let b = TiledMatrix::<f64>::zeros(2, 4);
+        let c = TiledMatrix::<f64>::zeros(2, 8);
+        run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
     }
 }

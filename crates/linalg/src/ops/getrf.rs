@@ -19,10 +19,9 @@ use crate::kernels::gemm::{gemm, Trans};
 use crate::kernels::getrf::{getrf_nopiv, trsm_left_lower_unit, trsm_right_upper, ZeroPivot};
 use crate::matrix::TiledMatrix;
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use ugpc_hwsim::Precision;
 use ugpc_runtime::{
-    AccessMode, DataId, DataRegistry, KernelKind, NativeExecutor, NativeStats, TaskDesc, TaskGraph,
+    execute_in_order, AccessMode, DataId, DataRegistry, KernelKind, TaskDesc, TaskGraph, TaskId,
 };
 
 /// Task coordinates within the factorization.
@@ -126,27 +125,23 @@ pub fn build_getrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
     }
 }
 
-/// Execute natively: `a` becomes L\U in place. Fails on a zero pivot
-/// (use diagonally dominant inputs).
+/// Execute with the real kernels, one task at a time in `order` (see
+/// [`execute_in_order`]): `a` becomes L\U in place. Fails on the first
+/// zero pivot (use diagonally dominant inputs).
 pub fn run_getrf_native<T: Scalar>(
     op: &GetrfOp,
     a: &TiledMatrix<T>,
-    threads: usize,
-) -> Result<NativeStats, ZeroPivot> {
+    order: &[TaskId],
+) -> Result<(), ZeroPivot> {
     assert_eq!(T::precision(), op.precision, "scalar type mismatch");
     assert_eq!(a.nt(), op.nt);
     assert_eq!(a.nb(), op.nb);
-    let failed = AtomicUsize::new(usize::MAX);
-    let stats = NativeExecutor::new(threads).execute(&op.graph, |tid, _| {
-        if failed.load(Ordering::Acquire) != usize::MAX {
-            return;
-        }
+    execute_in_order(&op.graph, order, |tid| {
         match op.refs[tid] {
             GetrfTaskRef::Getrf { k } => {
-                let mut akk = a.tile(k, k);
-                if let Err(e) = getrf_nopiv(&mut akk) {
-                    failed.fetch_min(k * op.nb + e.pivot, Ordering::AcqRel);
-                }
+                getrf_nopiv(&mut a.tile(k, k)).map_err(|e| ZeroPivot {
+                    pivot: k * op.nb + e.pivot,
+                })?;
             }
             GetrfTaskRef::TrsmU { j, k } => {
                 let lkk = a.tile_clone(k, k);
@@ -165,13 +160,8 @@ pub fn run_getrf_native<T: Scalar>(
                 gemm(Trans::No, Trans::No, -T::ONE, &aik, &akj, T::ONE, &mut aij);
             }
         }
-    });
-    let pivot = failed.load(Ordering::Acquire);
-    if pivot == usize::MAX {
-        Ok(stats)
-    } else {
-        Err(ZeroPivot { pivot })
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -214,8 +204,7 @@ mod tests {
         let a0 = a.to_dense();
         let mut reg = DataRegistry::new();
         let op = build_getrf(nt, nb, Precision::Double, &mut reg);
-        let stats = run_getrf_native(&op, &a, 4).unwrap();
-        assert_eq!(stats.executed, GetrfOp::expected_tasks(nt));
+        run_getrf_native(&op, &a, &op.graph.submission_order()).unwrap();
         // L·U must reproduce A.
         let f = a.to_dense();
         let l = crate::tile::Tile::from_fn(n, |i, j| {
@@ -239,7 +228,7 @@ mod tests {
         let a = dd_tiled::<f32>(3, 8, 5);
         let mut reg = DataRegistry::new();
         let op = build_getrf(3, 8, Precision::Single, &mut reg);
-        run_getrf_native(&op, &a, 2).unwrap();
+        run_getrf_native(&op, &a, &op.graph.submission_order()).unwrap();
     }
 
     #[test]
@@ -249,7 +238,7 @@ mod tests {
         let a = TiledMatrix::<f64>::zeros(nt, nb);
         let mut reg = DataRegistry::new();
         let op = build_getrf(nt, nb, Precision::Double, &mut reg);
-        let err = run_getrf_native(&op, &a, 2).unwrap_err();
+        let err = run_getrf_native(&op, &a, &op.graph.submission_order()).unwrap_err();
         assert_eq!(err.pivot, 0);
     }
 

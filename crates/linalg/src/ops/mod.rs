@@ -1,4 +1,5 @@
-//! Tiled operations: DAG builders plus native execution drivers.
+//! Tiled operations: DAG builders plus drivers that run the real kernels
+//! in a given task order.
 
 pub mod gemm;
 pub mod getrf;

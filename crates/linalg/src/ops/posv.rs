@@ -12,10 +12,9 @@ use crate::kernels::syrk::syrk_lower;
 use crate::kernels::trsm::trsm_right_lower_trans;
 use crate::matrix::TiledMatrix;
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use ugpc_hwsim::Precision;
 use ugpc_runtime::{
-    AccessMode, DataId, DataRegistry, KernelKind, NativeExecutor, NativeStats, TaskDesc, TaskGraph,
+    execute_in_order, AccessMode, DataId, DataRegistry, KernelKind, TaskDesc, TaskGraph, TaskId,
 };
 
 /// Task coordinates within the solve.
@@ -192,29 +191,29 @@ pub fn build_posv(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     }
 }
 
-/// Execute natively: factors `a` in place and overwrites the `b` block
-/// column (tiles `(i, 0)` of a tiled matrix) with the solution `X`.
+/// Execute with the real kernels, one task at a time in `order` (see
+/// [`execute_in_order`]): factors `a` in place and overwrites the `b`
+/// block column (tiles `(i, 0)` of a tiled matrix) with the solution `X`.
+/// Fails with the first non-SPD pivot (global index).
 pub fn run_posv_native<T: Scalar>(
     op: &PosvOp,
     a: &TiledMatrix<T>,
     b: &TiledMatrix<T>,
-    threads: usize,
-) -> Result<NativeStats, NotSpd> {
+    order: &[TaskId],
+) -> Result<(), NotSpd> {
     assert_eq!(T::precision(), op.precision, "scalar type mismatch");
     assert_eq!(a.nt(), op.nt);
     assert_eq!(a.nb(), op.nb);
-    assert!(b.nt() >= 1 && b.nb() == op.nb, "RHS tile shape mismatch");
-    let failed = AtomicUsize::new(usize::MAX);
-    let stats = NativeExecutor::new(threads).execute(&op.graph, |tid, _| {
-        if failed.load(Ordering::Acquire) != usize::MAX {
-            return;
-        }
+    assert!(
+        b.nt() == op.nt && b.nb() == op.nb,
+        "RHS tile shape mismatch"
+    );
+    execute_in_order(&op.graph, order, |tid| {
         match op.refs[tid] {
             PosvTaskRef::Potrf { k } => {
-                let mut akk = a.tile(k, k);
-                if let Err(e) = potrf_lower(&mut akk) {
-                    failed.fetch_min(k * op.nb + e.pivot, Ordering::AcqRel);
-                }
+                potrf_lower(&mut a.tile(k, k)).map_err(|e| NotSpd {
+                    pivot: k * op.nb + e.pivot,
+                })?;
             }
             PosvTaskRef::PanelTrsm { i, k } => {
                 let lkk = a.tile_clone(k, k);
@@ -255,13 +254,8 @@ pub fn run_posv_native<T: Scalar>(
                 gemm(Trans::Yes, Trans::No, -T::ONE, &lki, &bk, T::ONE, &mut bi);
             }
         }
-    });
-    let pivot = failed.load(Ordering::Acquire);
-    if pivot == usize::MAX {
-        Ok(stats)
-    } else {
-        Err(NotSpd { pivot })
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -306,7 +300,7 @@ mod tests {
         let b0 = b.to_dense();
         let mut reg = DataRegistry::new();
         let op = build_posv(nt, nb, Precision::Double, &mut reg);
-        run_posv_native(&op, &a, &b, 4).unwrap();
+        run_posv_native(&op, &a, &b, &op.graph.submission_order()).unwrap();
         // Check A₀·X ≈ B₀ on the first block column.
         let n = nt * nb;
         for j in 0..nb {
@@ -330,7 +324,17 @@ mod tests {
         let b = random_tiled::<f32>(3, 8, 56);
         let mut reg = DataRegistry::new();
         let op = build_posv(3, 8, Precision::Single, &mut reg);
-        run_posv_native(&op, &a, &b, 2).unwrap();
+        run_posv_native(&op, &a, &b, &op.graph.submission_order()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "RHS tile shape mismatch")]
+    fn short_rhs_panics_before_any_kernel_runs() {
+        let a = spd_tiled::<f64>(3, 8, 57);
+        let b = random_tiled::<f64>(1, 8, 58);
+        let mut reg = DataRegistry::new();
+        let op = build_posv(3, 8, Precision::Double, &mut reg);
+        let _ = run_posv_native(&op, &a, &b, &op.graph.submission_order());
     }
 
     #[test]
@@ -339,7 +343,8 @@ mod tests {
         let b = random_tiled::<f64>(2, 4, 1);
         let mut reg = DataRegistry::new();
         let op = build_posv(2, 4, Precision::Double, &mut reg);
-        assert!(run_posv_native(&op, &a, &b, 2).is_err());
+        let err = run_posv_native(&op, &a, &b, &op.graph.submission_order()).unwrap_err();
+        assert_eq!(err.pivot, 0);
     }
 
     #[test]

@@ -19,10 +19,9 @@ use crate::kernels::syrk::syrk_lower;
 use crate::kernels::trsm::trsm_right_lower_trans;
 use crate::matrix::TiledMatrix;
 use crate::scalar::Scalar;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use ugpc_hwsim::Precision;
 use ugpc_runtime::{
-    AccessMode, DataId, DataRegistry, KernelKind, NativeExecutor, NativeStats, TaskDesc, TaskGraph,
+    execute_in_order, AccessMode, DataId, DataRegistry, KernelKind, TaskDesc, TaskGraph, TaskId,
 };
 
 /// Task coordinates within the factorization.
@@ -134,28 +133,23 @@ pub fn build_potrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
     }
 }
 
-/// Execute the factorization natively on host threads: `a`'s lower
-/// triangle becomes `L` in place. Fails with the first non-SPD pivot.
+/// Execute the factorization with the real kernels, one task at a time
+/// in `order` (see [`execute_in_order`]): `a`'s lower triangle becomes
+/// `L` in place. Fails with the first non-SPD pivot (global index).
 pub fn run_potrf_native<T: Scalar>(
     op: &PotrfOp,
     a: &TiledMatrix<T>,
-    threads: usize,
-) -> Result<NativeStats, NotSpd> {
+    order: &[TaskId],
+) -> Result<(), NotSpd> {
     assert_eq!(T::precision(), op.precision, "scalar type mismatch");
     assert_eq!(a.nt(), op.nt);
     assert_eq!(a.nb(), op.nb);
-    // First failing pivot (global index), usize::MAX = none.
-    let failed = AtomicUsize::new(usize::MAX);
-    let stats = NativeExecutor::new(threads).execute(&op.graph, |tid, _| {
-        if failed.load(Ordering::Acquire) != usize::MAX {
-            return; // factorization already failed; drain remaining tasks
-        }
+    execute_in_order(&op.graph, order, |tid| {
         match op.refs[tid] {
             PotrfTaskRef::Potrf { k } => {
-                let mut akk = a.tile(k, k);
-                if let Err(e) = potrf_lower(&mut akk) {
-                    failed.fetch_min(k * op.nb + e.pivot, Ordering::AcqRel);
-                }
+                potrf_lower(&mut a.tile(k, k)).map_err(|e| NotSpd {
+                    pivot: k * op.nb + e.pivot,
+                })?;
             }
             PotrfTaskRef::Trsm { i, k } => {
                 let lkk = a.tile_clone(k, k);
@@ -174,13 +168,8 @@ pub fn run_potrf_native<T: Scalar>(
                 gemm(Trans::No, Trans::Yes, -T::ONE, &aik, &ajk, T::ONE, &mut aij);
             }
         }
-    });
-    let pivot = failed.load(Ordering::Acquire);
-    if pivot == usize::MAX {
-        Ok(stats)
-    } else {
-        Err(NotSpd { pivot })
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -261,8 +250,7 @@ mod tests {
         let a0 = a.to_dense();
         let mut reg = DataRegistry::new();
         let op = build_potrf(nt, nb, Precision::Double, &mut reg);
-        let stats = run_potrf_native(&op, &a, 4).unwrap();
-        assert_eq!(stats.executed, PotrfOp::expected_tasks(nt));
+        run_potrf_native(&op, &a, &op.graph.submission_order()).unwrap();
         // L·Lᵀ must reproduce A's lower triangle.
         let n = nt * nb;
         let l = crate::tile::Tile::from_fn(n, |i, j| if i >= j { a.get(i, j) } else { 0.0 });
@@ -285,7 +273,7 @@ mod tests {
         let a = spd_tiled::<f32>(3, 8, 7);
         let mut reg = DataRegistry::new();
         let op = build_potrf(3, 8, Precision::Single, &mut reg);
-        run_potrf_native(&op, &a, 2).unwrap();
+        run_potrf_native(&op, &a, &op.graph.submission_order()).unwrap();
         // Diagonal of L is positive.
         for i in 0..24 {
             assert!(a.get(i, i) > 0.0);
@@ -300,7 +288,7 @@ mod tests {
         let a = TiledMatrix::<f64>::from_fn(nt, nb, |i, j| if i == j { -1.0 } else { 0.0 });
         let mut reg = DataRegistry::new();
         let op = build_potrf(nt, nb, Precision::Double, &mut reg);
-        let err = run_potrf_native(&op, &a, 2).unwrap_err();
+        let err = run_potrf_native(&op, &a, &op.graph.submission_order()).unwrap_err();
         assert_eq!(err.pivot, 0);
     }
 }

@@ -99,7 +99,6 @@ fn inf_norm(ts: &[Tile<f64>]) -> f64 {
 pub fn posv_refine_native(
     a: &TiledMatrix<f64>,
     b: &[Tile<f64>],
-    threads: usize,
     max_iters: usize,
     tol: f64,
 ) -> Result<(Vec<Tile<f64>>, RefineStats), NotSpd> {
@@ -111,7 +110,7 @@ pub fn posv_refine_native(
     let a_sp = TiledMatrix::<f32>::from_fn(nt, nb, |i, j| a.get(i, j) as f32);
     let mut reg = DataRegistry::new();
     let op = build_potrf(nt, nb, Precision::Single, &mut reg);
-    run_potrf_native(&op, &a_sp, threads)?;
+    run_potrf_native(&op, &a_sp, &op.graph.submission_order())?;
 
     let b_norm = inf_norm(b).max(1e-300);
     let mut x = solve_with_sp_factor(&a_sp, b);
@@ -163,7 +162,7 @@ mod tests {
         let (nt, nb) = (3, 8);
         let a = spd_full(nt, nb, 500);
         let b = rhs(nt, nb, 501);
-        let (_, stats) = posv_refine_native(&a, &b, 2, 10, 1e-12).unwrap();
+        let (_, stats) = posv_refine_native(&a, &b, 10, 1e-12).unwrap();
         assert!(
             stats.final_residual < 1e-12,
             "residual {:.2e} after {} iterations",
@@ -181,7 +180,7 @@ mod tests {
         let (nt, nb) = (2, 8);
         let a = spd_full(nt, nb, 510);
         let b: Vec<Tile<f64>> = (0..nt).map(|_| Tile::zeros(nb)).collect();
-        let (x, stats) = posv_refine_native(&a, &b, 1, 5, 1e-14).unwrap();
+        let (x, stats) = posv_refine_native(&a, &b, 5, 1e-14).unwrap();
         assert_eq!(stats.iterations, 0);
         assert!(inf_norm(&x) < 1e-6);
     }
@@ -191,7 +190,7 @@ mod tests {
         let (nt, nb) = (4, 8);
         let a = spd_full(nt, nb, 520);
         let b = rhs(nt, nb, 521);
-        let (x, _) = posv_refine_native(&a, &b, 4, 10, 1e-11).unwrap();
+        let (x, _) = posv_refine_native(&a, &b, 10, 1e-11).unwrap();
         let r = residual(&a, &b, &x);
         assert!(inf_norm(&r) / inf_norm(&b) < 1e-11);
     }
@@ -200,6 +199,6 @@ mod tests {
     fn non_spd_rejected() {
         let a = TiledMatrix::<f64>::from_fn(2, 4, |i, j| if i == j { -1.0 } else { 0.0 });
         let b = rhs(2, 4, 1);
-        assert!(posv_refine_native(&a, &b, 1, 3, 1e-10).is_err());
+        assert!(posv_refine_native(&a, &b, 3, 1e-10).is_err());
     }
 }

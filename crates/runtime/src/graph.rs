@@ -137,6 +137,13 @@ impl TaskGraph {
         self.tasks.len()
     }
 
+    /// The task ids in submission order, `0..len()`. Always topological:
+    /// inferred and explicit edges both run from an earlier task to a
+    /// later one.
+    pub fn submission_order(&self) -> Vec<TaskId> {
+        (0..self.len()).collect()
+    }
+
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
@@ -236,6 +243,49 @@ impl TaskGraph {
         path.reverse();
         path
     }
+}
+
+/// Run `kernel` on every task of `graph`, one at a time, in `order`.
+///
+/// This is how the tiled operations' numerics are checked: a missing
+/// dependency edge lets some topological order run two conflicting tasks
+/// the other way round, so the result must be bit-identical across every
+/// order the graph admits. Submission order, `0..graph.len()`, is always
+/// one of them.
+///
+/// Panics before any kernel runs, naming the offending task, unless
+/// `order` is a permutation of the graph's tasks in which every task
+/// follows all its predecessors. Stops at, and returns, the first error
+/// the kernel returns.
+pub fn execute_in_order<E>(
+    graph: &TaskGraph,
+    order: &[TaskId],
+    mut kernel: impl FnMut(TaskId) -> Result<(), E>,
+) -> Result<(), E> {
+    let n = graph.len();
+    let mut position = vec![None; n];
+    for (at, &task) in order.iter().enumerate() {
+        assert!(
+            task < n,
+            "order names task {task}, but the graph has {n} tasks"
+        );
+        assert!(
+            position[task].replace(at).is_none(),
+            "task {task} appears twice in the order"
+        );
+    }
+    if let Some(task) = position.iter().position(Option::is_none) {
+        panic!("task {task} is missing from the order");
+    }
+    for (at, &task) in order.iter().enumerate() {
+        for &pred in graph.predecessors(task) {
+            assert!(
+                position[pred] < Some(at),
+                "task {task} is ordered before its predecessor {pred}"
+            );
+        }
+    }
+    order.iter().try_for_each(|&task| kernel(task))
 }
 
 #[cfg(test)]
@@ -438,6 +488,74 @@ mod tests {
         assert_eq!(g.unique_data(t), &[1, 3, 7]);
         let empty = g.submit(gemm_on(&[]));
         assert!(g.unique_data(empty).is_empty());
+    }
+
+    /// 0 → {1, 2} → 3 through data dependencies.
+    fn diamond() -> TaskGraph {
+        let mut g = TaskGraph::new();
+        g.submit(gemm_on(&[(0, AccessMode::Write)]));
+        g.submit(gemm_on(&[(0, AccessMode::Read), (1, AccessMode::Write)]));
+        g.submit(gemm_on(&[(0, AccessMode::Read), (2, AccessMode::Write)]));
+        g.submit(gemm_on(&[(1, AccessMode::Read), (2, AccessMode::Read)]));
+        g
+    }
+
+    fn run(g: &TaskGraph, order: &[TaskId]) -> Vec<TaskId> {
+        let mut ran = Vec::new();
+        execute_in_order(g, order, |t| {
+            ran.push(t);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        ran
+    }
+
+    #[test]
+    fn executes_every_topological_order_as_given() {
+        let g = diamond();
+        assert_eq!(run(&g, &g.submission_order()), [0, 1, 2, 3]);
+        assert_eq!(run(&g, &[0, 2, 1, 3]), [0, 2, 1, 3]);
+        assert!(run(&TaskGraph::new(), &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 is ordered before its predecessor 2")]
+    fn task_before_its_predecessor_panics() {
+        run(&diamond(), &[0, 1, 3, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 appears twice in the order")]
+    fn duplicate_task_panics() {
+        run(&diamond(), &[0, 1, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 2 is missing from the order")]
+    fn missing_task_panics() {
+        run(&diamond(), &[0, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "order names task 4, but the graph has 4 tasks")]
+    fn unknown_task_panics() {
+        run(&diamond(), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn kernel_error_stops_the_run() {
+        let g = diamond();
+        let mut ran = Vec::new();
+        let result = execute_in_order(&g, &[0, 2, 1, 3], |t| {
+            ran.push(t);
+            if t == 2 {
+                Err(t)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(result, Err(2));
+        assert_eq!(ran, [0, 2]);
     }
 
     #[test]

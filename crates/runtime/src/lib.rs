@@ -5,20 +5,21 @@
 //! infers dependencies, calibrates per-worker history performance models,
 //! and schedules across CPU cores and GPUs.
 //!
-//! Two executors share the same graphs and schedulers:
+//! Graphs run in two ways:
 //!
 //! * [`sim`] — a deterministic virtual-time executor over the simulated
 //!   node of `ugpc-hwsim`, with DMA transfer engines and exact energy
 //!   integration. All paper experiments run here.
-//! * [`native`] — a crossbeam work-stealing executor that runs the same
-//!   DAGs on real host threads with real kernels, validating that the
-//!   dependency machinery executes correctly (not just in virtual time).
+//! * [`execute_in_order`] — a serial loop that runs a kernel per task in a
+//!   caller-chosen topological order. `ugpc-linalg` runs its real tile
+//!   kernels through it to check that every order the graph admits,
+//!   the simulator's dispatch order among them, computes the same bits.
 //!
 //! Schedulers ([`sched`]) cover StarPU's published family: `eager`,
 //! `random`, `dm`, `dmda`, and the paper's `dmdas`, plus an energy-aware
 //! extension from the paper's future-work list.
 //!
-//! Both executors report through one typed event stream ([`observer`]):
+//! The simulator reports through one typed event stream ([`observer`]):
 //! run statistics ([`trace::TraceBuilder`]), Perfetto/Chrome exports
 //! ([`export::PerfettoSink`]), per-device power timelines ([`timeline`]),
 //! and progress/stats meters are all observers over that stream.
@@ -30,7 +31,6 @@ pub mod des;
 pub mod export;
 pub mod graph;
 pub mod memory;
-pub mod native;
 pub mod observer;
 pub mod perfmodel;
 pub mod sched;
@@ -45,9 +45,8 @@ pub use control::{ControlDecision, ControlHook, RecapEvent, SimEvent};
 pub use data::{DataId, DataRegistry, MemNode};
 pub use des::{EventQueue, QueueBackend};
 pub use export::PerfettoSink;
-pub use graph::TaskGraph;
+pub use graph::{execute_in_order, TaskGraph};
 pub use memory::GpuMemory;
-pub use native::{NativeExecutor, NativeStats};
 pub use observer::{
     EventLog, ExecEvent, ExecStats, Observer, Progress, RunContext, RunSummary, StatsCollector,
 };

@@ -5,10 +5,8 @@
 //! observer over that stream instead of counters threaded through the hot
 //! loop.
 //!
-//! Both executors emit the same stream: [`crate::sim`] with virtual
-//! timestamps, [`crate::native`] with wall-clock timestamps relative to
-//! the run start — so the same sinks (and differential tests) attach to
-//! either.
+//! The simulator ([`crate::sim`]) emits the stream with virtual
+//! timestamps.
 //!
 //! ## Observer neutrality
 //!
@@ -29,8 +27,7 @@ use crate::worker::WorkerId;
 use serde::{Deserialize, Serialize};
 use ugpc_hwsim::{Bytes, EnergyReading, Flops, Joules, Precision, Secs, Watts};
 
-/// One executor event. Timestamps are virtual seconds in the simulator
-/// and wall-clock seconds since run start in the native executor.
+/// One executor event. Timestamps are virtual seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecEvent {
     /// The scheduler committed `task` to `worker`'s queue at time `at`.
@@ -122,7 +119,7 @@ pub struct RunContext<'a> {
     pub workers: &'a [Worker],
     pub graph: &'a TaskGraph,
     pub options: SimOptions,
-    /// Idle power per GPU device; empty under the native executor.
+    /// Idle power per GPU device.
     pub gpu_idle: &'a [Watts],
 }
 
@@ -136,9 +133,8 @@ pub struct RunSummary {
 }
 
 /// A sink over the executor event stream. All methods default to no-ops
-/// so sinks implement only what they consume. `Send` because the native
-/// executor dispatches events from worker threads (behind a mutex).
-pub trait Observer: Send {
+/// so sinks implement only what they consume.
+pub trait Observer {
     fn on_start(&mut self, _ctx: &RunContext<'_>) {}
     fn on_event(&mut self, _event: &ExecEvent) {}
     fn on_finish(&mut self, _summary: &RunSummary) {}
@@ -152,7 +148,7 @@ pub(crate) fn emit(observers: &mut [&mut dyn Observer], event: &ExecEvent) {
 }
 
 /// An observer that records the raw stream — the differential tests
-/// compare these across executors and observer configurations.
+/// compare these across observer configurations.
 #[derive(Debug, Default)]
 pub struct EventLog {
     pub events: Vec<ExecEvent>,

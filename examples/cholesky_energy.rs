@@ -1,6 +1,6 @@
 //! Cholesky factorization end-to-end: numerical verification with the
-//! native threaded executor, then an energy comparison of every scheduler
-//! on the capped simulated platform.
+//! real tile kernels in submission order, then an energy comparison of
+//! every scheduler on the capped simulated platform.
 //!
 //! ```text
 //! cargo run --release --example cholesky_energy
@@ -19,23 +19,21 @@ fn verify_native<T: Scalar>(nt: usize, nb: usize) {
     let a0 = a.to_dense();
     let mut reg = DataRegistry::new();
     let op = build_potrf(nt, nb, T::precision(), &mut reg);
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
-    let stats = run_potrf_native(&op, &a, threads).expect("SPD input factorizes");
+    run_potrf_native(&op, &a, &op.graph.submission_order()).expect("SPD input factorizes");
     let residual = potrf_residual(&a0, &a);
     println!(
-        "native POTRF {:>6}  n = {:>4} ({} tiles of {nb}): {} tasks on {} threads, residual {:.2e}",
+        "native POTRF {:>6}  n = {:>4} ({} tiles of {nb}): {} tasks, residual {:.2e}",
         T::precision().to_string(),
         nt * nb,
         nt * nt,
-        stats.executed,
-        threads,
+        op.graph.len(),
         residual,
     );
     assert!(residual < 100.0 * T::epsilon() * (nt * nb) as f64);
 }
 
 fn main() {
-    println!("— numerical verification (real kernels, work-stealing threads) —");
+    println!("— numerical verification (real kernels, submission order) —");
     verify_native::<f64>(6, 32);
     verify_native::<f32>(6, 32);
 

@@ -1,9 +1,9 @@
 //! Offline shim for `crossbeam` (see `shims/README.md`): the
-//! `deque::{Injector, Worker, Stealer, Steal}` and `utils::Backoff`
-//! surface used by the native executor. Backed by mutex-protected
-//! `VecDeque`s rather than lock-free Chase-Lev deques — semantically
-//! identical (FIFO local queue, stealable from the front), slower under
-//! contention, which the executor's benchmarks tolerate.
+//! `deque::{Injector, Worker, Stealer, Steal}` surface used by the sweep
+//! driver in `crates/experiments/src/driver.rs`. Backed by
+//! mutex-protected `VecDeque`s rather than lock-free Chase-Lev deques —
+//! semantically identical (FIFO local queue, stealable from the front),
+//! slower under contention, which the driver's coarse jobs tolerate.
 
 pub mod deque {
     use std::collections::VecDeque;
@@ -186,51 +186,6 @@ pub mod deque {
             } else {
                 Steal::Empty
             }
-        }
-    }
-}
-
-pub mod utils {
-    use std::cell::Cell;
-
-    /// Exponential backoff for spin loops.
-    pub struct Backoff {
-        step: Cell<u32>,
-    }
-
-    impl Default for Backoff {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl Backoff {
-        pub fn new() -> Self {
-            Backoff { step: Cell::new(0) }
-        }
-
-        pub fn reset(&self) {
-            self.step.set(0);
-        }
-
-        pub fn spin(&self) {
-            for _ in 0..(1 << self.step.get().min(6)) {
-                std::hint::spin_loop();
-            }
-            self.step.set(self.step.get() + 1);
-        }
-
-        pub fn snooze(&self) {
-            if self.step.get() < 4 {
-                self.spin();
-            } else {
-                std::thread::yield_now();
-                self.step.set(self.step.get() + 1);
-            }
-        }
-
-        pub fn is_completed(&self) -> bool {
-            self.step.get() > 10
         }
     }
 }

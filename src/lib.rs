@@ -12,7 +12,8 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`hwsim`] — hardware substrate (devices, DVFS, NVML, RAPL, platforms)
-//! * [`runtime`] — task graphs, schedulers, virtual-time & native executors
+//! * [`runtime`] — task graphs, schedulers, the virtual-time executor,
+//!   and a serial in-order executor for numerics checks
 //! * [`linalg`] — tiled GEMM / Cholesky with real reference kernels
 //! * [`capping`] — L/B/H cap configurations, static cap application,
 //!   sweeps

@@ -1,5 +1,7 @@
-//! Cross-crate numerical validation: the tiled operations executed by the
-//! native work-stealing runtime produce LAPACK-grade results.
+//! Cross-crate numerical validation: the tiled operations, run with the
+//! real tile kernels in submission order, produce LAPACK-grade results.
+//! `tests/executor_differential.rs` extends each result to every order the
+//! graph admits.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -12,67 +14,68 @@ use ugpc::linalg::{
 use ugpc::prelude::*;
 use ugpc::runtime::DataRegistry;
 
-fn gemm_case<T: Scalar>(nt: usize, nb: usize, threads: usize, seed: u64) {
+mod common;
+
+fn gemm_case<T: Scalar>(nt: usize, nb: usize, seed: u64) {
     let mut reg = DataRegistry::new();
     let op = build_gemm(nt, nb, T::precision(), &mut reg);
     let a = random_tiled::<T>(nt, nb, seed);
     let b = random_tiled::<T>(nt, nb, seed + 1);
     let c = random_tiled::<T>(nt, nb, seed + 2);
     let c0 = c.to_dense();
-    let stats = run_gemm_native(&op, &a, &b, &c, threads);
-    assert_eq!(stats.executed, nt * nt * nt);
+    run_gemm_native(&op, &a, &b, &c, &op.graph.submission_order());
     let res = gemm_residual(&a, &b, &c0, &c);
     assert!(
         res < 50.0 * T::epsilon(),
-        "gemm residual {res:.3e} (nt={nt}, nb={nb}, threads={threads})"
+        "gemm residual {res:.3e} (nt={nt}, nb={nb})"
     );
 }
 
-fn potrf_case<T: Scalar>(nt: usize, nb: usize, threads: usize, seed: u64) {
+fn potrf_case<T: Scalar>(nt: usize, nb: usize, seed: u64) {
     let a = spd_tiled::<T>(nt, nb, seed);
     let a0 = a.to_dense();
     let mut reg = DataRegistry::new();
     let op = build_potrf(nt, nb, T::precision(), &mut reg);
-    run_potrf_native(&op, &a, threads).expect("SPD factorizes");
+    run_potrf_native(&op, &a, &op.graph.submission_order()).expect("SPD factorizes");
     let res = potrf_residual(&a0, &a);
     assert!(
         res < 100.0 * T::epsilon() * (nt * nb) as f64,
-        "potrf residual {res:.3e} (nt={nt}, nb={nb}, threads={threads})"
+        "potrf residual {res:.3e} (nt={nt}, nb={nb})"
     );
 }
 
 #[test]
 fn gemm_native_double_various_shapes() {
-    gemm_case::<f64>(2, 4, 1, 1);
-    gemm_case::<f64>(3, 8, 2, 2);
-    gemm_case::<f64>(4, 8, 4, 3);
-    gemm_case::<f64>(5, 16, 8, 4);
+    gemm_case::<f64>(2, 4, 1);
+    gemm_case::<f64>(3, 8, 2);
+    gemm_case::<f64>(4, 8, 3);
+    gemm_case::<f64>(5, 16, 4);
 }
 
 #[test]
 fn gemm_native_single_various_shapes() {
-    gemm_case::<f32>(2, 8, 2, 5);
-    gemm_case::<f32>(4, 16, 4, 6);
+    gemm_case::<f32>(2, 8, 5);
+    gemm_case::<f32>(4, 16, 6);
 }
 
 #[test]
 fn potrf_native_double_various_shapes() {
-    potrf_case::<f64>(2, 8, 1, 11);
-    potrf_case::<f64>(4, 8, 4, 12);
-    potrf_case::<f64>(6, 16, 8, 13);
+    potrf_case::<f64>(2, 8, 11);
+    potrf_case::<f64>(4, 8, 12);
+    potrf_case::<f64>(6, 16, 13);
 }
 
 #[test]
 fn potrf_native_single() {
-    potrf_case::<f32>(3, 16, 4, 21);
+    potrf_case::<f32>(3, 16, 21);
 }
 
 #[test]
 fn potrf_native_large_stress() {
-    // A bigger factorization: 10-tile (120 tasks? no: 10·11·12/6 = 220
-    // tasks), threads > tiles on one axis, repeated to shake out races.
+    // A bigger factorization: 10 tiles, 10·11·12/6 = 220 tasks, on
+    // three matrices.
     for seed in 0..3 {
-        potrf_case::<f64>(10, 8, 8, 100 + seed);
+        potrf_case::<f64>(10, 8, 100 + seed);
     }
 }
 
@@ -93,7 +96,7 @@ fn non_spd_detected_at_correct_global_pivot() {
     });
     let mut reg = DataRegistry::new();
     let op = build_potrf(nt, nb, Precision::Double, &mut reg);
-    let err = run_potrf_native(&op, &a, 4).unwrap_err();
+    let err = run_potrf_native(&op, &a, &op.graph.submission_order()).unwrap_err();
     // Global pivot index is within tile row 1 (rows 8..16).
     assert!(
         (8..16).contains(&err.pivot),
@@ -104,8 +107,9 @@ fn non_spd_detected_at_correct_global_pivot() {
 
 #[test]
 fn sim_and_native_agree_on_task_counts() {
-    // The same graph drives both executors: the simulator's placement
-    // count and the native executor's execution count are the same DAG.
+    // The same graph drives both: the simulator starts every task once,
+    // in an order the kernels accept (`execute_in_order` checks that it
+    // is a topological permutation of the graph).
     let nt = 4;
     let nb = 8;
     let mut reg = DataRegistry::new();
@@ -113,16 +117,8 @@ fn sim_and_native_agree_on_task_counts() {
     let expected = nt * (nt + 1) * (nt + 2) / 6;
     assert_eq!(op.graph.len(), expected);
 
+    let started = common::dispatch_order(PlatformId::Amd4A100, &op.graph, &mut reg);
+    assert_eq!(started.len(), expected);
     let a = spd_tiled::<f64>(nt, nb, 55);
-    let stats = run_potrf_native(&op, &a, 4).unwrap();
-    assert_eq!(stats.executed, expected);
-
-    let mut node = Node::new(PlatformId::Amd4A100);
-    let trace = ugpc::runtime::simulate(
-        &mut node,
-        &op.graph,
-        &mut reg,
-        ugpc::runtime::SimOptions::default(),
-    );
-    assert_eq!(trace.cpu_tasks + trace.gpu_tasks, expected);
+    run_potrf_native(&op, &a, &started).unwrap();
 }

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use ugpc::hwsim::{DvfsParams, EnergyLedger, Joules, Secs, Watts};
 use ugpc::linalg::{build_potrf, PotrfOp};
 use ugpc::prelude::*;
-use ugpc::runtime::{AccessMode, DataRegistry, KernelKind, NativeExecutor, TaskDesc, TaskGraph};
+use ugpc::runtime::{execute_in_order, AccessMode, DataRegistry, KernelKind, TaskDesc, TaskGraph};
+
+mod common;
 
 fn arb_dvfs() -> impl Strategy<Value = DvfsParams> {
     // Physical parameter ranges; constrain so the knee is interior.
@@ -178,16 +180,16 @@ proptest! {
         prop_assert!(later.value() >= total.value() - 1e-9);
     }
 
-    /// Dependency inference: for any random sequence of accesses, the
-    /// native executor runs each task exactly once, after its
-    /// predecessors, and data-conflicting tasks are ordered.
+    /// Dependency inference: for any random sequence of accesses, every
+    /// seeded random topological order is accepted and runs each task
+    /// exactly once, after its predecessors.
     #[test]
     fn random_graphs_execute_correctly(
         accesses in proptest::collection::vec(
             proptest::collection::vec((0usize..6, 0u8..3), 1..4),
             1..40,
         ),
-        threads in 1usize..5,
+        seed in 0u64..1_000_000,
     ) {
         let mut g = TaskGraph::new();
         for task_accesses in &accesses {
@@ -206,16 +208,16 @@ proptest! {
             }
             g.submit(t);
         }
-        let n = g.len();
-        let done: Vec<std::sync::atomic::AtomicBool> =
-            (0..n).map(|_| std::sync::atomic::AtomicBool::new(false)).collect();
-        let stats = NativeExecutor::new(threads).execute(&g, |t, _| {
-            for &p in g.predecessors(t) {
-                assert!(done[p].load(std::sync::atomic::Ordering::SeqCst));
-            }
-            done[t].store(true, std::sync::atomic::Ordering::SeqCst);
-        });
-        prop_assert_eq!(stats.executed, n);
+        let order = common::random_topological_order(&g, seed);
+        let mut done = vec![false; g.len()];
+        execute_in_order(&g, &order, |t| {
+            assert!(!done[t], "task {t} ran twice");
+            assert!(g.predecessors(t).iter().all(|&p| done[p]), "task {t} ran early");
+            done[t] = true;
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        prop_assert!(done.iter().all(|&d| d));
     }
 
     /// The simulator conserves sanity for arbitrary small GEMM problems:
