@@ -32,9 +32,9 @@ pub use report::{compare, Comparison, ProfiledRun, RunReport, TracedRun};
 pub use study::{try_run_study_with, ControlOutcome, ControlledRun, Study, StudyOptions};
 
 use serde::{Deserialize, Serialize};
+use study::GraphShape;
 use ugpc_capping::{apply_cpu_cap, apply_gpu_caps, CapConfig};
 use ugpc_hwsim::{table_ii_entry, Node, OpKind, PlatformId, Precision, Watts};
-use ugpc_linalg::{build_gemm, build_potrf};
 use ugpc_runtime::{DataRegistry, PowerTimeline, SchedPolicy, TaskGraph};
 
 /// Everything that defines one measured run.
@@ -123,10 +123,7 @@ impl RunConfig {
 
     /// Build the operation's task graph.
     pub fn build_graph(&self, reg: &mut DataRegistry) -> TaskGraph {
-        match self.op {
-            OpKind::Gemm => build_gemm(self.nt(), self.nb, self.precision, reg).graph,
-            OpKind::Potrf => build_potrf(self.nt(), self.nb, self.precision, reg).graph,
-        }
+        GraphShape::of(self).build(reg)
     }
 
     /// Check that [`run_study`] would accept this configuration, without

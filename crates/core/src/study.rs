@@ -12,14 +12,98 @@
 //! Identity: a controlled run never aliases a static one —
 //! [`RunConfig::controlled_cache_key`] appends the controller's canonical
 //! bytes under a fresh tag, leaving [`RunConfig::cache_key`] untouched.
+//!
+//! Prepared graphs: the task graph depends only on the run's
+//! `GraphShape` — `(op, nt, nb, precision)` — and the simulator reads
+//! it through `&TaskGraph`; the only per-run mutable state is the
+//! [`DataRegistry`]. So each thread keeps its last built graph, with the
+//! registry its build left, in a one-entry slot keyed by the shape. A
+//! run whose shape matches clones only the registry; a miss empties the
+//! slot before building, so outside nested studies a thread never holds
+//! two graphs. A graph
+//! over `MAX_KEPT_TASKS` tasks is used once and dropped. The sweep
+//! driver hands each worker adjacent rows of one ladder, which differ
+//! only in their caps, so most sweep runs hit. Like the executor's
+//! per-thread `RunArena`, the slot needs no lock and no eviction policy,
+//! and a run cannot tell a kept graph from a fresh build.
 
 use crate::{InvalidConfig, RunConfig, RunReport};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::rc::Rc;
 use ugpc_control::{ControlPlane, ControllerSpec, DecisionRecord, TickRecord};
+use ugpc_hwsim::{OpKind, Precision};
+use ugpc_linalg::{build_gemm, build_potrf};
 use ugpc_runtime::{
     simulate_controlled, ControlHook, DataRegistry, Observer, PerfModel, SimOptions,
-    StatsCollector, TraceBuilder,
+    StatsCollector, TaskGraph, TraceBuilder,
 };
+
+/// Everything [`RunConfig::build_graph`] reads: the key of a prepared
+/// graph. The builder reads only these fields, so a new input to the
+/// graph must be added here, and then it is part of the key too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GraphShape {
+    op: OpKind,
+    nt: usize,
+    nb: usize,
+    precision: Precision,
+}
+
+impl GraphShape {
+    pub(crate) fn of(cfg: &RunConfig) -> Self {
+        GraphShape {
+            op: cfg.op,
+            nt: cfg.nt(),
+            nb: cfg.nb,
+            precision: cfg.precision,
+        }
+    }
+
+    /// Build the operation's task graph, registering its tiles in `reg`.
+    pub(crate) fn build(self, reg: &mut DataRegistry) -> TaskGraph {
+        match self.op {
+            OpKind::Gemm => build_gemm(self.nt, self.nb, self.precision, reg).graph,
+            OpKind::Potrf => build_potrf(self.nt, self.nb, self.precision, reg).graph,
+        }
+    }
+}
+
+/// The largest graph, in tasks, a thread keeps after its run. POTRF at
+/// nt 60 (37 820 tasks, the largest paper-scale graph) is kept; a served
+/// GEMM at nt 64 (262 144 tasks) is built, used and dropped.
+const MAX_KEPT_TASKS: usize = 1 << 16;
+
+/// A built graph and the registry state its build left, before any run.
+struct Prepared {
+    graph: TaskGraph,
+    registry: DataRegistry,
+}
+
+thread_local! {
+    /// This thread's last prepared graph and its shape.
+    static PREPARED: Cell<Option<(GraphShape, Rc<Prepared>)>> = const { Cell::new(None) };
+}
+
+/// The prepared graph of `shape`: the thread's kept one on a match,
+/// else a fresh build, kept unless it is over [`MAX_KEPT_TASKS`].
+fn prepared(shape: GraphShape) -> Rc<Prepared> {
+    match PREPARED.take() {
+        Some((key, kept)) if key == shape => {
+            PREPARED.set(Some((key, Rc::clone(&kept))));
+            return kept;
+        }
+        // Dropped here, before the build: one graph per thread at a time.
+        _ => {}
+    }
+    let mut registry = DataRegistry::new();
+    let graph = shape.build(&mut registry);
+    let fresh = Rc::new(Prepared { graph, registry });
+    if fresh.graph.len() <= MAX_KEPT_TASKS {
+        PREPARED.set(Some((shape, Rc::clone(&fresh))));
+    }
+    fresh
+}
 
 /// What rides one run besides the report builders, and how it executes.
 /// `StudyOptions::default()` is a plain [`crate::run_study`].
@@ -125,8 +209,8 @@ pub fn try_run_study_with(
         }
         None => None,
     };
-    let mut reg = DataRegistry::new();
-    let graph = cfg.build_graph(&mut reg);
+    let prepared = prepared(GraphShape::of(cfg));
+    let mut reg = prepared.registry.clone();
     let mut builder = TraceBuilder::new();
     let mut stats = StatsCollector::new();
     {
@@ -143,7 +227,7 @@ pub fn try_run_study_with(
         };
         simulate_controlled(
             &mut node,
-            &graph,
+            &prepared.graph,
             &mut reg,
             sim,
             &mut PerfModel::new(),
@@ -273,6 +357,90 @@ mod tests {
             }
         }
         assert!(control.journal.iter().any(|d| d.outcome.is_some()));
+    }
+
+    /// `cfg`'s report from a thread that has run nothing else.
+    fn on_fresh_thread(cfg: &RunConfig) -> RunReport {
+        let cfg = cfg.clone();
+        std::thread::spawn(move || run_study(&cfg)).join().unwrap()
+    }
+
+    fn potrf() -> RunConfig {
+        RunConfig::paper(PlatformId::Amd4A100, OpKind::Potrf, Precision::Single).scaled_down(8)
+    }
+
+    #[test]
+    fn kept_graphs_reproduce_fresh_builds() {
+        use ugpc_runtime::SchedPolicy;
+        let a = cfg();
+        let b = potrf();
+        assert_ne!(GraphShape::of(&a), GraphShape::of(&b));
+        let runs = [
+            a.clone(),
+            a.clone().with_gpu_config("BBBB".parse().unwrap()),
+            b.clone().with_scheduler(SchedPolicy::Dmda),
+            b.clone().with_gpu_config("LHBH".parse().unwrap()),
+            // A's tiles in single precision: a shape of its own.
+            RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Single).scaled_down(2),
+            a.clone().with_scheduler(SchedPolicy::Dmda),
+            a.with_gpu_config("LLBB".parse().unwrap()),
+        ];
+        for run in &runs {
+            assert_eq!(run_study(run), on_fresh_thread(run), "{run:?}");
+        }
+    }
+
+    #[test]
+    fn a_thread_keeps_one_graph() {
+        let a = GraphShape::of(&cfg());
+        run_study(&cfg());
+        let kept = prepared(a);
+        assert!(Rc::ptr_eq(&kept, &prepared(a)), "same shape, same graph");
+        let weak = Rc::downgrade(&kept);
+        drop(kept);
+        run_study(&potrf());
+        assert!(weak.upgrade().is_none(), "shape A outlived a run of B");
+    }
+
+    #[test]
+    fn graphs_over_the_bound_are_not_kept() {
+        let mut big = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double);
+        big.n = 41 * big.nb;
+        let graph = prepared(GraphShape::of(&big));
+        assert!(graph.graph.len() > MAX_KEPT_TASKS);
+        assert_eq!(Rc::strong_count(&graph), 1, "the slot kept it");
+        assert!(PREPARED.take().is_none());
+    }
+
+    /// Runs a study of another shape when the outer run starts.
+    struct Nested {
+        cfg: RunConfig,
+        report: Option<RunReport>,
+    }
+
+    impl Observer for Nested {
+        fn on_start(&mut self, _ctx: &ugpc_runtime::RunContext<'_>) {
+            self.report = Some(run_study(&self.cfg));
+        }
+    }
+
+    #[test]
+    fn studies_nested_in_an_observer_match_standalone_runs() {
+        // Both orders: the inner shape replaces the outer one in the
+        // slot while the outer run still reads its graph.
+        for (outer, inner) in [(cfg(), potrf()), (potrf(), cfg())] {
+            let mut nested = Nested {
+                cfg: inner.clone(),
+                report: None,
+            };
+            let options = StudyOptions {
+                observers: vec![&mut nested],
+                ..Default::default()
+            };
+            let report = try_run_study_with(&outer, options).unwrap().report;
+            assert_eq!(report, on_fresh_thread(&outer));
+            assert_eq!(nested.report.unwrap(), on_fresh_thread(&inner));
+        }
     }
 
     #[test]

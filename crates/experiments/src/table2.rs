@@ -25,7 +25,7 @@ pub struct Table2 {
 
 pub fn run() -> Table2 {
     // One independent cap sweep per Table II entry — fan out.
-    let rows = crate::driver::par_map(table_ii(), |entry| {
+    let rows = crate::driver::par_map(table_ii().to_vec(), |entry| {
         let spec = GpuSpec::of(PlatformSpec::of(entry.platform).gpu_model);
         let sweep = cap_sweep(spec.model, entry.nt, entry.precision, 0.02);
         let best = best_point(&sweep);

@@ -130,39 +130,54 @@ pub struct TableIIEntry {
     pub best_cap_frac: f64,
 }
 
-/// The complete Table II.
-pub fn table_ii() -> Vec<TableIIEntry> {
-    use OpKind::*;
-    use PlatformId::*;
-    use Precision::*;
-    let e = |platform, op, precision, n, nt, best_cap_frac| TableIIEntry {
+/// One Table II row, for the `static` table.
+const fn row(
+    platform: PlatformId,
+    op: OpKind,
+    precision: Precision,
+    n: usize,
+    nt: usize,
+    best_cap_frac: f64,
+) -> TableIIEntry {
+    TableIIEntry {
         platform,
         op,
         precision,
         n,
         nt,
         best_cap_frac,
-    };
-    vec![
-        e(Intel2V100, Gemm, Double, 43_200, 2_880, 0.62),
-        e(Intel2V100, Gemm, Single, 43_200, 2_880, 0.60),
-        e(Intel2V100, Potrf, Double, 96_000, 1_920, 0.56),
-        e(Intel2V100, Potrf, Single, 96_000, 1_920, 0.66),
-        e(Amd2A100, Gemm, Double, 69_120, 5_760, 0.78),
-        e(Amd2A100, Gemm, Single, 69_120, 5_760, 0.60),
-        e(Amd2A100, Potrf, Double, 115_200, 2_880, 0.78),
-        e(Amd2A100, Potrf, Single, 115_200, 2_880, 0.60),
-        e(Amd4A100, Gemm, Double, 74_880, 5_760, 0.54),
-        e(Amd4A100, Gemm, Single, 74_880, 5_760, 0.40),
-        e(Amd4A100, Potrf, Double, 172_800, 2_880, 0.52),
-        e(Amd4A100, Potrf, Single, 172_800, 2_880, 0.38),
+    }
+}
+
+static TABLE_II: [TableIIEntry; 12] = {
+    use OpKind::*;
+    use PlatformId::*;
+    use Precision::*;
+    [
+        row(Intel2V100, Gemm, Double, 43_200, 2_880, 0.62),
+        row(Intel2V100, Gemm, Single, 43_200, 2_880, 0.60),
+        row(Intel2V100, Potrf, Double, 96_000, 1_920, 0.56),
+        row(Intel2V100, Potrf, Single, 96_000, 1_920, 0.66),
+        row(Amd2A100, Gemm, Double, 69_120, 5_760, 0.78),
+        row(Amd2A100, Gemm, Single, 69_120, 5_760, 0.60),
+        row(Amd2A100, Potrf, Double, 115_200, 2_880, 0.78),
+        row(Amd2A100, Potrf, Single, 115_200, 2_880, 0.60),
+        row(Amd4A100, Gemm, Double, 74_880, 5_760, 0.54),
+        row(Amd4A100, Gemm, Single, 74_880, 5_760, 0.40),
+        row(Amd4A100, Potrf, Double, 172_800, 2_880, 0.52),
+        row(Amd4A100, Potrf, Single, 172_800, 2_880, 0.38),
     ]
+};
+
+/// The complete Table II.
+pub fn table_ii() -> &'static [TableIIEntry] {
+    &TABLE_II
 }
 
 /// Look up the Table II entry for a configuration.
 pub fn table_ii_entry(platform: PlatformId, op: OpKind, precision: Precision) -> TableIIEntry {
-    table_ii()
-        .into_iter()
+    *table_ii()
+        .iter()
         .find(|e| e.platform == platform && e.op == op && e.precision == precision)
         .expect("Table II covers all (platform, op, precision) triples")
 }
@@ -275,6 +290,10 @@ mod tests {
     fn table_ii_is_complete() {
         let t = table_ii();
         assert_eq!(t.len(), 12);
+        // One row per triple: every row is the one its lookup finds.
+        for e in t {
+            assert_eq!(table_ii_entry(e.platform, e.op, e.precision), *e);
+        }
         for pf in PlatformId::ALL {
             for op in OpKind::ALL {
                 for p in Precision::ALL {
