@@ -50,6 +50,7 @@ impl GemmOp {
 pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegistry) -> GemmOp {
     assert!(nt > 0 && nb > 0);
     let bytes = ugpc_hwsim::Bytes((nb * nb * precision.elem_bytes()) as f64);
+    reg.reserve(3 * nt * nt);
     let grid = |reg: &mut DataRegistry| -> Vec<DataId> {
         (0..nt * nt).map(|_| reg.register(bytes)).collect()
     };
@@ -58,7 +59,7 @@ pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     let c = grid(reg);
     let at = |g: &[DataId], i: usize, j: usize| g[i + j * nt];
 
-    let mut graph = TaskGraph::new();
+    let mut graph = TaskGraph::with_capacity(nt * nt * nt, reg.len());
     let mut refs = Vec::with_capacity(nt * nt * nt);
     for j in 0..nt {
         for i in 0..nt {

@@ -69,11 +69,13 @@ impl GetrfOp {
 pub fn build_getrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegistry) -> GetrfOp {
     assert!(nt > 0 && nb > 0);
     let bytes = ugpc_hwsim::Bytes((nb * nb * precision.elem_bytes()) as f64);
+    reg.reserve(nt * nt);
     let tiles: Vec<DataId> = (0..nt * nt).map(|_| reg.register(bytes)).collect();
     let at = |i: usize, j: usize| tiles[i + j * nt];
 
-    let mut graph = TaskGraph::new();
-    let mut refs = Vec::new();
+    let tasks = GetrfOp::expected_tasks(nt);
+    let mut graph = TaskGraph::with_capacity(tasks, reg.len());
+    let mut refs = Vec::with_capacity(tasks);
     let prio = |k: usize, offset: i32| 3 * (nt - k) as i32 - offset;
 
     for k in 0..nt {

@@ -90,12 +90,14 @@ impl PosvOp {
 pub fn build_posv(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegistry) -> PosvOp {
     assert!(nt > 0 && nb > 0);
     let bytes = ugpc_hwsim::Bytes((nb * nb * precision.elem_bytes()) as f64);
+    reg.reserve(nt * nt + nt);
     let a_tiles: Vec<DataId> = (0..nt * nt).map(|_| reg.register(bytes)).collect();
     let b_tiles: Vec<DataId> = (0..nt).map(|_| reg.register(bytes)).collect();
     let at = |i: usize, j: usize| a_tiles[i + j * nt];
 
-    let mut graph = TaskGraph::new();
-    let mut refs = Vec::new();
+    let tasks = PosvOp::expected_tasks(nt);
+    let mut graph = TaskGraph::with_capacity(tasks, reg.len());
+    let mut refs = Vec::with_capacity(tasks);
     // Factorization priorities sit above the sweeps; within the sweeps,
     // earlier panels first.
     let fprio = |k: usize, offset: i32| 3 * (nt - k) as i32 + 100 - offset;

@@ -6,6 +6,7 @@
 //! writes invalidate all other copies. The scheduler's transfer estimates
 //! and the simulator's DMA engine both consult this state.
 
+use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
 use ugpc_hwsim::{Bytes, HwError, HwResult};
 
@@ -34,8 +35,11 @@ pub struct DataRegistry {
 #[derive(Debug, Clone)]
 pub struct DataState {
     bytes: Bytes,
-    /// Memory nodes currently holding a valid replica. Never empty.
-    valid: Vec<MemNode>,
+    /// Memory nodes currently holding a valid replica, in the order they
+    /// gained it. Never empty. Held in place up to three nodes (the host
+    /// and both GPUs of a two-GPU node), so registering a tile or cloning
+    /// a registry allocates nothing per handle.
+    valid: InlineVec<MemNode, 3>,
 }
 
 impl DataRegistry {
@@ -43,14 +47,18 @@ impl DataRegistry {
         Self::default()
     }
 
+    /// Make room for `additional` more registrations.
+    pub fn reserve(&mut self, additional: usize) {
+        self.handles.reserve(additional);
+    }
+
     /// Register a handle whose initial valid copy lives in host memory
     /// (`starpu_matrix_data_register` on a host buffer).
     pub fn register(&mut self, bytes: Bytes) -> DataId {
         let id = self.handles.len();
-        self.handles.push(DataState {
-            bytes,
-            valid: vec![MemNode::Host],
-        });
+        let mut valid = InlineVec::new();
+        valid.push(MemNode::Host);
+        self.handles.push(DataState { bytes, valid });
         id
     }
 
@@ -83,7 +91,7 @@ impl DataRegistry {
 
     /// Checked variant of [`Self::valid_nodes`].
     pub fn try_valid_nodes(&self, id: DataId) -> HwResult<&[MemNode]> {
-        self.state(id).map(|st| st.valid.as_slice())
+        self.state(id).map(|st| &st.valid[..])
     }
 
     pub fn bytes(&self, id: DataId) -> Bytes {
@@ -111,7 +119,8 @@ impl DataRegistry {
 
     /// Pick the transfer source for a replica needed at `dst`: prefer host
     /// (cheapest single hop from any GPU's perspective and always reachable),
-    /// otherwise the first GPU holder.
+    /// otherwise the GPU that has held its replica longest — whose
+    /// copy-out engine the transfer then occupies.
     ///
     /// Returns `None` when `dst` already holds a valid copy.
     pub fn transfer_source(&self, id: DataId, dst: MemNode) -> Option<MemNode> {
@@ -142,8 +151,8 @@ impl DataRegistry {
         st.valid.push(node);
         #[cfg(feature = "sanitize")]
         debug_assert_eq!(
-            self.handles[id].valid,
-            vec![node],
+            self.handles[id].valid[..],
+            [node],
             "write must leave exactly the writing node valid"
         );
     }
@@ -273,6 +282,39 @@ mod tests {
             reg.transfer_source(id, MemNode::Gpu(1)),
             Some(MemNode::Gpu(0))
         );
+    }
+
+    #[test]
+    fn transfer_source_prefers_the_earliest_gpu_holder() {
+        let mut reg = DataRegistry::new();
+        let id = reg.register(Bytes(8.0));
+        reg.write_at(id, MemNode::Gpu(2));
+        reg.add_replica(id, MemNode::Gpu(0));
+        assert_eq!(
+            reg.transfer_source(id, MemNode::Gpu(3)),
+            Some(MemNode::Gpu(2))
+        );
+    }
+
+    #[test]
+    fn replica_sets_past_three_nodes_keep_their_order() {
+        let mut reg = DataRegistry::new();
+        let id = reg.register(Bytes(8.0));
+        for g in [3, 1, 0, 2] {
+            reg.add_replica(id, MemNode::Gpu(g));
+        }
+        reg.invalidate_at(id, MemNode::Host);
+        reg.invalidate_at(id, MemNode::Gpu(1));
+        assert_eq!(
+            reg.valid_nodes(id),
+            &[MemNode::Gpu(3), MemNode::Gpu(0), MemNode::Gpu(2)]
+        );
+        assert_eq!(
+            reg.transfer_source(id, MemNode::Host),
+            Some(MemNode::Gpu(3))
+        );
+        reg.write_at(id, MemNode::Gpu(0));
+        assert_eq!(reg.valid_nodes(id), &[MemNode::Gpu(0)]);
     }
 
     #[test]

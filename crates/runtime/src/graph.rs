@@ -5,23 +5,199 @@
 //! default): a reader depends on the last writer of each operand (RAW), a
 //! writer depends on the last writer (WAW) and on every reader since
 //! (WAR). Explicit edges can be added on top.
+//!
+//! Storage is contiguous: each per-task list — predecessors, successors,
+//! distinct operands — is a slice of one array, found through per-task
+//! offsets (CSR). `submit` appends the new task's predecessors; the
+//! successor lists are derived from them in one counting pass the first
+//! time they are read. Building a graph therefore makes a handful of
+//! allocations in all, not several per task.
 
 use crate::data::DataId;
 use crate::task::{TaskDesc, TaskId};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::OnceLock;
+
+/// Per-task lists in one array: `items[offsets[t]..offsets[t + 1]]` is
+/// task `t`'s list.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Default for Csr {
+    fn default() -> Self {
+        Csr::with_capacity(0, 0)
+    }
+}
+
+impl Csr {
+    fn with_capacity(lists: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(lists + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn get(&self, t: usize) -> &[usize] {
+        &self.items[self.offsets[t]..self.offsets[t + 1]]
+    }
+
+    /// Append the next task's list.
+    fn push(&mut self, list: &[usize]) {
+        self.items.extend_from_slice(list);
+        self.offsets.push(self.items.len());
+    }
+}
+
+/// Sorted adjacency lists laid out as a [`Csr`], except that a list an
+/// explicit edge has changed moves out of line into `edited`, where it
+/// shadows its slot. So an edit costs a lookup and a shift within one
+/// list, never a shift of the whole array; and a graph no edge was ever
+/// edited in reads its lists straight from the array.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    laid_out: Csr,
+    edited: BTreeMap<TaskId, Vec<TaskId>>,
+    /// Total length of the lists.
+    edges: usize,
+}
+
+impl Adjacency {
+    fn list(&self, t: TaskId) -> &[TaskId] {
+        if !self.edited.is_empty() {
+            if let Some(list) = self.edited.get(&t) {
+                return list;
+            }
+        }
+        self.laid_out.get(t)
+    }
+
+    /// Every list in task order; one pass, with no lookup per task.
+    fn lists(&self) -> impl Iterator<Item = &[TaskId]> {
+        let mut edited = self.edited.iter().peekable();
+        (0..self.laid_out.len()).map(move |t| match edited.next_if(|&(&e, _)| e == t) {
+            Some((_, list)) => list,
+            None => self.laid_out.get(t),
+        })
+    }
+
+    fn push(&mut self, list: &[TaskId]) {
+        self.laid_out.push(list);
+        self.edges += list.len();
+    }
+
+    /// Insert `x` into `t`'s list; false if it was there already.
+    fn insert(&mut self, t: TaskId, x: TaskId) -> bool {
+        let Some((list, Err(at))) = self.edit(t, x, Result::is_err) else {
+            return false;
+        };
+        list.insert(at, x);
+        self.edges += 1;
+        true
+    }
+
+    /// Remove `x` from `t`'s list; false if it was not there.
+    fn remove(&mut self, t: TaskId, x: TaskId) -> bool {
+        let Some((list, Ok(at))) = self.edit(t, x, Result::is_ok) else {
+            return false;
+        };
+        list.remove(at);
+        self.edges -= 1;
+        true
+    }
+
+    /// `t`'s list with the result of searching it for `x`, when `changes`
+    /// accepts that result; the list moves out of line then, on its first
+    /// edit. One map lookup either way.
+    fn edit(
+        &mut self,
+        t: TaskId,
+        x: TaskId,
+        changes: fn(&Result<usize, usize>) -> bool,
+    ) -> Option<(&mut Vec<TaskId>, Result<usize, usize>)> {
+        let list = match self.edited.entry(t) {
+            Entry::Occupied(list) => list.into_mut(),
+            Entry::Vacant(slot) => {
+                let laid_out = self.laid_out.get(t);
+                if !changes(&laid_out.binary_search(&x)) {
+                    return None;
+                }
+                slot.insert(laid_out.to_vec())
+            }
+        };
+        let found = list.binary_search(&x);
+        changes(&found).then_some((list, found))
+    }
+
+    /// The reverse lists: `s` is in list `t` of the result exactly when
+    /// `t` is in list `s` here. Filled in ascending `s`, so each list of
+    /// the result is ascending.
+    fn transposed(&self) -> Adjacency {
+        let n = self.laid_out.len();
+        // Count into `offsets[t + 2]`, prefix-sum, then fill with
+        // `offsets[t + 1]` as list `t`'s cursor: afterwards it holds the
+        // end of list `t`, which is the start of list `t + 1`.
+        let mut offsets = vec![0; n + 2];
+        for &t in self.lists().flatten() {
+            offsets[t + 2] += 1;
+        }
+        for t in 2..offsets.len() {
+            offsets[t] += offsets[t - 1];
+        }
+        let mut items = vec![0; self.edges];
+        for (s, list) in self.lists().enumerate() {
+            for &t in list {
+                items[offsets[t + 1]] = s;
+                offsets[t + 1] += 1;
+            }
+        }
+        offsets.pop();
+        Adjacency {
+            laid_out: Csr { offsets, items },
+            edited: BTreeMap::new(),
+            edges: self.edges,
+        }
+    }
+}
+
+/// What `submit` infers the next task's dependencies from.
+#[derive(Debug, Clone, Default)]
+struct Hazards {
+    /// Per datum, indexed by the dense [`DataId`] (grown on demand): its
+    /// last writer.
+    last_writer: Vec<Option<TaskId>>,
+    /// Per datum: one past the index in `reads` of its latest read since
+    /// its last write, or 0 when it has none.
+    latest_read: Vec<usize>,
+    /// `(reader, link)` per read access, where `link` is the same kind of
+    /// index as `latest_read` for the datum's read before: each datum's
+    /// readers since its last write are a list threaded through here,
+    /// newest first.
+    reads: Vec<(TaskId, usize)>,
+    /// Scratch: the task being submitted's dependencies, then operands.
+    scratch: Vec<usize>,
+}
 
 /// An immutable-after-build task graph.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     tasks: Vec<TaskDesc>,
-    succs: Vec<Vec<TaskId>>,
-    preds: Vec<Vec<TaskId>>,
+    preds: Adjacency,
+    /// Derived from `preds` on first read; `submit` drops it, and edge
+    /// edits keep it in step.
+    succs: OnceLock<Adjacency>,
     /// Per-task distinct operands, sorted ascending — precomputed once at
     /// submission for the executors' per-occurrence loops.
-    unique_data: Vec<Vec<DataId>>,
-    /// Per-datum tracking used during submission, indexed by the dense
-    /// [`DataId`] (grown on demand).
-    last_writer: Vec<Option<TaskId>>,
-    readers_since_write: Vec<Vec<TaskId>>,
+    unique_data: Csr,
+    hazards: Hazards,
 }
 
 impl TaskGraph {
@@ -29,54 +205,77 @@ impl TaskGraph {
         Self::default()
     }
 
+    /// An empty graph with room for `tasks` tasks over the handles
+    /// `0..data`, sized for up to three operands and predecessors per
+    /// task, as the tiled builders submit. A builder that knows its
+    /// counts then allocates a fixed handful of times, not per task.
+    pub fn with_capacity(tasks: usize, data: usize) -> Self {
+        TaskGraph {
+            tasks: Vec::with_capacity(tasks),
+            preds: Adjacency {
+                laid_out: Csr::with_capacity(tasks, 3 * tasks),
+                edited: BTreeMap::new(),
+                edges: 0,
+            },
+            succs: OnceLock::new(),
+            unique_data: Csr::with_capacity(tasks, 3 * tasks),
+            hazards: Hazards {
+                last_writer: Vec::with_capacity(data),
+                latest_read: Vec::with_capacity(data),
+                reads: Vec::with_capacity(2 * tasks),
+                scratch: Vec::new(),
+            },
+        }
+    }
+
     /// Submit a task; dependencies on earlier tasks are inferred from its
     /// data accesses. Returns the new task's id.
     pub fn submit(&mut self, task: TaskDesc) -> TaskId {
         let id = self.tasks.len();
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-
+        let h = &mut self.hazards;
         if let Some(max) = task.data.iter().map(|&(d, _)| d).max() {
-            if self.last_writer.len() <= max {
-                self.last_writer.resize(max + 1, None);
-                self.readers_since_write.resize_with(max + 1, Vec::new);
+            if h.last_writer.len() <= max {
+                h.last_writer.resize(max + 1, None);
+                h.latest_read.resize(max + 1, 0);
             }
         }
 
         // Collect dependencies first to dedupe before wiring edges.
-        let mut deps: Vec<TaskId> = Vec::new();
+        let deps = &mut h.scratch;
+        deps.clear();
         for &(data, mode) in &task.data {
-            if mode.reads() {
-                if let Some(w) = self.last_writer[data] {
-                    deps.push(w); // RAW
-                }
-            }
+            // Every access reads (RAW) or writes (WAW) after the last writer.
+            deps.extend(h.last_writer[data]);
             if mode.writes() {
-                if let Some(w) = self.last_writer[data] {
-                    deps.push(w); // WAW
+                let mut link = h.latest_read[data];
+                while link != 0 {
+                    let (reader, before) = h.reads[link - 1];
+                    deps.push(reader); // WAR
+                    link = before;
                 }
-                deps.extend(self.readers_since_write[data].iter().copied()); // WAR
             }
         }
         deps.sort_unstable();
         deps.dedup();
-        for d in deps {
-            debug_assert!(d < id);
-            self.succs[d].push(id);
-            self.preds[id].push(d);
-        }
+        debug_assert!(deps.iter().all(|&d| d < id));
+        self.preds.push(deps);
+        // The new task's predecessors gained a successor.
+        self.succs.take();
 
         // Update per-datum tracking.
         for &(data, mode) in &task.data {
             if mode.writes() {
-                self.last_writer[data] = Some(id);
-                self.readers_since_write[data].clear();
+                h.last_writer[data] = Some(id);
+                h.latest_read[data] = 0;
             } else {
-                self.readers_since_write[data].push(id);
+                h.reads.push((id, h.latest_read[data]));
+                h.latest_read[data] = h.reads.len();
             }
         }
 
-        let mut unique: Vec<DataId> = task.data.iter().map(|&(d, _)| d).collect();
+        let unique = &mut h.scratch;
+        unique.clear();
+        unique.extend(task.data.iter().map(|&(d, _)| d));
         unique.sort_unstable();
         unique.dedup();
         self.unique_data.push(unique);
@@ -89,7 +288,7 @@ impl TaskGraph {
     /// submission: the executors touch this once per task *occurrence*
     /// (memory planning, pin/unpin), which used to re-sort every time.
     pub fn unique_data(&self, id: TaskId) -> &[DataId] {
-        &self.unique_data[id]
+        self.unique_data.get(id)
     }
 
     /// Add an explicit edge `from → to` (StarPU tag dependencies).
@@ -97,20 +296,18 @@ impl TaskGraph {
     /// Panics on forward edges (`from >= to`): submission order is the
     /// topological order and must stay acyclic by construction.
     ///
-    /// Adjacency lists are kept sorted ascending (submission wires edges
-    /// in increasing-id order, which preserves this for free), so the
-    /// duplicate check is a binary search instead of the linear scan it
-    /// used to be — explicit-edge-heavy graphs no longer degrade to
-    /// O(degree) per insertion.
+    /// Adjacency lists stay sorted ascending, so the duplicate check is a
+    /// binary search. The edit touches only the two lists it changes: each
+    /// moves out of the contiguous array on its first edit, so no call
+    /// shifts the whole array.
     pub fn add_edge(&mut self, from: TaskId, to: TaskId) {
         assert!(
             from < to,
             "explicit edge must follow submission order ({from} -> {to})"
         );
-        if let Err(pos) = self.succs[from].binary_search(&to) {
-            self.succs[from].insert(pos, to);
-            if let Err(pos) = self.preds[to].binary_search(&from) {
-                self.preds[to].insert(pos, from);
+        if self.preds.insert(to, from) {
+            if let Some(succs) = self.succs.get_mut() {
+                succs.insert(from, to);
             }
         }
     }
@@ -123,14 +320,18 @@ impl TaskGraph {
     /// rewound — the graph's *declared* accesses still require the
     /// ordering, which is exactly the inconsistency the linter detects.
     pub fn remove_edge(&mut self, from: TaskId, to: TaskId) -> bool {
-        let Ok(pos) = self.succs[from].binary_search(&to) else {
+        if to >= self.len() || !self.preds.remove(to, from) {
             return false;
-        };
-        self.succs[from].remove(pos);
-        if let Ok(pos) = self.preds[to].binary_search(&from) {
-            self.preds[to].remove(pos);
+        }
+        if let Some(succs) = self.succs.get_mut() {
+            succs.remove(from, to);
         }
         true
+    }
+
+    /// The successor lists, derived on first use.
+    fn succs(&self) -> &Adjacency {
+        self.succs.get_or_init(|| self.preds.transposed())
     }
 
     pub fn len(&self) -> usize {
@@ -157,35 +358,39 @@ impl TaskGraph {
     }
 
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.succs[id]
+        self.succs().list(id)
     }
 
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.preds[id]
+        self.preds.list(id)
     }
 
     /// In-degree vector (cloned for executor bookkeeping).
     pub fn indegrees(&self) -> Vec<usize> {
-        self.preds.iter().map(Vec::len).collect()
+        let mut out = Vec::new();
+        self.indegrees_into(&mut out);
+        out
     }
 
     /// [`indegrees`](Self::indegrees) into a caller-owned buffer
     /// (arena-reuse path: same values, no allocation).
     pub fn indegrees_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(self.preds.iter().map(Vec::len));
+        out.extend(self.preds.lists().map(<[TaskId]>::len));
     }
 
     /// Tasks with no predecessors.
     pub fn roots(&self) -> Vec<TaskId> {
-        (0..self.len())
-            .filter(|&t| self.preds[t].is_empty())
+        self.preds
+            .lists()
+            .enumerate()
+            .filter_map(|(t, preds)| preds.is_empty().then_some(t))
             .collect()
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.preds.edges
     }
 
     /// Total flops over all tasks.
@@ -220,7 +425,7 @@ impl TaskGraph {
         for id in 0..self.len() {
             // preds are sorted ascending and only strict improvements
             // update, so the deepest smallest-id predecessor wins.
-            for &p in &self.preds[id] {
+            for &p in self.predecessors(id) {
                 if depth[p] + 1 > depth[id] {
                     depth[id] = depth[p] + 1;
                     best_pred[id] = Some(p);

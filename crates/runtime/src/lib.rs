@@ -30,6 +30,7 @@ pub mod data;
 pub mod des;
 pub mod export;
 pub mod graph;
+pub mod inline;
 pub mod memory;
 pub mod observer;
 pub mod perfmodel;

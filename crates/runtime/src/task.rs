@@ -7,6 +7,7 @@
 //! `cpu_funcs` / `cuda_funcs` arrays.
 
 use crate::data::DataId;
+use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
 use ugpc_hwsim::{Bytes, Flops, KernelWork, Precision};
 
@@ -112,6 +113,11 @@ impl AccessMode {
     }
 }
 
+/// A task's operands with their access modes, in codelet argument order.
+/// Up to three, the most a tile kernel takes, are stored in the task
+/// itself; more spill to the heap.
+pub type Operands = InlineVec<(DataId, AccessMode), 3>;
+
 /// One schedulable task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskDesc {
@@ -122,7 +128,7 @@ pub struct TaskDesc {
     /// Application priority; higher runs earlier under sorted schedulers.
     pub priority: i32,
     /// Accessed data handles with modes, in codelet argument order.
-    pub data: Vec<(DataId, AccessMode)>,
+    pub data: Operands,
 }
 
 impl TaskDesc {
@@ -132,7 +138,7 @@ impl TaskDesc {
             precision,
             nb,
             priority: 0,
-            data: Vec::new(),
+            data: Operands::new(),
         }
     }
 
