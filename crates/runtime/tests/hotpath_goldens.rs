@@ -16,6 +16,10 @@
 //! hook. Those values were captured from the executor that still kept
 //! its history model, resident sets and submission maps in hash maps and
 //! re-solved the governor on every launch.
+//!
+//! The last group pins the `random` policy (its seeded draws over
+//! speed weights) and runs on a noise-calibrated history model, captured
+//! from the executor that still costed each candidate worker separately.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -25,9 +29,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ugpc_hwsim::{Bytes, Node, OpKind, PlatformId, Precision, Secs, Watts};
 use ugpc_runtime::{
-    simulate, simulate_controlled, AccessMode, ControlDecision, ControlHook, DataRegistry,
-    ExecEvent, KernelKind, PerfModel, RecapEvent, RunContext, RunTrace, SchedPolicy, SimOptions,
-    TaskDesc, TaskGraph, TraceBuilder,
+    simulate, simulate_controlled, simulate_observed, AccessMode, ControlDecision, ControlHook,
+    DataRegistry, ExecEvent, KernelKind, PerfModel, RecapEvent, RunContext, RunTrace, SchedPolicy,
+    SimOptions, TaskDesc, TaskGraph, TraceBuilder,
 };
 
 /// Tile size, handle-pool size and precision of a random DAG.
@@ -452,4 +456,80 @@ fn mid_run_recaps_match_goldens() {
         })
         .collect();
     check("recap", &measured, &RECAP_GOLDENS);
+}
+
+const RANDOM_GOLDENS: [Outcome; 2] = [
+    (0.32630071306522956, 111.64179624353402, 0, 0),
+    (0.34569245112348257, 88.65665849753415, 0, 0),
+];
+
+/// StarPU's `random` policy draws each worker with probability
+/// proportional to its speed on the task, from a seeded generator: the
+/// draw order and the weights it reads are pinned together.
+#[test]
+fn random_policy_matches_goldens() {
+    let cases = [
+        (21, PlatformId::Amd4A100, 7u64),
+        (22, PlatformId::Intel2V100, 8u64),
+    ];
+    let measured: Vec<(String, Outcome)> = cases
+        .iter()
+        .map(|&(seed, platform, draw_seed)| {
+            let mut node = Node::new(platform);
+            let mut reg = DataRegistry::new();
+            let g = random_graph(seed, 120, SMALL, &mut reg);
+            let opts = SimOptions {
+                policy: SchedPolicy::Random { seed: draw_seed },
+                ..SimOptions::default()
+            };
+            let t = simulate(&mut node, &g, &mut reg, opts);
+            (format!("seed {seed} {platform} random"), outcome(&t))
+        })
+        .collect();
+    check("random", &measured, &RANDOM_GOLDENS);
+}
+
+const NOISY_GOLDENS: [Outcome; 2] = [
+    (0.4430818647938447, 130.5099093722843, 0, 0),
+    (0.2839097043293518, 97.56051201530688, 0, 0),
+];
+
+/// A model calibrated with multiplicative noise (the model-accuracy
+/// ablation): every sample of every (footprint, worker) pair is drawn from
+/// one generator, so the order of the draws is pinned along with the
+/// decisions the noisy history leads to. The 64-core platform calibrates
+/// 62 CPU workers on two packages.
+#[test]
+fn noise_calibrated_model_matches_goldens() {
+    let cases = [
+        (23, PlatformId::Amd2A100, SchedPolicy::Dmdas),
+        (24, PlatformId::Amd4A100, SchedPolicy::Dmda),
+    ];
+    let measured: Vec<(String, Outcome)> = cases
+        .iter()
+        .map(|&(seed, platform, policy)| {
+            let mut node = Node::new(platform);
+            let mut reg = DataRegistry::new();
+            let g = random_graph(seed, 120, SMALL, &mut reg);
+            let opts = SimOptions {
+                policy,
+                ..SimOptions::default()
+            };
+            let mut perf = PerfModel::new().with_calibration_noise(0.3, seed);
+            let mut builder = TraceBuilder::new();
+            simulate_observed(
+                &mut node,
+                &g,
+                &mut reg,
+                opts,
+                &mut perf,
+                &mut [&mut builder],
+            );
+            (
+                format!("seed {seed} {platform} {} noisy", policy.name()),
+                outcome(&builder.into_trace()),
+            )
+        })
+        .collect();
+    check("noisy", &measured, &NOISY_GOLDENS);
 }
