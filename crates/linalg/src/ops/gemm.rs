@@ -44,6 +44,11 @@ impl GemmOp {
         let n = (self.nt * self.nb) as f64;
         ugpc_hwsim::Flops(2.0 * n * n * n)
     }
+
+    /// Edge count: nt² chains of nt updates, nt²·(nt−1) edges.
+    pub fn expected_edges(nt: usize) -> usize {
+        nt * nt * (nt - 1)
+    }
 }
 
 /// Build the `C ← A·B + C` task graph on an `nt × nt` tile grid.
@@ -59,7 +64,8 @@ pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     let c = grid(reg);
     let at = |g: &[DataId], i: usize, j: usize| g[i + j * nt];
 
-    let mut graph = TaskGraph::with_capacity(nt * nt * nt, reg.len());
+    let edges = GemmOp::expected_edges(nt);
+    let mut graph = TaskGraph::with_capacity(nt * nt * nt, edges, reg.len());
     let mut refs = Vec::with_capacity(nt * nt * nt);
     for j in 0..nt {
         for i in 0..nt {
@@ -74,6 +80,7 @@ pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
             }
         }
     }
+    debug_assert_eq!(graph.edge_count(), edges, "GEMM nt {nt}");
     GemmOp {
         nt,
         nb,
@@ -136,6 +143,7 @@ mod tests {
         // nt³ tasks, nt² chains of length nt ⇒ nt²·(nt−1) edges.
         assert_eq!(op.graph.len(), 64);
         assert_eq!(op.graph.edge_count(), 16 * 3);
+        assert_eq!(GemmOp::expected_edges(4), 16 * 3);
         assert_eq!(op.graph.roots().len(), 16);
         assert_eq!(op.graph.critical_path_len(), 4);
         assert_eq!(reg.len(), 3 * 16);

@@ -63,6 +63,11 @@ impl GetrfOp {
     pub fn expected_gemms(nt: usize) -> usize {
         (nt - 1) * nt * (2 * nt - 1) / 6
     }
+
+    /// Edge count: nt(nt−1)(2nt+1)/2.
+    pub fn expected_edges(nt: usize) -> usize {
+        nt * (nt - 1) * (2 * nt + 1) / 2
+    }
 }
 
 /// Build the no-pivot LU task graph.
@@ -74,7 +79,8 @@ pub fn build_getrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
     let at = |i: usize, j: usize| tiles[i + j * nt];
 
     let tasks = GetrfOp::expected_tasks(nt);
-    let mut graph = TaskGraph::with_capacity(tasks, reg.len());
+    let edges = GetrfOp::expected_edges(nt);
+    let mut graph = TaskGraph::with_capacity(tasks, edges, reg.len());
     let mut refs = Vec::with_capacity(tasks);
     let prio = |k: usize, offset: i32| 3 * (nt - k) as i32 - offset;
 
@@ -117,6 +123,7 @@ pub fn build_getrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
             }
         }
     }
+    debug_assert_eq!(graph.edge_count(), edges, "GETRF nt {nt}");
     GetrfOp {
         nt,
         nb,
@@ -177,6 +184,11 @@ mod tests {
             let mut reg = DataRegistry::new();
             let op = build_getrf(nt, 8, Precision::Double, &mut reg);
             assert_eq!(op.graph.len(), GetrfOp::expected_tasks(nt), "nt={nt}");
+            assert_eq!(
+                op.graph.edge_count(),
+                GetrfOp::expected_edges(nt),
+                "nt={nt}"
+            );
             assert_eq!(op.graph.count_kind(KernelKind::Getrf), nt);
             assert_eq!(op.graph.count_kind(KernelKind::Trsm), nt * (nt - 1));
             assert_eq!(

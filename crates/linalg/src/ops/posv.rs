@@ -84,6 +84,11 @@ impl PosvOp {
     pub fn expected_tasks(nt: usize) -> usize {
         crate::ops::potrf::PotrfOp::expected_tasks(nt) + 2 * nt + nt * (nt - 1)
     }
+
+    /// Edge count: nt(nt² + 7nt − 2)/2.
+    pub fn expected_edges(nt: usize) -> usize {
+        nt * (nt * nt + 7 * nt - 2) / 2
+    }
 }
 
 /// Build the POSV task graph (factor + both sweeps in one DAG).
@@ -96,7 +101,8 @@ pub fn build_posv(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     let at = |i: usize, j: usize| a_tiles[i + j * nt];
 
     let tasks = PosvOp::expected_tasks(nt);
-    let mut graph = TaskGraph::with_capacity(tasks, reg.len());
+    let edges = PosvOp::expected_edges(nt);
+    let mut graph = TaskGraph::with_capacity(tasks, edges, reg.len());
     let mut refs = Vec::with_capacity(tasks);
     // Factorization priorities sit above the sweeps; within the sweeps,
     // earlier panels first.
@@ -182,6 +188,7 @@ pub fn build_posv(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
         }
     }
 
+    debug_assert_eq!(graph.edge_count(), edges, "POSV nt {nt}");
     PosvOp {
         nt,
         nb,
@@ -271,6 +278,7 @@ mod tests {
             let mut reg = DataRegistry::new();
             let op = build_posv(nt, 8, Precision::Double, &mut reg);
             assert_eq!(op.graph.len(), PosvOp::expected_tasks(nt), "nt={nt}");
+            assert_eq!(op.graph.edge_count(), PosvOp::expected_edges(nt), "nt={nt}");
             assert_eq!(op.refs.len(), op.graph.len());
         }
     }

@@ -81,7 +81,8 @@ pub fn build_potrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
     let at = |i: usize, j: usize| tiles[i + j * nt];
 
     let tasks = PotrfOp::expected_tasks(nt);
-    let mut graph = TaskGraph::with_capacity(tasks, reg.len());
+    let edges = PotrfOp::expected_edges(nt);
+    let mut graph = TaskGraph::with_capacity(tasks, edges, reg.len());
     let mut refs = Vec::with_capacity(tasks);
     // Priorities: higher = more urgent; the chain at step k dominates all
     // trailing updates of later steps.
@@ -125,6 +126,7 @@ pub fn build_potrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
             }
         }
     }
+    debug_assert_eq!(graph.edge_count(), edges, "POTRF nt {nt}");
     PotrfOp {
         nt,
         nb,

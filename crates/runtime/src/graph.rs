@@ -205,15 +205,16 @@ impl TaskGraph {
         Self::default()
     }
 
-    /// An empty graph with room for `tasks` tasks over the handles
-    /// `0..data`, sized for up to three operands and predecessors per
-    /// task, as the tiled builders submit. A builder that knows its
-    /// counts then allocates a fixed handful of times, not per task.
-    pub fn with_capacity(tasks: usize, data: usize) -> Self {
+    /// An empty graph with room for `tasks` tasks and `edges` inferred
+    /// dependencies over the handles `0..data`, sized for up to three
+    /// operands per task, as the tiled builders submit. A builder that
+    /// knows its counts then allocates a fixed handful of times, not per
+    /// task.
+    pub fn with_capacity(tasks: usize, edges: usize, data: usize) -> Self {
         TaskGraph {
             tasks: Vec::with_capacity(tasks),
             preds: Adjacency {
-                laid_out: Csr::with_capacity(tasks, 3 * tasks),
+                laid_out: Csr::with_capacity(tasks, edges),
                 edited: BTreeMap::new(),
                 edges: 0,
             },

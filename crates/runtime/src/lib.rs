@@ -52,7 +52,7 @@ pub use observer::{
     EventLog, ExecEvent, ExecStats, Observer, Progress, RunContext, RunSummary, StatsCollector,
 };
 pub use perfmodel::PerfModel;
-pub use sched::{SchedPolicy, SchedView, Scheduler};
+pub use sched::{Choice, SchedPolicy, SchedView, Scheduler};
 pub use sim::{simulate, simulate_controlled, simulate_observed, SimOptions};
 pub use task::{distinct_footprints, AccessMode, Footprint, KernelKind, TaskDesc, TaskId};
 pub use timeline::{PowerProfile, PowerTimeline};

@@ -9,6 +9,10 @@
 //!
 //! Alongside time, each entry also tracks observed energy, enabling the
 //! energy-aware scheduler extension.
+//!
+//! Each footprint's row also keeps its entries' mean times in a dense
+//! array, updated by [`PerfModel::observe`], which is what a scheduler
+//! reads once per candidate worker.
 
 use crate::task::Footprint;
 use crate::worker::{Worker, WorkerId, WorkerKind};
@@ -61,12 +65,21 @@ impl Entry {
     }
 }
 
+/// One footprint's history, indexed by worker id.
+#[derive(Debug, Clone)]
+struct Row {
+    fp: Footprint,
+    entries: Vec<Entry>,
+    /// Each entry's mean time, NaN where the worker was never observed
+    /// (observed times are finite).
+    times: Vec<f64>,
+}
+
 /// The per-worker history model, stored as dense rows: one row per
 /// footprint (in first-observation order), one entry per worker id.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
-    /// Each footprint's history, indexed by worker id.
-    rows: Vec<(Footprint, Vec<Entry>)>,
+    rows: Vec<Row>,
     /// Samples required before an entry is considered calibrated
     /// (StarPU's `calibrate_minimum`, default 10; we default to 4).
     min_samples: u64,
@@ -83,6 +96,7 @@ pub(crate) struct PerfRow<'a> {
     model: &'a PerfModel,
     fp: Footprint,
     entries: &'a [Entry],
+    times: &'a [f64],
 }
 
 impl PerfRow<'_> {
@@ -92,7 +106,8 @@ impl PerfRow<'_> {
 
     /// [`PerfModel::expected_time`] for this row's footprint.
     pub(crate) fn expected_time(&self, worker: WorkerId) -> Option<Secs> {
-        self.entry(worker).map(|e| Secs(e.time.mean()))
+        let t = *self.times.get(worker)?;
+        (!t.is_nan()).then_some(Secs(t))
     }
 
     /// [`PerfModel::expected_energy`] for this row's footprint.
@@ -156,34 +171,45 @@ impl PerfModel {
 
     /// A run sees a handful of footprints, so a scan finds a row.
     fn row_index(&self, fp: Footprint) -> Option<usize> {
-        self.rows.iter().position(|(f, _)| *f == fp)
+        self.rows.iter().position(|r| r.fp == fp)
     }
 
     /// The history row of `fp` (empty if it was never observed).
     pub(crate) fn row(&self, fp: Footprint) -> PerfRow<'_> {
-        let entries = match self.row_index(fp) {
-            Some(i) => self.rows[i].1.as_slice(),
-            None => &[],
+        let (entries, times) = match self.row_index(fp) {
+            Some(i) => (
+                self.rows[i].entries.as_slice(),
+                self.rows[i].times.as_slice(),
+            ),
+            None => (&[][..], &[][..]),
         };
         PerfRow {
             model: self,
             fp,
             entries,
+            times,
         }
     }
 
     /// Record an observed execution.
     pub fn observe(&mut self, fp: Footprint, worker: WorkerId, time: Secs, energy: Joules) {
         let i = self.row_index(fp).unwrap_or_else(|| {
-            self.rows.push((fp, Vec::new()));
+            self.rows.push(Row {
+                fp,
+                entries: Vec::new(),
+                times: Vec::new(),
+            });
             self.rows.len() - 1
         });
-        let row = &mut self.rows[i].1;
-        if row.len() <= worker {
-            row.resize(worker + 1, Entry::default());
+        let row = &mut self.rows[i];
+        if row.entries.len() <= worker {
+            row.entries.resize(worker + 1, Entry::default());
+            row.times.resize(worker + 1, f64::NAN);
         }
-        row[worker].time.push(time.value());
-        row[worker].energy.push(energy.value());
+        let e = &mut row.entries[worker];
+        e.time.push(time.value());
+        e.energy.push(energy.value());
+        row.times[worker] = e.time.mean();
     }
 
     /// Expected execution time, if history exists for this exact key.
@@ -210,8 +236,8 @@ impl PerfModel {
     fn extrapolate(&self, fp: Footprint, worker: WorkerId) -> Option<Secs> {
         self.rows
             .iter()
-            .filter(|(f, _)| f.kind == fp.kind && f.precision == fp.precision)
-            .filter_map(|(f, row)| Some((f.nb, row.get(worker).filter(|e| e.observed())?)))
+            .filter(|r| r.fp.kind == fp.kind && r.fp.precision == fp.precision)
+            .filter_map(|r| Some((r.fp.nb, r.entries.get(worker).filter(|e| e.observed())?)))
             .min_by_key(|&(nb, _)| (nb.abs_diff(fp.nb), nb))
             .map(|(nb, e)| {
                 let scale = (fp.nb as f64 / nb as f64).powi(3);
@@ -230,7 +256,7 @@ impl PerfModel {
     pub fn len(&self) -> usize {
         self.rows
             .iter()
-            .map(|(_, row)| row.iter().filter(|e| e.observed()).count())
+            .map(|r| r.entries.iter().filter(|e| e.observed()).count())
             .sum()
     }
 
@@ -248,31 +274,35 @@ impl PerfModel {
     /// every capable worker *at the current power caps* and record the
     /// observations. In the simulation, a calibration run is a device
     /// estimate (deterministic), so this is exact — on real hardware it
-    /// would be noisy but unbiased.
+    /// would be noisy but unbiased. Every core of a package runs alike, so
+    /// its estimate is solved once per package and footprint; the noise
+    /// draws still go footprint by footprint, worker by worker, sample by
+    /// sample.
     pub fn calibrate(&mut self, node: &Node, workers: &[Worker], footprints: &[Footprint]) {
+        let mut package_runs: Vec<Option<(Secs, Joules)>> = Vec::new();
         for &fp in footprints {
+            let work = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb).kernel_work();
+            package_runs.clear();
+            package_runs.resize(node.cpus().len(), None);
             for w in workers {
-                match w.kind {
+                let (time, energy) = match w.kind {
                     WorkerKind::Gpu { device } => {
                         if !fp.kind.gpu_capable() {
                             continue;
                         }
-                        let task = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb);
-                        let run = node.gpu(device).estimate(&task.kernel_work());
-                        for _ in 0..self.min_samples {
-                            let f = self.noise_factor();
-                            self.observe(fp, w.id, run.time * f, run.energy() * f);
-                        }
+                        let run = node.gpu(device).estimate(&work);
+                        (run.time, run.energy())
                     }
-                    WorkerKind::CpuCore { package, .. } => {
-                        let flops = fp.kind.flops(fp.nb);
-                        let run = node.cpus()[package].estimate(flops, fp.nb, fp.precision);
-                        let energy = run.core_power * run.time;
-                        for _ in 0..self.min_samples {
-                            let f = self.noise_factor();
-                            self.observe(fp, w.id, run.time * f, energy * f);
-                        }
-                    }
+                    WorkerKind::CpuCore { package, .. } => *package_runs[package]
+                        .get_or_insert_with(|| {
+                            let flops = fp.kind.flops(fp.nb);
+                            let run = node.cpus()[package].estimate(flops, fp.nb, fp.precision);
+                            (run.time, run.core_power * run.time)
+                        }),
+                };
+                for _ in 0..self.min_samples {
+                    let f = self.noise_factor();
+                    self.observe(fp, w.id, time * f, energy * f);
                 }
             }
         }

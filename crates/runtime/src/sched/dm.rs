@@ -3,19 +3,23 @@
 //! completion time according to the calibrated performance models,
 //! ignoring data-transfer costs.
 
-use crate::sched::{earliest_completion, SchedView, Scheduler};
+use crate::sched::{Choice, Costing, SchedView, Scheduler, Terms};
 use crate::task::TaskId;
-use crate::worker::WorkerId;
 
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DmScheduler;
+#[derive(Debug, Default, Clone)]
+pub struct DmScheduler {
+    costing: Costing,
+}
 
 impl Scheduler for DmScheduler {
     fn name(&self) -> &'static str {
         "dm"
     }
 
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        earliest_completion(view, task, false)
+    /// The executor adds the chosen worker's transfer term, which `dm`
+    /// leaves out of its costs.
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
+        let costs = self.costing.cost(view, task, Terms::Exec);
+        costs.choice(costs.earliest())
     }
 }

@@ -2,19 +2,21 @@
 //! [`crate::sched::DmScheduler`] but the expected completion time includes
 //! the time to move missing operands to the candidate worker.
 
-use crate::sched::{earliest_completion, SchedView, Scheduler};
+use crate::sched::{Choice, Costing, SchedView, Scheduler, Terms};
 use crate::task::TaskId;
-use crate::worker::WorkerId;
 
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DmdaScheduler;
+#[derive(Debug, Default, Clone)]
+pub struct DmdaScheduler {
+    costing: Costing,
+}
 
 impl Scheduler for DmdaScheduler {
     fn name(&self) -> &'static str {
         "dmda"
     }
 
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        earliest_completion(view, task, true)
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
+        let costs = self.costing.cost(view, task, Terms::Transfers);
+        costs.choice(costs.earliest())
     }
 }

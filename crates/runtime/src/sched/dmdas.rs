@@ -8,9 +8,8 @@
 //! "prioritizes tasks whose data buffers are already available on the
 //! target device".
 
-use crate::sched::{Estimate, PerNode, SchedView, Scheduler};
+use crate::sched::{Choice, Costing, Estimate, SchedView, Scheduler, Terms};
 use crate::task::TaskId;
-use crate::worker::WorkerId;
 
 /// Fraction of the task's own execution time within which two expected
 /// completion times count as a tie for the locality preference. The
@@ -21,9 +20,7 @@ const TIE_FRACTION: f64 = 0.25;
 
 #[derive(Debug, Default, Clone)]
 pub struct DmdasScheduler {
-    /// Reusable per-candidate scratch — `choose` runs once per task and
-    /// used to allocate a fresh Vec each call.
-    costs: Vec<Estimate>,
+    costing: Costing,
 }
 
 impl Scheduler for DmdasScheduler {
@@ -36,36 +33,25 @@ impl Scheduler for DmdasScheduler {
         ready.sort_by_key(|&t| std::cmp::Reverse(view.graph.task(t).priority));
     }
 
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        self.costs.clear();
-        self.costs.extend(view.estimates(task, true));
-        let costs = &self.costs;
-        assert!(!costs.is_empty(), "no capable worker for task {task}");
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
+        let costs = self.costing.cost(view, task, Terms::Locality);
         let ect = |e: &Estimate| e.completion.value();
-        let best = costs
-            .iter()
-            .min_by(|a, b| ect(a).total_cmp(&ect(b)))
-            .expect("non-empty candidate set");
+        let best = costs.earliest();
         let (best_ect, slack) = (ect(best), best.exec.value() * TIE_FRACTION);
         // Locality tie-break among workers finishing within a fraction of
-        // one execution of the best; resident bytes depend on the memory
-        // node alone, so they are counted once per node.
-        let mut resident = PerNode::default();
+        // one execution of the best.
         costs
+            .candidates()
             .iter()
             .filter(|e| ect(e) <= best_ect + slack)
-            .map(|e| {
-                let w = &view.workers[e.worker];
-                let r = resident.get(w.mem_node(), || view.resident_bytes(task, w).value());
-                (e, r)
-            })
+            .map(|e| (e, costs.resident(e).value()))
             // Most resident bytes, then earliest ECT; `max_by` keeps the
             // last of equal maxima.
             .max_by(|a, b| {
                 a.1.total_cmp(&b.1)
                     .then_with(|| ect(b.0).total_cmp(&ect(a.0)))
             })
-            .map(|(e, _)| e.worker)
-            .expect("non-empty candidate set")
+            .map(|(e, _)| costs.choice(e))
+            .expect("the best candidate is within its own window")
     }
 }

@@ -1,9 +1,8 @@
 //! The eager (greedy FIFO) baseline: a single shared queue; each task goes
 //! to whichever capable worker frees up first, with no performance model.
 
-use crate::sched::{argmin_worker, SchedView, Scheduler};
+use crate::sched::{Choice, SchedView, Scheduler};
 use crate::task::TaskId;
-use crate::worker::WorkerId;
 
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EagerScheduler;
@@ -13,7 +12,19 @@ impl Scheduler for EagerScheduler {
         "eager"
     }
 
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
-        argmin_worker(view, task, |w| view.now.max(view.worker_free[w.id]).value())
+    /// Costs no estimate: the executor computes both terms.
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
+        let worker = view
+            .capable_workers(task)
+            .map(|w| (w.id, view.now.max(view.worker_free[w.id]).value()))
+            // `min_by` keeps the first of equal minima.
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or_else(|| panic!("no capable worker for task {task}"))
+            .0;
+        Choice {
+            worker,
+            transfer: None,
+            exec: None,
+        }
     }
 }

@@ -5,6 +5,14 @@
 //! `random`, `dm` (HEFT-style expected completion time), `dmda` (ECT +
 //! data-transfer time), `dmdas` (dmda + priority-sorted assignment +
 //! locality tie-break), and the future-work `energy` scheduler.
+//!
+//! A policy that costs candidates does it through its `Costing` scratch:
+//! one pass over the task's operands fills every memory node's transfer
+//! total (and, for dmdas, its resident operand bytes), and one pass over
+//! the workers reads each capable worker's expected time from the dense
+//! history row. The policy hands the chosen worker's estimate back in its
+//! [`Choice`], so the executor recomputes only what the policy did not
+//! cost.
 
 mod dm;
 mod dmda;
@@ -20,13 +28,13 @@ pub use eager::EagerScheduler;
 pub use energy::EnergyAwareScheduler;
 pub use random::RandomScheduler;
 
-use crate::data::{DataRegistry, MemNode};
+use crate::data::{DataId, DataRegistry, MemNode};
 use crate::graph::TaskGraph;
 use crate::perfmodel::{PerfModel, PerfRow};
-use crate::task::TaskId;
+use crate::task::{AccessMode, TaskId};
 use crate::worker::{Worker, WorkerId};
 use serde::{Deserialize, Serialize};
-use ugpc_hwsim::{Joules, LinkTopology, Secs};
+use ugpc_hwsim::{Bytes, Joules, LinkTopology, Secs};
 
 /// Scheduler selection, serializable for experiment configs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,8 +57,8 @@ impl SchedPolicy {
         match self {
             SchedPolicy::Eager => Box::new(EagerScheduler),
             SchedPolicy::Random { seed } => Box::new(RandomScheduler::new(seed)),
-            SchedPolicy::Dm => Box::new(DmScheduler),
-            SchedPolicy::Dmda => Box::new(DmdaScheduler),
+            SchedPolicy::Dm => Box::new(DmScheduler::default()),
+            SchedPolicy::Dmda => Box::new(DmdaScheduler::default()),
             SchedPolicy::Dmdas => Box::new(DmdasScheduler::default()),
             SchedPolicy::EnergyAware { lambda } => Box::new(EnergyAwareScheduler::new(lambda)),
         }
@@ -158,69 +166,203 @@ impl<'a> SchedView<'a> {
     pub fn capable_workers(&self, task: TaskId) -> impl Iterator<Item = &Worker> {
         self.workers.iter().filter(move |w| self.can_run(task, w))
     }
-
-    /// The expected completion time of every capable worker `w` (the dm
-    /// family's objective), in worker order, alongside its execution
-    /// estimate: `max(now, worker_free[w]) + transfer + exec`, where
-    /// `transfer` is [`Self::transfer_estimate`] when `with_transfers` is
-    /// set and zero otherwise, and `exec` is [`Self::exec_estimate`]. The
-    /// task's history row is looked up once, and the transfer estimate —
-    /// a function of the memory node alone — is computed once per run of
-    /// consecutive workers on the same node: once for all the CPU cores
-    /// sharing the host, once per GPU.
-    pub(crate) fn estimates(
-        &self,
-        task: TaskId,
-        with_transfers: bool,
-    ) -> impl Iterator<Item = Estimate> + '_ {
-        let row = self.perf_row(task);
-        let mut transfers = PerNode::default();
-        self.capable_workers(task).map(move |w| {
-            let transfer = if with_transfers {
-                transfers.get(w.mem_node(), || self.transfer_estimate(task, w))
-            } else {
-                Secs::ZERO
-            };
-            let exec = exec_in(&row, w);
-            let start = self.now.max(self.worker_free[w.id]);
-            Estimate {
-                worker: w.id,
-                exec,
-                completion: start + transfer + exec,
-            }
-        })
-    }
 }
 
-/// One capable worker's expected cost of a task (see
-/// [`SchedView::estimates`]).
+/// What a policy costs for each candidate worker (see [`Costing::cost`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Terms {
+    /// Execution estimates only (`dm`, `random`).
+    #[default]
+    Exec,
+    /// Execution plus each memory node's transfer total (`dmda`, `energy`).
+    Transfers,
+    /// Both, plus each memory node's resident operand bytes (`dmdas`).
+    Locality,
+}
+
+/// One capable worker's expected cost of a task (see [`Costing::cost`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Estimate {
     pub(crate) worker: WorkerId,
-    /// Expected execution time.
+    /// Index of the worker's memory node: the host is 0, GPU `g` is `g + 1`.
+    node: usize,
+    /// Expected transfer time ([`SchedView::transfer_estimate`]); zero
+    /// under [`Terms::Exec`].
+    pub(crate) transfer: Secs,
+    /// Expected execution time ([`SchedView::exec_estimate`]).
     pub(crate) exec: Secs,
-    /// Expected completion time.
+    /// Expected completion time: `max(now, worker_free) + transfer + exec`.
     pub(crate) completion: Secs,
 }
 
-/// A one-entry cache of a per-memory-node value. Workers come grouped by
-/// node (CPU cores, then one worker per GPU), so remembering the last
-/// node computes each node's value once; a node that recurs later is
-/// recomputed, which costs time but never changes the value.
-#[derive(Debug, Default)]
-pub(crate) struct PerNode<T> {
-    last: Option<(MemNode, T)>,
+/// A policy's reusable scratch for costing one task's candidate workers.
+///
+/// [`Costing::cost`] makes one pass over the task's operands, filling each
+/// memory node's transfer total and resident bytes, and one over the
+/// workers, reading each candidate's execution estimate from the dense
+/// history row. Up to 62 CPU workers share the host node, so the per-node
+/// totals are what makes a decision cheap.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Costing {
+    terms: Terms,
+    /// The capable workers' estimates, in worker order.
+    candidates: Vec<Estimate>,
+    /// dmda's transfer total per memory node.
+    transfer: Vec<Secs>,
+    /// Bytes of the task's operands resident per memory node.
+    resident: Vec<Bytes>,
 }
 
-impl<T: Copy> PerNode<T> {
-    pub(crate) fn get(&mut self, node: MemNode, compute: impl FnOnce() -> T) -> T {
-        match self.last {
-            Some((n, v)) if n == node => v,
-            _ => {
-                let v = compute();
-                self.last = Some((node, v));
-                v
+fn node_index(node: MemNode) -> usize {
+    match node {
+        MemNode::Host => 0,
+        MemNode::Gpu(g) => g + 1,
+    }
+}
+
+impl Costing {
+    /// Cost every capable worker of `task` for `terms`. Each memory node's
+    /// transfer total and resident bytes add their operands' terms in
+    /// operand order from zero, each operand's link time computed once, so
+    /// they equal [`SchedView::transfer_estimate`] and
+    /// [`SchedView::resident_bytes`] bit for bit (debug builds check it).
+    /// An unobserved history entry falls back to the cubic extrapolation,
+    /// then to `UNKNOWN_TIME`, as [`SchedView::exec_estimate`] does.
+    ///
+    /// # Panics
+    ///
+    /// If no worker can run the task.
+    pub(crate) fn cost(&mut self, view: &SchedView, task: TaskId, terms: Terms) -> &Self {
+        let desc = view.graph.task(task);
+        let (on_cpu, on_gpu) = (desc.kind.cpu_capable(), desc.kind.gpu_capable());
+        let row = view.perf.row(desc.footprint());
+        self.terms = terms;
+        self.candidates.clear();
+        let mut nodes = 0;
+        for w in view.workers {
+            if !(if w.is_gpu() { on_gpu } else { on_cpu }) {
+                continue;
             }
+            let node = node_index(w.mem_node());
+            nodes = nodes.max(node + 1);
+            self.candidates.push(Estimate {
+                worker: w.id,
+                node,
+                transfer: Secs::ZERO,
+                exec: exec_in(&row, w),
+                completion: Secs::ZERO,
+            });
+        }
+        assert!(
+            !self.candidates.is_empty(),
+            "no capable worker for task {task}"
+        );
+        if terms != Terms::Exec {
+            self.fill_nodes(view, &desc.data, nodes);
+        }
+        for e in &mut self.candidates {
+            if terms != Terms::Exec {
+                e.transfer = self.transfer[e.node];
+            }
+            let start = view.now.max(view.worker_free[e.worker]);
+            e.completion = start + e.transfer + e.exec;
+        }
+        debug_assert!(
+            self.matches_reference(view, task),
+            "per-node totals of task {task} differ from the per-worker estimates"
+        );
+        self
+    }
+
+    /// The one pass over the operands: add each operand's link time to
+    /// every node lacking a replica (dmda's transfer model: host-held data
+    /// crosses one host-to-device link, GPU-only data is copied back to
+    /// the host or across to another GPU), and, for [`Terms::Locality`],
+    /// its bytes to every node holding one.
+    fn fill_nodes(&mut self, view: &SchedView, operands: &[(DataId, AccessMode)], nodes: usize) {
+        let residency = self.terms == Terms::Locality;
+        self.transfer.clear();
+        self.transfer.resize(nodes, Secs::ZERO);
+        self.resident.clear();
+        self.resident.resize(nodes, Bytes::ZERO);
+        for &(d, mode) in operands {
+            let valid = view.data.valid_nodes(d);
+            let bytes = view.data.bytes(d);
+            if residency {
+                for &n in valid {
+                    if let Some(r) = self.resident.get_mut(node_index(n)) {
+                        *r += bytes;
+                    }
+                }
+            }
+            if !mode.reads() {
+                continue;
+            }
+            let on_host = valid.contains(&MemNode::Host);
+            if !on_host {
+                self.transfer[0] += view.links.d2h_time(bytes);
+            }
+            let mut to_gpu = None;
+            for (g, total) in self.transfer.iter_mut().enumerate().skip(1) {
+                if !valid.contains(&MemNode::Gpu(g - 1)) {
+                    *total += *to_gpu.get_or_insert_with(|| {
+                        if on_host {
+                            view.links.h2d_time(bytes)
+                        } else {
+                            view.links.d2d_time(bytes)
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// Whether every candidate node's totals equal the per-worker
+    /// reference estimates bitwise (the debug check of [`Self::cost`]).
+    fn matches_reference(&self, view: &SchedView, task: TaskId) -> bool {
+        if self.terms == Terms::Exec {
+            return true;
+        }
+        let mut checked = vec![false; self.transfer.len()];
+        self.candidates.iter().all(|e| {
+            if std::mem::replace(&mut checked[e.node], true) {
+                return true;
+            }
+            let w = &view.workers[e.worker];
+            let transfer = view.transfer_estimate(task, w).value().to_bits();
+            let resident = view.resident_bytes(task, w).value().to_bits();
+            e.transfer.value().to_bits() == transfer
+                && (self.terms != Terms::Locality
+                    || self.resident[e.node].value().to_bits() == resident)
+        })
+    }
+
+    /// The capable workers' estimates, in worker order.
+    pub(crate) fn candidates(&self) -> &[Estimate] {
+        &self.candidates
+    }
+
+    /// Bytes of the task's operands resident on `e`'s memory node (costed
+    /// under [`Terms::Locality`] only).
+    pub(crate) fn resident(&self, e: &Estimate) -> Bytes {
+        self.resident[e.node]
+    }
+
+    /// The candidate with the earliest expected completion; `min_by` keeps
+    /// the first of equal minima.
+    pub(crate) fn earliest(&self) -> &Estimate {
+        self.candidates
+            .iter()
+            .min_by(|a, b| a.completion.value().total_cmp(&b.completion.value()))
+            .expect("cost() leaves at least one candidate")
+    }
+
+    /// Choose `e`, handing back the terms that were costed.
+    pub(crate) fn choice(&self, e: &Estimate) -> Choice {
+        Choice {
+            worker: e.worker,
+            transfer: (self.terms != Terms::Exec).then_some(e.transfer),
+            exec: Some(e.exec),
         }
     }
 }
@@ -228,6 +370,19 @@ impl<T: Copy> PerNode<T> {
 fn exec_in(row: &PerfRow, w: &Worker) -> Secs {
     row.expected_time_or_extrapolate(w.id)
         .unwrap_or(UNKNOWN_TIME)
+}
+
+/// A policy's decision: the chosen worker, and whichever parts of its
+/// expected cost the policy computed on the way. The executor advances the
+/// worker's expected queue end by `transfer + exec`, computing only the
+/// parts left out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Choice {
+    pub worker: WorkerId,
+    /// [`SchedView::transfer_estimate`] on `worker`, if the policy costed it.
+    pub transfer: Option<Secs>,
+    /// [`SchedView::exec_estimate`] on `worker`, if the policy costed it.
+    pub exec: Option<Secs>,
 }
 
 /// A scheduling policy: orders each batch of newly-ready tasks, then
@@ -239,34 +394,10 @@ pub trait Scheduler {
     /// (FIFO) order.
     fn order(&mut self, _ready: &mut Vec<TaskId>, _view: &SchedView) {}
 
-    /// Pick the worker for `task`. Must return a capable worker.
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId;
-}
-
-/// Shared helper: argmin of `cost` over capable workers (first wins ties).
-pub(crate) fn argmin_worker<F: FnMut(&Worker) -> f64>(
-    view: &SchedView,
-    task: TaskId,
-    mut cost: F,
-) -> WorkerId {
-    view.capable_workers(task)
-        .map(|w| (w.id, cost(w)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap_or_else(|| panic!("no capable worker for task {task}"))
-        .0
-}
-
-/// The capable worker with the earliest expected completion (first wins
-/// ties) — the dm family's choice.
-pub(crate) fn earliest_completion(
-    view: &SchedView,
-    task: TaskId,
-    with_transfers: bool,
-) -> WorkerId {
-    view.estimates(task, with_transfers)
-        .min_by(|a, b| a.completion.value().total_cmp(&b.completion.value()))
-        .unwrap_or_else(|| panic!("no capable worker for task {task}"))
-        .worker
+    /// Pick the worker for `task`. Must return a capable worker, and only
+    /// estimates equal to [`SchedView::transfer_estimate`] and
+    /// [`SchedView::exec_estimate`] on it.
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice;
 }
 
 #[cfg(test)]

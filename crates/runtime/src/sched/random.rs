@@ -3,21 +3,22 @@
 //! task (StarPU weights by `relative_speedup`), using a seeded generator
 //! for reproducible experiments.
 
-use crate::sched::{SchedView, Scheduler};
+use crate::sched::{Choice, Costing, Estimate, SchedView, Scheduler, Terms};
 use crate::task::TaskId;
-use crate::worker::WorkerId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: SmallRng,
+    costing: Costing,
 }
 
 impl RandomScheduler {
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
             rng: SmallRng::seed_from_u64(seed),
+            costing: Costing::default(),
         }
     }
 }
@@ -27,25 +28,24 @@ impl Scheduler for RandomScheduler {
         "random"
     }
 
-    fn choose(&mut self, task: TaskId, view: &SchedView) -> WorkerId {
+    fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
+        let costs = self.costing.cost(view, task, Terms::Exec);
         // Weight = inverse expected execution time (relative speed).
-        let candidates: Vec<(WorkerId, f64)> = view
-            .estimates(task, false)
-            .map(|e| (e.worker, 1.0 / e.exec.value().max(1e-12)))
-            .collect();
-        let Some(last) = candidates.last() else {
-            panic!("no capable worker for task {task}");
-        };
-        let total: f64 = candidates.iter().map(|c| c.1).sum();
+        let weight = |e: &Estimate| 1.0 / e.exec.value().max(1e-12);
+        let candidates = costs.candidates();
+        let total: f64 = candidates.iter().map(weight).sum();
         let mut pick = self.rng.gen_range(0.0..total);
-        for (id, weight) in &candidates {
-            if pick < *weight {
-                return *id;
+        for e in candidates {
+            if pick < weight(e) {
+                return costs.choice(e);
             }
-            pick -= weight;
+            pick -= weight(e);
         }
         // Floating-point round-off can leave `pick` a hair past the last
         // cumulative weight; the draw then belongs to the final bucket.
-        last.0
+        let last = candidates
+            .last()
+            .expect("cost() leaves at least one candidate");
+        costs.choice(last)
     }
 }

@@ -6,6 +6,10 @@
 //! ready (in scheduler-defined order), using the calibrated performance
 //! models; workers drain their queues; DMA engines (one per GPU and
 //! direction) serialize transfers; devices integrate their own energy.
+//! Each decision advances the chosen worker's expected queue end by the
+//! transfer and execution estimates the policy handed back in its
+//! [`Choice`](crate::sched::Choice), computing here only the terms it did
+//! not cost (`dm`'s transfer term, both of `eager`'s).
 //!
 //! The executor keeps only *execution* state (queue drain times, DMA
 //! engines, residency, the ready frontier); every statistic is emitted as
@@ -283,7 +287,10 @@ fn simulate_in_arena(
             }
             std::mem::swap(batch, ready);
             for &task in batch.iter() {
-                let wid = {
+                // The policy's choice and its expected cost, `transfer +
+                // exec`, with only the terms the policy did not cost
+                // computed here.
+                let (wid, est) = {
                     let view = SchedView {
                         graph,
                         workers,
@@ -293,24 +300,26 @@ fn simulate_in_arena(
                         links: &links,
                         now,
                     };
-                    scheduler.choose(task, &view)
+                    let choice = scheduler.choose(task, &view);
+                    let w = &workers[choice.worker];
+                    let transfer = choice
+                        .transfer
+                        .unwrap_or_else(|| view.transfer_estimate(task, w));
+                    let exec = choice.exec.unwrap_or_else(|| view.exec_estimate(task, w));
+                    debug_assert_eq!(
+                        (transfer.value().to_bits(), exec.value().to_bits()),
+                        (
+                            view.transfer_estimate(task, w).value().to_bits(),
+                            view.exec_estimate(task, w).value().to_bits()
+                        ),
+                        "{} handed back another estimate of task {task}",
+                        scheduler.name()
+                    );
+                    (choice.worker, transfer + exec)
                 };
                 // Advance the model-predicted queue end for the chosen
                 // worker (what the scheduler believes it just committed).
-                {
-                    let view = SchedView {
-                        graph,
-                        workers,
-                        worker_free: worker_expected.as_slice(),
-                        perf,
-                        data,
-                        links: &links,
-                        now,
-                    };
-                    let est = view.transfer_estimate(task, &workers[wid])
-                        + view.exec_estimate(task, &workers[wid]);
-                    worker_expected[wid] = now.max(worker_expected[wid]) + est;
-                }
+                worker_expected[wid] = now.max(worker_expected[wid]) + est;
                 if worker_expected[wid] > worker_free[wid] {
                     resync.push(worker_free[wid], wid);
                 }

@@ -1,0 +1,304 @@
+//! The schedulers' costing against a per-worker reference scan.
+//!
+//! A policy that costs candidate workers fills every memory node's
+//! transfer total and resident bytes in one pass over the task's operands
+//! and reads expected times from a dense history row, then hands the
+//! chosen worker's estimate back to the executor. Here random runtime
+//! states — replicas on the host only, on one GPU as sole owner, or on
+//! several nodes; one to four GPUs behind staged PCIe or direct NVLink
+//! links; tiles of unequal sizes; random and deliberately tied queue ends;
+//! exact, noisy and partly unobserved history models — are put to every
+//! such policy, and its choice and estimate must equal a scan that costs
+//! each worker on its own through the public `transfer_estimate`,
+//! `exec_estimate`, `resident_bytes` and `energy_estimate`, and applies
+//! the documented tie rules.
+
+// Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
+// reach helper fns in integration-test files).
+#![allow(clippy::unwrap_used)]
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use ugpc_hwsim::{Bytes, Joules, LinkTopology, Node, PlatformId, Precision, Secs};
+use ugpc_runtime::{
+    distinct_footprints, AccessMode, Choice, DataRegistry, Footprint, KernelKind, MemNode,
+    PerfModel, SchedPolicy, SchedView, TaskDesc, TaskGraph, TaskId, Worker, WorkerKind,
+};
+
+/// dmdas's locality window: completion times within this fraction of the
+/// earliest candidate's own execution time count as tied.
+const TIE_FRACTION: f64 = 0.25;
+
+/// Every policy that costs candidates (`eager` costs none).
+fn policies(seed: u64) -> [SchedPolicy; 7] {
+    [
+        SchedPolicy::Dm,
+        SchedPolicy::Dmda,
+        SchedPolicy::Dmdas,
+        SchedPolicy::EnergyAware { lambda: 0.0 },
+        SchedPolicy::EnergyAware { lambda: 0.5 },
+        SchedPolicy::EnergyAware { lambda: 1.0 },
+        SchedPolicy::Random { seed },
+    ]
+}
+
+/// A random runtime state: workers, replicas, tasks, model, queue ends.
+struct State {
+    workers: Vec<Worker>,
+    links: LinkTopology,
+    data: DataRegistry,
+    graph: TaskGraph,
+    perf: PerfModel,
+    free: Vec<Secs>,
+    now: Secs,
+}
+
+fn state(cpus: usize, gpus: usize, nvlink: bool, model: u32, seed: u64) -> State {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // `cpus` cores of one package, then one worker per GPU.
+    let workers: Vec<Worker> = (0..cpus)
+        .map(|core| WorkerKind::CpuCore { package: 0, core })
+        .chain((0..gpus).map(|device| WorkerKind::Gpu { device }))
+        .enumerate()
+        .map(|(id, kind)| Worker { id, kind })
+        .collect();
+    let links = if nvlink {
+        LinkTopology::sxm4_nvlink()
+    } else {
+        LinkTopology::pcie_gen3()
+    };
+
+    // Tiles of unequal sizes, each in one of four replica states.
+    let mut data = DataRegistry::new();
+    let n_tiles = rng.gen_range(1..7usize);
+    for _ in 0..n_tiles {
+        let nb = [320usize, 960, 1920, 2880][rng.gen_range(0..4usize)];
+        let d = data.register(Bytes((nb * nb * 8) as f64));
+        let gpu = |rng: &mut SmallRng| MemNode::Gpu(rng.gen_range(0..gpus));
+        match rng.gen_range(0..4u32) {
+            // Host only, as registered.
+            0 => {}
+            // One GPU as sole owner.
+            1 => data.write_at(d, gpu(&mut rng)),
+            // The host and some GPUs.
+            2 => {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    data.add_replica(d, gpu(&mut rng));
+                }
+            }
+            // Several GPUs, not the host.
+            _ => {
+                data.write_at(d, gpu(&mut rng));
+                data.add_replica(d, gpu(&mut rng));
+            }
+        }
+    }
+
+    // Tasks of mixed kinds (some CPU-only) and tile sizes.
+    let mut graph = TaskGraph::new();
+    for _ in 0..rng.gen_range(1..6usize) {
+        let kind = KernelKind::ALL[rng.gen_range(0..KernelKind::ALL.len())];
+        let nb = [960usize, 1920][rng.gen_range(0..2usize)];
+        let mut t = TaskDesc::new(kind, Precision::Double, nb);
+        for _ in 0..rng.gen_range(1..5usize) {
+            let mode = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite]
+                [rng.gen_range(0..3usize)];
+            t = t.access(rng.gen_range(0..n_tiles), mode);
+        }
+        graph.submit(t);
+    }
+
+    let mut footprints = Vec::new();
+    distinct_footprints(graph.tasks(), &mut footprints);
+    let node = Node::new(PlatformId::Amd4A100);
+    let perf = match model {
+        0 => {
+            let mut m = PerfModel::new();
+            m.calibrate(&node, &workers, &footprints);
+            m
+        }
+        1 => {
+            let mut m = PerfModel::new().with_calibration_noise(0.3, seed);
+            m.calibrate(&node, &workers, &footprints);
+            m
+        }
+        _ => observed_at_random(&mut rng, &workers, &footprints),
+    };
+
+    // Queue ends from a short list, so completion times often tie.
+    let ends = [0.0, 1e-3, 2e-3, 5e-3];
+    let free = workers
+        .iter()
+        .map(|_| Secs(ends[rng.gen_range(0..ends.len())]))
+        .collect();
+    let now = Secs(ends[rng.gen_range(0..2usize)]);
+    State {
+        workers,
+        links,
+        data,
+        graph,
+        perf,
+        free,
+        now,
+    }
+}
+
+/// A model holding some (footprint, worker) entries, with times and
+/// energies from short lists (ties again), some entries only at another
+/// tile size (the cubic extrapolation) and some at none (the unknown-time
+/// placeholder).
+fn observed_at_random(rng: &mut SmallRng, workers: &[Worker], fps: &[Footprint]) -> PerfModel {
+    let mut m = PerfModel::new();
+    for &fp in fps {
+        for w in workers {
+            for nb in [fp.nb, 480] {
+                if rng.gen_range(0..4u32) == 0 {
+                    continue;
+                }
+                let t = [0.5e-3, 1e-3, 2e-3][rng.gen_range(0..3usize)];
+                let e = [1.0, 2.0, 3.0][rng.gen_range(0..3usize)];
+                let key = Footprint { nb, ..fp };
+                m.observe(key, w.id, Secs(t), Joules(e));
+            }
+        }
+    }
+    m
+}
+
+/// The reference: each capable worker costed on its own, then the policy's
+/// documented rule.
+fn reference(view: &SchedView, task: TaskId, policy: SchedPolicy) -> Choice {
+    struct Cand {
+        worker: usize,
+        transfer: Secs,
+        exec: Secs,
+        completion: f64,
+        resident: f64,
+        energy: f64,
+    }
+    let with_transfers = !matches!(policy, SchedPolicy::Dm | SchedPolicy::Random { .. });
+    let cands: Vec<Cand> = view
+        .capable_workers(task)
+        .map(|w| {
+            let transfer = view.transfer_estimate(task, w);
+            let exec = view.exec_estimate(task, w);
+            let start = view.now.max(view.worker_free[w.id]);
+            let completion = if with_transfers {
+                start + transfer + exec
+            } else {
+                start + exec
+            };
+            Cand {
+                worker: w.id,
+                transfer,
+                exec,
+                completion: completion.value(),
+                resident: view.resident_bytes(task, w).value(),
+                energy: view.energy_estimate(task, w).value(),
+            }
+        })
+        .collect();
+    let choice = |c: &Cand| Choice {
+        worker: c.worker,
+        transfer: with_transfers.then_some(c.transfer),
+        exec: Some(c.exec),
+    };
+    // The first candidate whose key is strictly below every earlier one.
+    let first_min = |key: &dyn Fn(&Cand) -> f64| {
+        let mut best = &cands[0];
+        for c in &cands[1..] {
+            if key(c) < key(best) {
+                best = c;
+            }
+        }
+        best
+    };
+    match policy {
+        SchedPolicy::Dm | SchedPolicy::Dmda => choice(first_min(&|c| c.completion)),
+        SchedPolicy::Dmdas => {
+            let best = first_min(&|c| c.completion);
+            let limit = best.completion + best.exec.value() * TIE_FRACTION;
+            // Most resident bytes, then earliest completion; the last of
+            // equal candidates wins.
+            let mut pick = best;
+            for c in cands.iter().filter(|c| c.completion <= limit) {
+                if c.resident > pick.resident
+                    || (c.resident == pick.resident && c.completion <= pick.completion)
+                {
+                    pick = c;
+                }
+            }
+            choice(pick)
+        }
+        SchedPolicy::EnergyAware { lambda } => {
+            let t_min = cands
+                .iter()
+                .map(|c| c.completion)
+                .fold(f64::INFINITY, f64::min);
+            let e_min = cands.iter().map(|c| c.energy).fold(f64::INFINITY, f64::min);
+            choice(first_min(&|c| {
+                (1.0 - lambda) * c.completion / t_min.max(1e-12)
+                    + lambda * c.energy / e_min.max(1e-12)
+            }))
+        }
+        SchedPolicy::Random { seed } => {
+            let weight = |c: &Cand| 1.0 / c.exec.value().max(1e-12);
+            let total: f64 = cands.iter().map(weight).sum();
+            let mut pick = SmallRng::seed_from_u64(seed).gen_range(0.0..total);
+            for c in &cands {
+                if pick < weight(c) {
+                    return choice(c);
+                }
+                pick -= weight(c);
+            }
+            choice(cands.last().unwrap())
+        }
+        SchedPolicy::Eager => unreachable!("eager costs no candidate"),
+    }
+}
+
+/// A choice with its estimates as bit patterns.
+fn bits(c: Choice) -> (usize, Option<u64>, Option<u64>) {
+    (
+        c.worker,
+        c.transfer.map(|t| t.value().to_bits()),
+        c.exec.map(|e| e.value().to_bits()),
+    )
+}
+
+proptest! {
+    #[test]
+    fn every_costed_choice_matches_the_per_worker_scan(
+        cpus in 1usize..5,
+        gpus in 1usize..5,
+        nvlink in proptest::bool::ANY,
+        model in 0u32..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let s = state(cpus, gpus, nvlink, model, seed);
+        let view = SchedView {
+            graph: &s.graph,
+            workers: &s.workers,
+            worker_free: &s.free,
+            perf: &s.perf,
+            data: &s.data,
+            links: &s.links,
+            now: s.now,
+        };
+        for task in 0..s.graph.len() {
+            for policy in policies(seed) {
+                let got = policy.build().choose(task, &view);
+                let want = reference(&view, task, policy);
+                prop_assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "{} on task {task} ({:?}), {cpus} cores, {gpus} GPUs, nvlink {nvlink}, \
+                     model {model}, seed {seed}: chose {got:?}, the scan {want:?}",
+                    policy.name(),
+                    s.graph.task(task).kind
+                );
+            }
+        }
+    }
+}
