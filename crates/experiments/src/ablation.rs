@@ -8,10 +8,11 @@
 //!    static `B` oracle it is supposed to discover.
 
 use crate::format::{f, pct, TextTable};
+use crate::memo::run_study;
 use serde::{Deserialize, Serialize};
 use ugpc_capping::CapConfig;
 use ugpc_control::run_dynamic;
-use ugpc_core::{run_study, RunConfig, RunReport};
+use ugpc_core::{RunConfig, RunReport};
 use ugpc_hwsim::{GpuDevice, KernelWork, OpKind, PlatformId, Precision, Watts};
 use ugpc_runtime::SchedPolicy;
 

@@ -20,7 +20,9 @@
 //! `--jobs N` fans independent simulations over N worker threads
 //! (default: available cores, also settable via `UGPC_JOBS`); `--jobs 1`
 //! preserves the plain serial path. Output is byte-identical either way
-//! — see `ugpc_experiments::driver`.
+//! — see `ugpc_experiments::driver`. All experiments of one invocation
+//! share one report memo (`ugpc_experiments::memo`), so a static study
+//! that several of them run simulates once.
 //! `--json DIR` additionally writes each experiment's raw data as JSON.
 //! `--smoke` runs the cheap CI variant of experiments that have one
 //! (currently `control`); the full-scale committed baselines are left
@@ -382,6 +384,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    ex::memo::session(|| run_experiments(&args));
+    ExitCode::SUCCESS
+}
+
+fn run_experiments(args: &Args) {
     for exp in &args.experiments {
         let t0 = std::time::Instant::now();
         match exp.as_str() {
@@ -510,5 +517,4 @@ fn main() -> ExitCode {
         }
         eprintln!("[{exp} done in {:.1} s]", t0.elapsed().as_secs_f64());
     }
-    ExitCode::SUCCESS
 }

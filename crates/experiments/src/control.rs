@@ -23,10 +23,11 @@
 
 use crate::driver::par_map;
 use crate::format::{f, TextTable};
+use crate::memo::{run_study, run_study_at_caps};
 use crate::power_profile::sparkline;
 use serde::{Deserialize, Serialize};
 use ugpc_control::{ControllerSpec, DecisionRecord, ObjectiveKind, WindowMetrics};
-use ugpc_core::{run_study, try_run_study_with, RunConfig, RunReport, Study, StudyOptions};
+use ugpc_core::{try_run_study_with, RunConfig, RunReport, Study, StudyOptions};
 use ugpc_hwsim::{Flops, GpuSpec, Joules, OpKind, PlatformId, PlatformSpec, Precision, Secs};
 use ugpc_runtime::{PowerProfile, PowerTimeline};
 
@@ -77,21 +78,6 @@ pub struct ControlCase {
     /// The uniform caps the offline sweep visited (W).
     pub sweep_caps_w: Vec<f64>,
     pub rows: Vec<ObjectiveRow>,
-}
-
-/// One run of the study. Every configuration here is built from the
-/// platform's own specification, so a rejection is a bug in this file.
-fn study(cfg: &RunConfig, options: StudyOptions<'_>) -> Study {
-    try_run_study_with(cfg, options).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// One static run at explicit per-GPU watt caps.
-fn run_study_at_caps(cfg: &RunConfig, caps_w: &[f64]) -> RunReport {
-    let options = StudyOptions {
-        caps_w: Some(caps_w.to_vec()),
-        ..Default::default()
-    };
-    study(cfg, options).report
 }
 
 /// Per-operation controller tuning: `(votes, min_occupancy)`.
@@ -225,14 +211,17 @@ pub fn run_with(
                     .with_votes(votes)
                     .with_min_occupancy(min_occupancy);
                 let mut timeline = PowerTimeline::new(bins);
-                let Study { report, control } = study(
+                // Every configuration here is built from the platform's
+                // own specification, so a rejection is a bug in this file.
+                let Study { report, control } = try_run_study_with(
                     &cfg,
                     StudyOptions {
                         controller: Some(ctl_spec),
                         observers: vec![&mut timeline],
                         ..Default::default()
                     },
-                );
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
                 let controlled = control.expect("controller attached");
                 let settled = run_study_at_caps(&cfg, &controlled.final_caps_w);
                 let online_value = objective_value(kind, perf_floor, &uncapped, &settled);

@@ -22,6 +22,10 @@
 //! `run_ladder` fans rows), the inner call degrades to the serial path
 //! instead of spawning a second pool, bounding the thread count at the
 //! top-level `jobs()`.
+//!
+//! Each pool thread runs its jobs in the caller's report-memo session
+//! (see [`crate::memo`]), so a study a job repeats is served from the
+//! same memo the serial path would use.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::Cell;
@@ -110,6 +114,7 @@ where
     }
     let locals: Vec<Worker<(usize, T)>> = (0..n_workers).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<(usize, T)>> = locals.iter().map(Worker::stealer).collect();
+    let memo = crate::memo::active();
 
     // If a job panics, `scope` joins the remaining workers (which drain
     // the rest of the batch) and re-raises the panic here, so the slot
@@ -117,8 +122,10 @@ where
     std::thread::scope(|scope| {
         for local in locals {
             let (injector, stealers, slots, f) = (&injector, &stealers[..], &slots[..], &f);
+            let memo = memo.clone();
             scope.spawn(move || {
                 IN_POOL.with(|c| c.set(true));
+                let _session = crate::memo::install(memo);
                 while let Some((i, item)) = find_job(&local, injector, stealers) {
                     // `i` is the enumerate index of a job pushed above;
                     // `slots` was built with one entry per job.
@@ -139,14 +146,14 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
     /// Tests mutate the process-wide jobs override; serialize them.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
         let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_jobs(n);
         let r = f();

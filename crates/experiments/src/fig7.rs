@@ -4,9 +4,10 @@
 
 use crate::fig6::CPU_CAP;
 use crate::format::{f, TextTable};
+use crate::memo::run_study;
 use serde::{Deserialize, Serialize};
 use ugpc_capping::CapConfig;
-use ugpc_core::{run_study, RunConfig};
+use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 
 /// Tile sizes per (platform, op): the paper's Table II size plus smaller

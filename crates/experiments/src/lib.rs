@@ -16,6 +16,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod format;
+pub mod memo;
 pub mod placements;
 pub mod power_profile;
 pub mod profile;

@@ -4,9 +4,10 @@
 //! only canonical forms. This experiment reproduces that check.
 
 use crate::format::{f, TextTable};
+use crate::memo::run_study;
 use serde::{Deserialize, Serialize};
 use ugpc_capping::{CapConfig, CapLevel};
-use ugpc_core::{run_study, RunConfig};
+use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]

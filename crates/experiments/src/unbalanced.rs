@@ -4,9 +4,10 @@
 //! default `H…H`.
 
 use crate::format::{f, pct, TextTable};
+use crate::memo::run_study;
 use serde::{Deserialize, Serialize};
 use ugpc_capping::CapConfig;
-use ugpc_core::{compare, run_study, Comparison, RunConfig, RunReport};
+use ugpc_core::{compare, Comparison, RunConfig, RunReport};
 use ugpc_hwsim::{OpKind, PlatformId, Precision, Watts};
 
 /// One configuration's outcome.

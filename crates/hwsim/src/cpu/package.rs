@@ -41,7 +41,7 @@ impl CpuPackage {
     pub fn new(index: usize, model: CpuModel) -> Self {
         let spec = CpuSpec::of(model);
         let cores = (0..spec.cores)
-            .map(|_| EnergyLedger::new(Watts::ZERO))
+            .map(|_| EnergyLedger::new(Watts::ZERO).aggregates_only())
             .collect();
         let mut pkg = Self {
             index,

@@ -58,7 +58,7 @@ impl GpuDevice {
             index,
             spec,
             cap,
-            ledger: EnergyLedger::new(idle),
+            ledger: EnergyLedger::new(idle).aggregates_only(),
             memo: [None; MEMO_SLOTS],
             memo_next: 0,
         }
@@ -102,10 +102,9 @@ impl GpuDevice {
 
     /// Change the power limit at virtual time `t` on a live device — the
     /// mid-run re-cap primitive. Validates exactly like
-    /// [`set_power_limit`](Self::set_power_limit); on success, the energy
-    /// ledger's retained history is split at the transition instant so
-    /// the energy on either side of the re-cap is separately
-    /// attributable. A kernel already in flight keeps the power it was
+    /// [`set_power_limit`](Self::set_power_limit). The device's ledger
+    /// keeps only aggregates, so every energy reading is unchanged by
+    /// the re-cap itself. A kernel already in flight keeps the power it was
     /// launched at (hardware enforces caps at launch/DVFS granularity;
     /// the executor only re-caps between launches); the new limit
     /// governs every subsequent launch.
@@ -212,7 +211,7 @@ mod tests {
         assert_eq!(d.power_limit(), Watts(400.0));
         d.recap_at(mid, Watts(216.0)).unwrap();
         assert_eq!(d.power_limit(), Watts(216.0));
-        // History split at the instant, energy unchanged.
+        // Energy unchanged by the re-cap.
         let e = d.energy(r.time);
         assert!((e.value() - r.energy().value()).abs() < 1e-9);
         // Subsequent launches run at the new cap.

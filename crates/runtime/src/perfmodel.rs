@@ -27,6 +27,17 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// What `n` pushes of `x` into an empty `Stats` leave: the first
+    /// sets the mean to `x` exactly, and each later one adds a zero
+    /// delta.
+    fn repeated(x: f64, n: u64) -> Self {
+        Stats {
+            count: n,
+            mean: x,
+            m2: 0.0,
+        }
+    }
+
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
@@ -73,6 +84,20 @@ struct Row {
     /// Each entry's mean time, NaN where the worker was never observed
     /// (observed times are finite).
     times: Vec<f64>,
+}
+
+impl Row {
+    /// Apply `f` to `worker`'s entry, growing the row to reach it, and
+    /// refresh its dense mean time.
+    fn update(&mut self, worker: WorkerId, f: impl FnOnce(&mut Entry)) {
+        if self.entries.len() <= worker {
+            self.entries.resize(worker + 1, Entry::default());
+            self.times.resize(worker + 1, f64::NAN);
+        }
+        let e = &mut self.entries[worker];
+        f(e);
+        self.times[worker] = e.time.mean();
+    }
 }
 
 /// The per-worker history model, stored as dense rows: one row per
@@ -191,25 +216,25 @@ impl PerfModel {
         }
     }
 
-    /// Record an observed execution.
-    pub fn observe(&mut self, fp: Footprint, worker: WorkerId, time: Secs, energy: Joules) {
-        let i = self.row_index(fp).unwrap_or_else(|| {
+    /// The index of `fp`'s row, appended empty if it was never observed.
+    fn row_index_or_push(&mut self, fp: Footprint) -> usize {
+        self.row_index(fp).unwrap_or_else(|| {
             self.rows.push(Row {
                 fp,
                 entries: Vec::new(),
                 times: Vec::new(),
             });
             self.rows.len() - 1
+        })
+    }
+
+    /// Record an observed execution.
+    pub fn observe(&mut self, fp: Footprint, worker: WorkerId, time: Secs, energy: Joules) {
+        let i = self.row_index_or_push(fp);
+        self.rows[i].update(worker, |e| {
+            e.time.push(time.value());
+            e.energy.push(energy.value());
         });
-        let row = &mut self.rows[i];
-        if row.entries.len() <= worker {
-            row.entries.resize(worker + 1, Entry::default());
-            row.times.resize(worker + 1, f64::NAN);
-        }
-        let e = &mut row.entries[worker];
-        e.time.push(time.value());
-        e.energy.push(energy.value());
-        row.times[worker] = e.time.mean();
     }
 
     /// Expected execution time, if history exists for this exact key.
@@ -277,13 +302,19 @@ impl PerfModel {
     /// would be noisy but unbiased. Every core of a package runs alike, so
     /// its estimate is solved once per package and footprint; the noise
     /// draws still go footprint by footprint, worker by worker, sample by
-    /// sample.
+    /// sample. Without noise the samples are equal, so an entry with no
+    /// history is filled in one step, bit-identical to `min_samples`
+    /// pushes (`Stats::repeated`); an entry that already holds samples
+    /// still takes them one by one, since its mean moves.
     pub fn calibrate(&mut self, node: &Node, workers: &[Worker], footprints: &[Footprint]) {
         let mut package_runs: Vec<Option<(Secs, Joules)>> = Vec::new();
         for &fp in footprints {
             let work = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb).kernel_work();
             package_runs.clear();
             package_runs.resize(node.cpus().len(), None);
+            // Looked up on the first fill, so a footprint no worker runs
+            // adds no row.
+            let mut row = None;
             for w in workers {
                 let (time, energy) = match w.kind {
                     WorkerKind::Gpu { device } => {
@@ -300,7 +331,17 @@ impl PerfModel {
                             (run.time, run.core_power * run.time)
                         }),
                 };
-                for _ in 0..self.min_samples {
+                let i = *row.get_or_insert_with(|| self.row_index_or_push(fp));
+                let n = self.min_samples;
+                let fresh = !self.rows[i].entries.get(w.id).is_some_and(Entry::observed);
+                if self.noise == 0.0 && fresh {
+                    self.rows[i].update(w.id, |e| {
+                        e.time = Stats::repeated(time.value(), n);
+                        e.energy = Stats::repeated(energy.value(), n);
+                    });
+                    continue;
+                }
+                for _ in 0..n {
                     let f = self.noise_factor();
                     self.observe(fp, w.id, time * f, energy * f);
                 }
@@ -449,6 +490,96 @@ mod tests {
         let t_capped = after.expected_time(fps[0], gpu0).unwrap();
 
         assert!(t_capped.value() > t_free.value() * 1.1);
+    }
+
+    /// Calibration as `min_samples` separate noiseless pushes per
+    /// (footprint, worker), the reference the one-step fill must match.
+    fn calibrate_by_pushes(m: &mut PerfModel, node: &Node, workers: &[Worker], fps: &[Footprint]) {
+        for &fp in fps {
+            let work = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb).kernel_work();
+            for w in workers {
+                let (time, energy) = match w.kind {
+                    WorkerKind::Gpu { device } => {
+                        if !fp.kind.gpu_capable() {
+                            continue;
+                        }
+                        let run = node.gpu(device).estimate(&work);
+                        (run.time, run.energy())
+                    }
+                    WorkerKind::CpuCore { package, .. } => {
+                        let run = node.cpus()[package].estimate(
+                            fp.kind.flops(fp.nb),
+                            fp.nb,
+                            fp.precision,
+                        );
+                        (run.time, run.core_power * run.time)
+                    }
+                };
+                for _ in 0..m.min_samples {
+                    m.observe(fp, w.id, time, energy);
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(a: &PerfModel, b: &PerfModel) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.rows.len(), b.rows.len());
+        for (ra, rb) in a.rows.iter().zip(&b.rows) {
+            assert_eq!(ra.fp, rb.fp);
+            assert_eq!(bits(&ra.times), bits(&rb.times), "{:?}", ra.fp);
+            assert_eq!(ra.entries.len(), rb.entries.len());
+            for (ea, eb) in ra.entries.iter().zip(&rb.entries) {
+                for (sa, sb) in [(ea.time, eb.time), (ea.energy, eb.energy)] {
+                    assert_eq!(sa.count(), sb.count());
+                    assert_eq!(sa.mean().to_bits(), sb.mean().to_bits());
+                    assert_eq!(sa.variance().to_bits(), sb.variance().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noiseless_fill_matches_repeated_pushes() {
+        let fps = [
+            fp(KernelKind::Gemm, 2880),
+            fp(KernelKind::Potrf, 2880),
+            fp(KernelKind::Trsm, 1920),
+        ];
+        for platform in [PlatformId::Intel2V100, PlatformId::Amd2A100] {
+            let (workers, _) = build_workers(&PlatformSpec::of(platform));
+            let gpu = workers.iter().find(|w| w.is_gpu()).unwrap().id;
+            let cpu = workers.iter().find(|w| !w.is_gpu()).unwrap().id;
+            let mut node = Node::new(platform);
+            for capped in [false, true] {
+                if capped {
+                    for d in node.gpus_mut() {
+                        let min = d.spec().min_cap;
+                        d.set_power_limit(min).unwrap();
+                    }
+                }
+                for pre_observed in [false, true] {
+                    let (mut filled, mut pushed) = (PerfModel::new(), PerfModel::new());
+                    if pre_observed {
+                        // Stale samples, as when a model calibrated at other
+                        // caps is calibrated again: these entries take
+                        // per-sample pushes, the rest of their rows a fill.
+                        for m in [&mut filled, &mut pushed] {
+                            m.observe(fps[0], gpu, Secs(1.5), Joules(300.0));
+                            m.observe(fps[0], gpu, Secs(2.5), Joules(310.0));
+                            m.observe(fps[2], cpu, Secs(9.0), Joules(40.0));
+                        }
+                    }
+                    filled.calibrate(&node, &workers, &fps);
+                    calibrate_by_pushes(&mut pushed, &node, &workers, &fps);
+                    assert_same_bits(&filled, &pushed);
+                    assert!(filled.is_calibrated(fps[0], gpu));
+                    if pre_observed {
+                        assert_eq!(filled.row(fps[0]).entry(gpu).unwrap().time.count(), 6);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
