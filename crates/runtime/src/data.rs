@@ -117,6 +117,15 @@ impl DataRegistry {
         }
     }
 
+    /// The handle's size and the nodes holding a valid replica, from one
+    /// lookup.
+    pub fn replicas(&self, id: DataId) -> (Bytes, &[MemNode]) {
+        match self.state(id) {
+            Ok(st) => (st.bytes, &st.valid[..]),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     /// Pick the transfer source for a replica needed at `dst`: prefer host
     /// (cheapest single hop from any GPU's perspective and always reachable),
     /// otherwise the GPU that has held its replica longest — whose

@@ -11,8 +11,9 @@
 //! energy-aware scheduler extension.
 //!
 //! Each footprint's row also keeps its entries' mean times in a dense
-//! array, updated by [`PerfModel::observe`], which is what a scheduler
-//! reads once per candidate worker.
+//! array, and its runs of consecutive workers whose entries hold
+//! bit-equal means: a scheduler costs each run once, not each worker
+//! (DESIGN.md §18).
 
 use crate::task::Footprint;
 use crate::worker::{Worker, WorkerId, WorkerKind};
@@ -74,6 +75,16 @@ impl Entry {
     fn observed(&self) -> bool {
         self.time.count() > 0
     }
+
+    /// What a scheduler reads of the entry, as bits: whether it is
+    /// observed, its mean time and its mean energy.
+    fn key(&self) -> (bool, u64, u64) {
+        (
+            self.observed(),
+            self.time.mean().to_bits(),
+            self.energy.mean().to_bits(),
+        )
+    }
 }
 
 /// One footprint's history, indexed by worker id.
@@ -84,19 +95,66 @@ struct Row {
     /// Each entry's mean time, NaN where the worker was never observed
     /// (observed times are finite).
     times: Vec<f64>,
+    /// The runs: maximal ranges of consecutive observed entries whose
+    /// mean time and mean energy are bit-equal. Bit `w` of this bitset is
+    /// set where worker `w` continues `w - 1`'s run, so an unobserved
+    /// entry, and every bit past the row, is clear.
+    joins: Vec<u64>,
 }
 
 impl Row {
+    fn new(fp: Footprint) -> Row {
+        Row {
+            fp,
+            entries: Vec::new(),
+            times: Vec::new(),
+            joins: Vec::new(),
+        }
+    }
+
     /// Apply `f` to `worker`'s entry, growing the row to reach it, and
-    /// refresh its dense mean time.
-    fn update(&mut self, worker: WorkerId, f: impl FnOnce(&mut Entry)) {
+    /// refresh its dense mean time. Returns whether the entry's
+    /// [`Entry::key`] changed; the caller keeps the runs.
+    fn update(&mut self, worker: WorkerId, f: impl FnOnce(&mut Entry)) -> bool {
         if self.entries.len() <= worker {
             self.entries.resize(worker + 1, Entry::default());
             self.times.resize(worker + 1, f64::NAN);
+            self.joins.resize((worker + 1).div_ceil(64), 0);
         }
         let e = &mut self.entries[worker];
+        let before = e.key();
         f(e);
         self.times[worker] = e.time.mean();
+        e.key() != before
+    }
+
+    /// Whether worker `w` continues `w - 1`'s run.
+    fn continues(&self, w: WorkerId) -> bool {
+        w > 0 && w < self.entries.len() && {
+            let (a, b) = (&self.entries[w - 1], &self.entries[w]);
+            a.observed() && a.key() == b.key()
+        }
+    }
+
+    /// Recompute whether worker `w` continues its predecessor's run
+    /// (no-op past the row).
+    fn mark(&mut self, w: WorkerId) {
+        if w >= self.entries.len() {
+            return;
+        }
+        let bit = 1 << (w % 64);
+        if self.continues(w) {
+            self.joins[w / 64] |= bit;
+        } else {
+            self.joins[w / 64] &= !bit;
+        }
+    }
+
+    /// Recompute every run, after a batch of updates.
+    fn rebuild_runs(&mut self) {
+        for w in 0..self.entries.len() {
+            self.mark(w);
+        }
     }
 }
 
@@ -115,16 +173,37 @@ pub struct PerfModel {
 }
 
 /// One footprint's history row, looked up once per task so that costing
-/// every candidate worker is an index, not a search.
+/// a class of workers is an index, not a search.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PerfRow<'a> {
     model: &'a PerfModel,
     fp: Footprint,
     entries: &'a [Entry],
     times: &'a [f64],
+    joins: &'a [u64],
 }
 
 impl PerfRow<'_> {
+    /// The end (exclusive) of the run holding `worker`: every worker from
+    /// `worker` up to it has bit-equal expected time and energy. It is
+    /// `worker + 1` where the entry is unobserved or past the row.
+    pub(crate) fn run_end(&self, worker: WorkerId) -> WorkerId {
+        if !self.entries.get(worker).is_some_and(Entry::observed) {
+            return worker + 1;
+        }
+        // The first later worker that does not continue the run: a
+        // clear bit, which every bit past the row is.
+        let from = worker + 1;
+        let breaks = |i: usize| !self.joins.get(i).copied().unwrap_or(0);
+        let mut i = from / 64;
+        let mut word = breaks(i) & (!0u64 << (from % 64));
+        while word == 0 {
+            i += 1;
+            word = breaks(i);
+        }
+        i * 64 + word.trailing_zeros() as usize
+    }
+
     fn entry(&self, worker: WorkerId) -> Option<&Entry> {
         self.entries.get(worker).filter(|e| e.observed())
     }
@@ -201,40 +280,40 @@ impl PerfModel {
 
     /// The history row of `fp` (empty if it was never observed).
     pub(crate) fn row(&self, fp: Footprint) -> PerfRow<'_> {
-        let (entries, times) = match self.row_index(fp) {
-            Some(i) => (
-                self.rows[i].entries.as_slice(),
-                self.rows[i].times.as_slice(),
-            ),
-            None => (&[][..], &[][..]),
+        let (entries, times, joins) = match self.row_index(fp) {
+            Some(i) => {
+                let r = &self.rows[i];
+                (r.entries.as_slice(), r.times.as_slice(), r.joins.as_slice())
+            }
+            None => (&[][..], &[][..], &[][..]),
         };
         PerfRow {
             model: self,
             fp,
             entries,
             times,
+            joins,
         }
     }
 
     /// The index of `fp`'s row, appended empty if it was never observed.
     fn row_index_or_push(&mut self, fp: Footprint) -> usize {
         self.row_index(fp).unwrap_or_else(|| {
-            self.rows.push(Row {
-                fp,
-                entries: Vec::new(),
-                times: Vec::new(),
-            });
+            self.rows.push(Row::new(fp));
             self.rows.len() - 1
         })
     }
 
-    /// Record an observed execution.
+    /// Record an observed execution. Only a change in the entry's mean
+    /// bits touches the runs, and then only where the entry meets its
+    /// neighbours.
     pub fn observe(&mut self, fp: Footprint, worker: WorkerId, time: Secs, energy: Joules) {
         let i = self.row_index_or_push(fp);
-        self.rows[i].update(worker, |e| {
-            e.time.push(time.value());
-            e.energy.push(energy.value());
-        });
+        let row = &mut self.rows[i];
+        if row.update(worker, |e| push(e, time, energy)) {
+            row.mark(worker);
+            row.mark(worker + 1);
+        }
     }
 
     /// Expected execution time, if history exists for this exact key.
@@ -305,7 +384,8 @@ impl PerfModel {
     /// sample. Without noise the samples are equal, so an entry with no
     /// history is filled in one step, bit-identical to `min_samples`
     /// pushes (`Stats::repeated`); an entry that already holds samples
-    /// still takes them one by one, since its mean moves.
+    /// still takes them one by one, since its mean moves. Each row's runs
+    /// are rebuilt once, after its footprint's last sample.
     pub fn calibrate(&mut self, node: &Node, workers: &[Worker], footprints: &[Footprint]) {
         let mut package_runs: Vec<Option<(Secs, Joules)>> = Vec::new();
         for &fp in footprints {
@@ -343,11 +423,19 @@ impl PerfModel {
                 }
                 for _ in 0..n {
                     let f = self.noise_factor();
-                    self.observe(fp, w.id, time * f, energy * f);
+                    self.rows[i].update(w.id, |e| push(e, time * f, energy * f));
                 }
+            }
+            if let Some(i) = row {
+                self.rows[i].rebuild_runs();
             }
         }
     }
+}
+
+fn push(e: &mut Entry, time: Secs, energy: Joules) {
+    e.time.push(time.value());
+    e.energy.push(energy.value());
 }
 
 #[cfg(test)]
@@ -580,6 +668,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each entry's run end by a plain scan of the row: the first later
+    /// entry whose means differ in bits, one past an unobserved entry.
+    fn run_ends_by_scan(m: &PerfModel, f: Footprint) -> Vec<usize> {
+        let entries = &m.rows[m.row_index(f).unwrap()].entries;
+        (0..entries.len())
+            .map(|w| {
+                if !entries[w].observed() {
+                    return w + 1;
+                }
+                (w + 1..entries.len())
+                    .find(|&v| entries[v].key() != entries[w].key())
+                    .unwrap_or(entries.len())
+            })
+            .collect()
+    }
+
+    fn assert_runs_match_scan(m: &PerfModel, f: Footprint) {
+        let (row, want) = (m.row(f), run_ends_by_scan(m, f));
+        for (w, &end) in want.iter().enumerate() {
+            assert_eq!(row.run_end(w), end, "worker {w}");
+        }
+        assert_eq!(row.run_end(want.len() + 2), want.len() + 3);
+    }
+
+    #[test]
+    fn runs_follow_bit_equal_means() {
+        // 64-AMD-2-A100: 62 cores in two packages (two words of the
+        // bitset), then two GPUs.
+        let platform = PlatformId::Amd2A100;
+        let node = Node::new(platform);
+        let (workers, _) = build_workers(&PlatformSpec::of(platform));
+        let f = fp(KernelKind::Gemm, 2880);
+        let mut m = PerfModel::new();
+        m.calibrate(&node, &workers, &[f]);
+        assert_runs_match_scan(&m, f);
+        // Both packages at equal caps: one run over every core.
+        assert_eq!(m.row(f).run_end(0), 62);
+
+        // A sample at another time moves core 40's mean and splits the
+        // run around it.
+        m.observe(f, 40, Secs(1.0), Joules(1.0));
+        assert_runs_match_scan(&m, f);
+        let row = m.row(f);
+        assert_eq!(
+            (row.run_end(0), row.run_end(40), row.run_end(41)),
+            (40, 41, 62)
+        );
+
+        // A sample at the mean (an exact model's refinement) keeps the
+        // bits, and so the runs.
+        let (t, e) = (
+            m.expected_time(f, 3).unwrap(),
+            m.expected_energy(f, 3).unwrap(),
+        );
+        m.observe(f, 3, t, e);
+        assert_runs_match_scan(&m, f);
+        assert_eq!(m.row(f).run_end(0), 40);
+
+        // Growing the row leaves unobserved entries, each a run of its own.
+        m.observe(f, 70, Secs(2.0), Joules(2.0));
+        m.observe(f, 69, Secs(2.0), Joules(2.0));
+        assert_runs_match_scan(&m, f);
+        let row = m.row(f);
+        assert_eq!((row.run_end(65), row.run_end(69)), (66, 71));
+
+        // A noisy calibration leaves every entry its own run; an
+        // unknown footprint has no runs at all.
+        let mut noisy = PerfModel::new().with_calibration_noise(0.1, 7);
+        noisy.calibrate(&node, &workers, &[f]);
+        assert_runs_match_scan(&noisy, f);
+        assert_eq!(noisy.row(f).run_end(0), 1);
+        assert_eq!(m.row(fp(KernelKind::Trsm, 64)).run_end(5), 6);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! completion time according to the calibrated performance models,
 //! ignoring data-transfer costs.
 
-use crate::sched::{Choice, Costing, SchedView, Scheduler, Terms};
+use crate::sched::{Choice, Costing, Rule, SchedView, Scheduler};
 use crate::task::TaskId;
 
 #[derive(Debug, Default, Clone)]
@@ -19,7 +19,6 @@ impl Scheduler for DmScheduler {
     /// The executor adds the chosen worker's transfer term, which `dm`
     /// leaves out of its costs.
     fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
-        let costs = self.costing.cost(view, task, Terms::Exec);
-        costs.choice(costs.earliest())
+        self.costing.cost(view, task, Rule::Dm).first_earliest(view)
     }
 }

@@ -2,7 +2,7 @@
 //! [`crate::sched::DmScheduler`] but the expected completion time includes
 //! the time to move missing operands to the candidate worker.
 
-use crate::sched::{Choice, Costing, SchedView, Scheduler, Terms};
+use crate::sched::{Choice, Costing, Rule, SchedView, Scheduler};
 use crate::task::TaskId;
 
 #[derive(Debug, Default, Clone)]
@@ -16,7 +16,8 @@ impl Scheduler for DmdaScheduler {
     }
 
     fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
-        let costs = self.costing.cost(view, task, Terms::Transfers);
-        costs.choice(costs.earliest())
+        self.costing
+            .cost(view, task, Rule::Dmda)
+            .first_earliest(view)
     }
 }

@@ -8,7 +8,7 @@
 //! "prioritizes tasks whose data buffers are already available on the
 //! target device".
 
-use crate::sched::{Choice, Costing, Estimate, SchedView, Scheduler, Terms};
+use crate::sched::{Choice, Class, Costing, Rule, SchedView, Scheduler};
 use crate::task::TaskId;
 
 /// Fraction of the task's own execution time within which two expected
@@ -16,7 +16,7 @@ use crate::task::TaskId;
 /// tolerance scales with the *task*, not the queue depth — a
 /// queue-relative tolerance would let arbitrarily many tasks pile onto
 /// one device late in a long run.
-const TIE_FRACTION: f64 = 0.25;
+pub(super) const TIE_FRACTION: f64 = 0.25;
 
 #[derive(Debug, Default, Clone)]
 pub struct DmdasScheduler {
@@ -33,25 +33,36 @@ impl Scheduler for DmdasScheduler {
         ready.sort_by_key(|&t| std::cmp::Reverse(view.graph.task(t).priority));
     }
 
+    /// The window and the locality pick run over classes: every member of
+    /// a class holds the same resident bytes, so a class's best member is
+    /// its earliest, and on equal keys the later class, then the later
+    /// member, wins.
     fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
-        let costs = self.costing.cost(view, task, Terms::Locality);
-        let ect = |e: &Estimate| e.completion.value();
-        let best = costs.earliest();
-        let (best_ect, slack) = (ect(best), best.exec.value() * TIE_FRACTION);
-        // Locality tie-break among workers finishing within a fraction of
+        let costs = self.costing.cost(view, task, Rule::Dmdas);
+        let ect = |c: &Class| c.completion.value();
+        let best = costs.earliest_class();
+        let limit = ect(best) + best.exec.value() * TIE_FRACTION;
+        // Locality tie-break among classes finishing within a fraction of
         // one execution of the best.
-        costs
-            .candidates()
+        let class = costs
+            .classes()
             .iter()
-            .filter(|e| ect(e) <= best_ect + slack)
-            .map(|e| (e, costs.resident(e).value()))
+            .filter(|c| ect(c) <= limit)
             // Most resident bytes, then earliest ECT; `max_by` keeps the
             // last of equal maxima.
             .max_by(|a, b| {
-                a.1.total_cmp(&b.1)
-                    .then_with(|| ect(b.0).total_cmp(&ect(a.0)))
+                costs
+                    .resident(a)
+                    .value()
+                    .total_cmp(&costs.resident(b).value())
+                    .then_with(|| ect(b).total_cmp(&ect(a)))
             })
-            .map(|(e, _)| costs.choice(e))
-            .expect("the best candidate is within its own window")
+            .expect("the best class is within its own window");
+        // The last member finishing at the class's earliest completion.
+        let (worker, _) = class
+            .members(view)
+            .rfind(|&(_, t)| t.value().to_bits() == ect(class).to_bits())
+            .expect("a class's earliest completion is a member's");
+        costs.choice(view, class, worker)
     }
 }

@@ -11,8 +11,9 @@
 //! energy of the execution from the history model. `λ = 0` degenerates to
 //! dmda; `λ = 1` always picks the most energy-frugal capable worker.
 
-use crate::sched::{Choice, Costing, Estimate, SchedView, Scheduler, Terms, UNKNOWN_ENERGY};
+use crate::sched::{Choice, Class, Costing, Rule, SchedView, Scheduler, UNKNOWN_ENERGY};
 use crate::task::TaskId;
+use ugpc_hwsim::Secs;
 
 #[derive(Debug, Clone)]
 pub struct EnergyAwareScheduler {
@@ -46,30 +47,39 @@ impl Scheduler for EnergyAwareScheduler {
         ready.sort_by_key(|&t| std::cmp::Reverse(view.graph.task(t).priority));
     }
 
+    /// The members of a class share one energy, and the cost grows with
+    /// the completion, so a class's least cost is its earliest member's.
+    /// The member taken is the first whose cost has the class's least
+    /// cost's bits: at `λ = 1` every member ties.
     fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
-        let costs = self.costing.cost(view, task, Terms::Transfers);
+        let lambda = self.lambda;
+        let costs = self.costing.cost(view, task, Rule::Energy { lambda });
         let row = view.perf_row(task);
-        let energy = |e: &Estimate| {
-            row.expected_energy(e.worker)
+        let energy = |c: &Class| {
+            row.expected_energy(c.first)
                 .unwrap_or(UNKNOWN_ENERGY)
                 .value()
         };
-        let candidates = costs.candidates();
-        let t_min = candidates
+        let classes = costs.classes();
+        let t_min = classes
             .iter()
-            .map(|e| e.completion.value())
+            .map(|c| c.completion.value())
             .fold(f64::INFINITY, f64::min);
-        let e_min = candidates.iter().map(energy).fold(f64::INFINITY, f64::min);
-        candidates
+        let e_min = classes.iter().map(energy).fold(f64::INFINITY, f64::min);
+        let cost = |t: Secs, e: f64| {
+            (1.0 - lambda) * t.value() / t_min.max(1e-12) + lambda * e / e_min.max(1e-12)
+        };
+        let (class, least) = classes
             .iter()
-            .map(|e| {
-                let cost = (1.0 - self.lambda) * e.completion.value() / t_min.max(1e-12)
-                    + self.lambda * energy(e) / e_min.max(1e-12);
-                (e, cost)
-            })
+            .map(|c| (c, cost(c.completion, energy(c))))
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(e, _)| costs.choice(e))
-            .expect("cost() leaves at least one candidate")
+            .expect("cost() leaves at least one class");
+        let e = energy(class);
+        let (worker, _) = class
+            .members(view)
+            .find(|&(_, t)| cost(t, e).to_bits() == least.to_bits())
+            .expect("a class's least cost is a member's");
+        costs.choice(view, class, worker)
     }
 }
 

@@ -8,11 +8,14 @@
 //!
 //! A policy that costs candidates does it through its `Costing` scratch:
 //! one pass over the task's operands fills every memory node's transfer
-//! total (and, for dmdas, its resident operand bytes), and one pass over
-//! the workers reads each capable worker's expected time from the dense
-//! history row. The policy hands the chosen worker's estimate back in its
-//! [`Choice`], so the executor recomputes only what the policy did not
-//! cost.
+//! total (and, for dmdas, its resident operand bytes), then each class of
+//! identical workers — a run of host cores whose history entries hold
+//! bit-equal means, or one GPU — is costed once, from its expected time
+//! and its members' earliest queue end. The policy compares classes and
+//! resolves a member only inside the class it chose (DESIGN.md §18).
+//! `random` reads each capable worker's expected time directly. The
+//! policy hands the chosen worker's estimate back in its [`Choice`], so
+//! the executor recomputes only what the policy did not cost.
 
 mod dm;
 mod dmda;
@@ -32,7 +35,7 @@ use crate::data::{DataId, DataRegistry, MemNode};
 use crate::graph::TaskGraph;
 use crate::perfmodel::{PerfModel, PerfRow};
 use crate::task::{AccessMode, TaskId};
-use crate::worker::{Worker, WorkerId};
+use crate::worker::{Worker, WorkerId, WorkerKind};
 use serde::{Deserialize, Serialize};
 use ugpc_hwsim::{Bytes, Joules, LinkTopology, Secs};
 
@@ -115,7 +118,7 @@ impl<'a> SchedView<'a> {
 
     /// Expected execution time from the history model.
     pub fn exec_estimate(&self, task: TaskId, w: &Worker) -> Secs {
-        exec_in(&self.perf_row(task), w)
+        exec_in(&self.perf_row(task), w.id)
     }
 
     /// Expected energy of one execution on this worker.
@@ -168,49 +171,96 @@ impl<'a> SchedView<'a> {
     }
 }
 
-/// What a policy costs for each candidate worker (see [`Costing::cost`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) enum Terms {
-    /// Execution estimates only (`dm`, `random`).
+/// A policy's rule for picking among its costed workers. It fixes what
+/// [`Costing::cost`] prices, and debug builds check every decision
+/// against its per-worker statement.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) enum Rule {
+    /// `dm`: execution estimates only; the first worker of earliest
+    /// completion.
     #[default]
-    Exec,
-    /// Execution plus each memory node's transfer total (`dmda`, `energy`).
-    Transfers,
-    /// Both, plus each memory node's resident operand bytes (`dmdas`).
-    Locality,
+    Dm,
+    /// `dmda`: plus each memory node's transfer total; the first worker
+    /// of earliest completion.
+    Dmda,
+    /// `dmdas`: plus each memory node's resident operand bytes; within
+    /// `TIE_FRACTION` of one execution of the earliest completion, the
+    /// most resident bytes, then the earliest completion, the last of
+    /// equals.
+    Dmdas,
+    /// `energy`: as `dmda`, then the first worker of least normalized
+    /// time-and-energy cost.
+    Energy { lambda: f64 },
 }
 
-/// One capable worker's expected cost of a task (see [`Costing::cost`]).
+impl Rule {
+    fn transfers(self) -> bool {
+        self != Rule::Dm
+    }
+}
+
+/// A class of capable workers that cost a task the same: consecutive
+/// ids on one memory node whose history entries hold bit-equal mean
+/// time and energy, or one worker on its own. Only the queue ends of
+/// its members differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Estimate {
-    pub(crate) worker: WorkerId,
-    /// Index of the worker's memory node: the host is 0, GPU `g` is `g + 1`.
+pub(crate) struct Class {
+    /// The members are `first..end`, in worker order.
+    pub(crate) first: WorkerId,
+    end: WorkerId,
+    /// Index of the members' memory node: the host is 0, GPU `g` is `g + 1`.
     node: usize,
     /// Expected transfer time ([`SchedView::transfer_estimate`]); zero
-    /// under [`Terms::Exec`].
-    pub(crate) transfer: Secs,
+    /// under [`Rule::Dm`].
+    transfer: Secs,
     /// Expected execution time ([`SchedView::exec_estimate`]).
     pub(crate) exec: Secs,
-    /// Expected completion time: `max(now, worker_free) + transfer + exec`.
+    /// The earliest expected completion of a member.
     pub(crate) completion: Secs,
 }
 
-/// A policy's reusable scratch for costing one task's candidate workers.
+impl Class {
+    /// Each member with its expected completion, in worker order.
+    pub(crate) fn members<'v>(
+        self,
+        view: &'v SchedView,
+    ) -> impl DoubleEndedIterator<Item = (WorkerId, Secs)> + 'v {
+        (self.first..self.end).map(move |w| {
+            let end = completion(view.now, view.worker_free[w], self.transfer, self.exec);
+            (w, end)
+        })
+    }
+}
+
+/// Expected completion on a worker whose queue ends at `free`:
+/// `max(now, free) + transfer + exec`, added in that order.
+fn completion(now: Secs, free: Secs, transfer: Secs, exec: Secs) -> Secs {
+    now.max(free) + transfer + exec
+}
+
+/// A policy's reusable scratch for costing one task's capable workers,
+/// one class at a time.
 ///
 /// [`Costing::cost`] makes one pass over the task's operands, filling each
-/// memory node's transfer total and resident bytes, and one over the
-/// workers, reading each candidate's execution estimate from the dense
-/// history row. Up to 62 CPU workers share the host node, so the per-node
-/// totals are what makes a decision cheap.
+/// memory node's transfer total and resident bytes, then walks the
+/// history row's runs of equal entries, cut at the CPU/GPU boundary: a
+/// run of host cores is one class, and each GPU is one. A class costs
+/// one expected time and one scan of its members' queue ends; a policy
+/// compares classes, then resolves a member only inside the class it
+/// chose, by [`Class::members`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Costing {
-    terms: Terms,
-    /// The capable workers' estimates, in worker order.
-    candidates: Vec<Estimate>,
+    rule: Rule,
+    task: TaskId,
+    /// The capable workers' classes, in worker order.
+    classes: Vec<Class>,
     /// dmda's transfer total per memory node.
     transfer: Vec<Secs>,
     /// Bytes of the task's operands resident per memory node.
     resident: Vec<Bytes>,
+    /// `(workers, host cores)` of the worker table last checked by
+    /// [`check_layout`].
+    layout: Option<(usize, usize)>,
 }
 
 fn node_index(node: MemNode) -> usize {
@@ -220,77 +270,136 @@ fn node_index(node: MemNode) -> usize {
     }
 }
 
+/// Assert the layout [`crate::worker::build_workers_into`] gives, which
+/// classes rely on: ids equal indices; host cores come first, in package
+/// order; GPU `g` follows them at index `cores + g`, its own memory node,
+/// with fewer than 64 nodes in all (an operand's replicas are a `u64`
+/// mask). Returns the number of host cores.
+fn check_layout(workers: &[Worker]) -> usize {
+    let cores = workers.iter().take_while(|w| !w.is_gpu()).count();
+    let mut package = 0;
+    for (i, w) in workers.iter().enumerate() {
+        let in_place = w.id == i
+            && match w.kind {
+                WorkerKind::CpuCore { package: p, .. } => {
+                    let ordered = p >= package;
+                    package = p;
+                    ordered
+                }
+                WorkerKind::Gpu { device } => device == i - cores,
+            };
+        assert!(in_place, "worker {i} ({w:?}) is out of the worker layout");
+    }
+    assert!(workers.len() - cores < 64, "too many GPUs to mask");
+    cores
+}
+
 impl Costing {
-    /// Cost every capable worker of `task` for `terms`. Each memory node's
-    /// transfer total and resident bytes add their operands' terms in
-    /// operand order from zero, each operand's link time computed once, so
-    /// they equal [`SchedView::transfer_estimate`] and
-    /// [`SchedView::resident_bytes`] bit for bit (debug builds check it).
-    /// An unobserved history entry falls back to the cubic extrapolation,
-    /// then to `UNKNOWN_TIME`, as [`SchedView::exec_estimate`] does.
+    /// Cost every capable worker of `task` for `rule`, one class at a
+    /// time. Each memory node's transfer total and resident bytes add
+    /// their operands' terms in operand order from zero, each operand's
+    /// link time computed once, so they equal
+    /// [`SchedView::transfer_estimate`] and [`SchedView::resident_bytes`]
+    /// bit for bit. A class's completion is its members' earliest:
+    /// `max` and each addition are monotone, so it is the completion at
+    /// the earliest queue end. An unobserved history entry, and a worker
+    /// past the row, is a class of its own and falls back to the cubic
+    /// extrapolation, then to `UNKNOWN_TIME`, as
+    /// [`SchedView::exec_estimate`] does.
     ///
     /// # Panics
     ///
-    /// If no worker can run the task.
-    pub(crate) fn cost(&mut self, view: &SchedView, task: TaskId, terms: Terms) -> &Self {
+    /// If no worker can run the task, or the workers are not in
+    /// [`check_layout`]'s layout (checked once per worker table).
+    pub(crate) fn cost(&mut self, view: &SchedView, task: TaskId, rule: Rule) -> &Self {
         let desc = view.graph.task(task);
-        let (on_cpu, on_gpu) = (desc.kind.cpu_capable(), desc.kind.gpu_capable());
-        let row = view.perf.row(desc.footprint());
-        self.terms = terms;
-        self.candidates.clear();
-        let mut nodes = 0;
-        for w in view.workers {
-            if !(if w.is_gpu() { on_gpu } else { on_cpu }) {
-                continue;
+        let workers = view.workers.len();
+        let cores = match self.layout {
+            Some((n, cores)) if n == workers => cores,
+            _ => {
+                let cores = check_layout(view.workers);
+                self.layout = Some((workers, cores));
+                cores
             }
-            let node = node_index(w.mem_node());
-            nodes = nodes.max(node + 1);
-            self.candidates.push(Estimate {
-                worker: w.id,
-                node,
-                transfer: Secs::ZERO,
-                exec: exec_in(&row, w),
-                completion: Secs::ZERO,
-            });
-        }
-        assert!(
-            !self.candidates.is_empty(),
-            "no capable worker for task {task}"
-        );
-        if terms != Terms::Exec {
+        };
+        let (on_cpu, on_gpu) = (desc.kind.cpu_capable(), desc.kind.gpu_capable());
+        self.rule = rule;
+        self.task = task;
+        if rule.transfers() {
+            let nodes = if on_gpu { workers - cores + 1 } else { 1 };
             self.fill_nodes(view, &desc.data, nodes);
         }
-        for e in &mut self.candidates {
-            if terms != Terms::Exec {
-                e.transfer = self.transfer[e.node];
+        let row = view.perf.row(desc.footprint());
+        self.classes.clear();
+        if on_cpu {
+            let mut w = 0;
+            while w < cores {
+                let end = row.run_end(w).min(cores);
+                self.push_class(view, &row, w, end, 0);
+                w = end;
             }
-            let start = view.now.max(view.worker_free[e.worker]);
-            e.completion = start + e.transfer + e.exec;
         }
-        debug_assert!(
-            self.matches_reference(view, task),
-            "per-node totals of task {task} differ from the per-worker estimates"
+        if on_gpu {
+            for w in cores..workers {
+                self.push_class(view, &row, w, w + 1, w - cores + 1);
+            }
+        }
+        assert!(
+            !self.classes.is_empty(),
+            "no capable worker for task {task}"
         );
         self
     }
 
-    /// The one pass over the operands: add each operand's link time to
-    /// every node lacking a replica (dmda's transfer model: host-held data
-    /// crosses one host-to-device link, GPU-only data is copied back to
-    /// the host or across to another GPU), and, for [`Terms::Locality`],
-    /// its bytes to every node holding one.
+    fn push_class(
+        &mut self,
+        view: &SchedView,
+        row: &PerfRow,
+        first: WorkerId,
+        end: WorkerId,
+        node: usize,
+    ) {
+        let transfer = if self.rule.transfers() {
+            self.transfer[node]
+        } else {
+            Secs::ZERO
+        };
+        let exec = exec_in(row, first);
+        let free = view.worker_free[first..end]
+            .iter()
+            .copied()
+            .fold(Secs(f64::INFINITY), Secs::min);
+        self.classes.push(Class {
+            first,
+            end,
+            node,
+            transfer,
+            exec,
+            completion: completion(view.now, free, transfer, exec),
+        });
+    }
+
+    /// The one pass over the operands, one registry lookup each: add each
+    /// operand's link time to every node lacking a replica (dmda's
+    /// transfer model: host-held data crosses one host-to-device link,
+    /// GPU-only data is copied back to the host or across to another
+    /// GPU), and, for [`Rule::Dmdas`], its bytes to every node holding
+    /// one.
     fn fill_nodes(&mut self, view: &SchedView, operands: &[(DataId, AccessMode)], nodes: usize) {
-        let residency = self.terms == Terms::Locality;
+        let residency = self.rule == Rule::Dmdas;
         self.transfer.clear();
         self.transfer.resize(nodes, Secs::ZERO);
         self.resident.clear();
         self.resident.resize(nodes, Bytes::ZERO);
         for &(d, mode) in operands {
-            let valid = view.data.valid_nodes(d);
-            let bytes = view.data.bytes(d);
+            let (bytes, valid) = view.data.replicas(d);
+            // A node past the mask holds no worker (`check_layout`).
+            let held = valid.iter().fold(0u64, |m, &n| {
+                m | 1u64.checked_shl(node_index(n) as u32).unwrap_or(0)
+            });
             if residency {
-                for &n in valid {
-                    if let Some(r) = self.resident.get_mut(node_index(n)) {
+                for (i, r) in self.resident.iter_mut().enumerate() {
+                    if held & (1 << i) != 0 {
                         *r += bytes;
                     }
                 }
@@ -298,13 +407,13 @@ impl Costing {
             if !mode.reads() {
                 continue;
             }
-            let on_host = valid.contains(&MemNode::Host);
+            let on_host = held & 1 != 0;
             if !on_host {
                 self.transfer[0] += view.links.d2h_time(bytes);
             }
             let mut to_gpu = None;
-            for (g, total) in self.transfer.iter_mut().enumerate().skip(1) {
-                if !valid.contains(&MemNode::Gpu(g - 1)) {
+            for (i, total) in self.transfer.iter_mut().enumerate().skip(1) {
+                if held & (1 << i) == 0 {
                     *total += *to_gpu.get_or_insert_with(|| {
                         if on_host {
                             view.links.h2d_time(bytes)
@@ -317,58 +426,177 @@ impl Costing {
         }
     }
 
-    /// Whether every candidate node's totals equal the per-worker
-    /// reference estimates bitwise (the debug check of [`Self::cost`]).
-    fn matches_reference(&self, view: &SchedView, task: TaskId) -> bool {
-        if self.terms == Terms::Exec {
-            return true;
-        }
-        let mut checked = vec![false; self.transfer.len()];
-        self.candidates.iter().all(|e| {
-            if std::mem::replace(&mut checked[e.node], true) {
-                return true;
-            }
-            let w = &view.workers[e.worker];
-            let transfer = view.transfer_estimate(task, w).value().to_bits();
-            let resident = view.resident_bytes(task, w).value().to_bits();
-            e.transfer.value().to_bits() == transfer
-                && (self.terms != Terms::Locality
-                    || self.resident[e.node].value().to_bits() == resident)
-        })
+    /// The capable workers' classes, in worker order.
+    pub(crate) fn classes(&self) -> &[Class] {
+        &self.classes
     }
 
-    /// The capable workers' estimates, in worker order.
-    pub(crate) fn candidates(&self) -> &[Estimate] {
-        &self.candidates
-    }
-
-    /// Bytes of the task's operands resident on `e`'s memory node (costed
-    /// under [`Terms::Locality`] only).
-    pub(crate) fn resident(&self, e: &Estimate) -> Bytes {
-        self.resident[e.node]
-    }
-
-    /// The candidate with the earliest expected completion; `min_by` keeps
+    /// The first class holding the earliest completion; `min_by` keeps
     /// the first of equal minima.
-    pub(crate) fn earliest(&self) -> &Estimate {
-        self.candidates
+    pub(crate) fn earliest_class(&self) -> &Class {
+        self.classes
             .iter()
             .min_by(|a, b| a.completion.value().total_cmp(&b.completion.value()))
-            .expect("cost() leaves at least one candidate")
+            .expect("cost() leaves at least one class")
     }
 
-    /// Choose `e`, handing back the terms that were costed.
-    pub(crate) fn choice(&self, e: &Estimate) -> Choice {
-        Choice {
-            worker: e.worker,
-            transfer: (self.terms != Terms::Exec).then_some(e.transfer),
-            exec: Some(e.exec),
+    /// The first worker of earliest completion (`dm`, `dmda`): the first
+    /// member of the first earliest class whose completion has the class's
+    /// bits. Matching bits, not the earliest queue end, keeps the worker a
+    /// per-worker scan picks when distinct queue ends round to one
+    /// completion.
+    pub(crate) fn first_earliest(&self, view: &SchedView) -> Choice {
+        let c = self.earliest_class();
+        let (worker, _) = c
+            .members(view)
+            .find(|&(_, t)| t.value().to_bits() == c.completion.value().to_bits())
+            .expect("a class's earliest completion is a member's");
+        self.choice(view, c, worker)
+    }
+
+    /// Bytes of the task's operands resident on `c`'s memory node (costed
+    /// under [`Rule::Dmdas`] only).
+    pub(crate) fn resident(&self, c: &Class) -> Bytes {
+        self.resident[c.node]
+    }
+
+    /// Choose `worker`, a member of `c`, handing back the terms that were
+    /// costed. Debug builds check the choice against the rule applied to
+    /// each worker on its own.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn choice(&self, view: &SchedView, c: &Class, worker: WorkerId) -> Choice {
+        assert!(
+            (c.first..c.end).contains(&worker),
+            "worker {worker} is not in its class"
+        );
+        let choice = Choice {
+            worker,
+            transfer: self.rule.transfers().then_some(c.transfer),
+            exec: Some(c.exec),
+        };
+        #[cfg(debug_assertions)]
+        self.check(view, choice);
+        choice
+    }
+
+    /// The debug check of every decision: each class must hold exactly
+    /// the per-worker estimates of its members and their earliest
+    /// completion, and the choice must be the one [`Self::rule`] makes
+    /// over the workers costed one by one through the public estimates.
+    #[cfg(debug_assertions)]
+    fn check(&self, view: &SchedView, choice: Choice) {
+        struct Cand {
+            worker: WorkerId,
+            transfer: Secs,
+            exec: Secs,
+            completion: Secs,
+            resident: Bytes,
+            energy: Joules,
         }
+        let task = self.task;
+        let cands: Vec<Cand> = view
+            .capable_workers(task)
+            .map(|w| {
+                let transfer = if self.rule.transfers() {
+                    view.transfer_estimate(task, w)
+                } else {
+                    Secs::ZERO
+                };
+                let exec = view.exec_estimate(task, w);
+                Cand {
+                    worker: w.id,
+                    transfer,
+                    exec,
+                    completion: completion(view.now, view.worker_free[w.id], transfer, exec),
+                    resident: view.resident_bytes(task, w),
+                    energy: view.energy_estimate(task, w),
+                }
+            })
+            .collect();
+        let bits = |x: f64| x.to_bits();
+        let mut next = cands.iter();
+        for c in &self.classes {
+            let members: Vec<&Cand> = next.by_ref().take(c.end - c.first).collect();
+            let earliest = members
+                .iter()
+                .map(|m| m.completion)
+                .fold(Secs(f64::INFINITY), Secs::min);
+            assert_eq!(bits(c.completion.value()), bits(earliest.value()));
+            for m in &members {
+                let same = (c.first..c.end).contains(&m.worker)
+                    && bits(m.transfer.value()) == bits(c.transfer.value())
+                    && bits(m.exec.value()) == bits(c.exec.value())
+                    && bits(m.energy.value()) == bits(members[0].energy.value())
+                    && (self.rule != Rule::Dmdas
+                        || bits(m.resident.value()) == bits(self.resident(c).value()));
+                assert!(same, "worker {} differs from its class {c:?}", m.worker);
+            }
+        }
+        assert!(next.next().is_none(), "a capable worker is in no class");
+
+        // The first candidate whose key is strictly below every earlier one.
+        let first_min = |key: &dyn Fn(&Cand) -> f64| {
+            let mut best = &cands[0];
+            for c in &cands[1..] {
+                if key(c) < key(best) {
+                    best = c;
+                }
+            }
+            best
+        };
+        let want = match self.rule {
+            Rule::Dm | Rule::Dmda => first_min(&|c| c.completion.value()),
+            Rule::Dmdas => {
+                let best = first_min(&|c| c.completion.value());
+                let limit = best.completion.value() + best.exec.value() * dmdas::TIE_FRACTION;
+                let mut pick = best;
+                for c in cands.iter().filter(|c| c.completion.value() <= limit) {
+                    let (r, p) = (c.resident.value(), pick.resident.value());
+                    if r > p || (r == p && c.completion <= pick.completion) {
+                        pick = c;
+                    }
+                }
+                pick
+            }
+            Rule::Energy { lambda } => {
+                let t_min = cands
+                    .iter()
+                    .map(|c| c.completion.value())
+                    .fold(f64::INFINITY, f64::min);
+                let e_min = cands
+                    .iter()
+                    .map(|c| c.energy.value())
+                    .fold(f64::INFINITY, f64::min);
+                first_min(&|c| {
+                    (1.0 - lambda) * c.completion.value() / t_min.max(1e-12)
+                        + lambda * c.energy.value() / e_min.max(1e-12)
+                })
+            }
+        };
+        let want = Choice {
+            worker: want.worker,
+            transfer: self.rule.transfers().then_some(want.transfer),
+            exec: Some(want.exec),
+        };
+        let key = |c: Choice| {
+            (
+                c.worker,
+                c.transfer.map(|t| bits(t.value())),
+                c.exec.map(|e| bits(e.value())),
+            )
+        };
+        assert_eq!(
+            key(choice),
+            key(want),
+            "{:?} on task {task}: the class decision differs from the per-worker rule",
+            self.rule
+        );
     }
 }
 
-fn exec_in(row: &PerfRow, w: &Worker) -> Secs {
-    row.expected_time_or_extrapolate(w.id)
+/// Expected execution time of `worker` from its footprint's row.
+fn exec_in(row: &PerfRow, worker: WorkerId) -> Secs {
+    row.expected_time_or_extrapolate(worker)
         .unwrap_or(UNKNOWN_TIME)
 }
 

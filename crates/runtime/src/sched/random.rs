@@ -3,22 +3,21 @@
 //! task (StarPU weights by `relative_speedup`), using a seeded generator
 //! for reproducible experiments.
 
-use crate::sched::{Choice, Costing, Estimate, SchedView, Scheduler, Terms};
+use crate::sched::{exec_in, Choice, SchedView, Scheduler};
 use crate::task::TaskId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use ugpc_hwsim::Secs;
 
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: SmallRng,
-    costing: Costing,
 }
 
 impl RandomScheduler {
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
             rng: SmallRng::seed_from_u64(seed),
-            costing: Costing::default(),
         }
     }
 }
@@ -28,24 +27,34 @@ impl Scheduler for RandomScheduler {
         "random"
     }
 
+    /// Reads each capable worker's expected time from the history row;
+    /// the weights are summed in worker order.
     fn choose(&mut self, task: TaskId, view: &SchedView) -> Choice {
-        let costs = self.costing.cost(view, task, Terms::Exec);
+        let row = view.perf_row(task);
+        let candidates = || {
+            view.capable_workers(task)
+                .map(|w| (w.id, exec_in(&row, w.id)))
+        };
         // Weight = inverse expected execution time (relative speed).
-        let weight = |e: &Estimate| 1.0 / e.exec.value().max(1e-12);
-        let candidates = costs.candidates();
-        let total: f64 = candidates.iter().map(weight).sum();
+        let weight = |exec: Secs| 1.0 / exec.value().max(1e-12);
+        let choice = |(worker, exec): (usize, Secs)| Choice {
+            worker,
+            transfer: None,
+            exec: Some(exec),
+        };
+        let last = candidates()
+            .last()
+            .unwrap_or_else(|| panic!("no capable worker for task {task}"));
+        let total: f64 = candidates().map(|(_, exec)| weight(exec)).sum();
         let mut pick = self.rng.gen_range(0.0..total);
-        for e in candidates {
-            if pick < weight(e) {
-                return costs.choice(e);
+        for c in candidates() {
+            if pick < weight(c.1) {
+                return choice(c);
             }
-            pick -= weight(e);
+            pick -= weight(c.1);
         }
         // Floating-point round-off can leave `pick` a hair past the last
         // cumulative weight; the draw then belongs to the final bucket.
-        let last = candidates
-            .last()
-            .expect("cost() leaves at least one candidate");
-        costs.choice(last)
+        choice(last)
     }
 }

@@ -1,17 +1,19 @@
 //! The schedulers' costing against a per-worker reference scan.
 //!
 //! A policy that costs candidate workers fills every memory node's
-//! transfer total and resident bytes in one pass over the task's operands
-//! and reads expected times from a dense history row, then hands the
-//! chosen worker's estimate back to the executor. Here random runtime
-//! states — replicas on the host only, on one GPU as sole owner, or on
-//! several nodes; one to four GPUs behind staged PCIe or direct NVLink
-//! links; tiles of unequal sizes; random and deliberately tied queue ends;
-//! exact, noisy and partly unobserved history models — are put to every
-//! such policy, and its choice and estimate must equal a scan that costs
-//! each worker on its own through the public `transfer_estimate`,
-//! `exec_estimate`, `resident_bytes` and `energy_estimate`, and applies
-//! the documented tie rules.
+//! transfer total and resident bytes in one pass over the task's operands,
+//! costs each class of identical workers once from the history row's runs
+//! of equal entries, and hands the chosen worker's estimate back to the
+//! executor. Here random runtime states — one to three CPU packages of 1
+//! to 31 cores at equal or unequal caps; replicas on the host only, on one
+//! GPU as sole owner, or on several nodes; one to four GPUs behind staged
+//! PCIe or direct NVLink links; tiles of unequal sizes; random, tied and
+//! one-ulp-apart queue ends; exact, noisy and partly unobserved history
+//! models, some refined after calibration so that one entry's mean moves
+//! and splits its run — are put to every such policy, and its choice and
+//! estimate must equal a scan that costs each worker on its own through
+//! the public `transfer_estimate`, `exec_estimate`, `resident_bytes` and
+//! `energy_estimate`, and applies the documented tie rules.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -20,7 +22,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ugpc_hwsim::{Bytes, Joules, LinkTopology, Node, PlatformId, Precision, Secs};
+use ugpc_hwsim::{Bytes, Joules, LinkTopology, Node, PlatformId, Precision, Secs, Watts};
 use ugpc_runtime::{
     distinct_footprints, AccessMode, Choice, DataRegistry, Footprint, KernelKind, MemNode,
     PerfModel, SchedPolicy, SchedView, TaskDesc, TaskGraph, TaskId, Worker, WorkerKind,
@@ -54,15 +56,41 @@ struct State {
     now: Secs,
 }
 
-fn state(cpus: usize, gpus: usize, nvlink: bool, model: u32, seed: u64) -> State {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // `cpus` cores of one package, then one worker per GPU.
-    let workers: Vec<Worker> = (0..cpus)
-        .map(|core| WorkerKind::CpuCore { package: 0, core })
+/// The shape of a random state's platform and model.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    packages: usize,
+    cores: usize,
+    gpus: usize,
+    nvlink: bool,
+    /// 0: calibrated, 1: noise-calibrated, else observed at random.
+    model: u32,
+    /// Whether the packages are calibrated at different RAPL caps.
+    unequal_caps: bool,
+}
+
+/// `packages × cores` CPU workers in package order, then one worker per
+/// GPU: the layout `build_workers` gives.
+fn workers(packages: usize, cores: usize, gpus: usize) -> Vec<Worker> {
+    (0..packages)
+        .flat_map(|package| (0..cores).map(move |core| WorkerKind::CpuCore { package, core }))
         .chain((0..gpus).map(|device| WorkerKind::Gpu { device }))
         .enumerate()
         .map(|(id, kind)| Worker { id, kind })
-        .collect();
+        .collect()
+}
+
+fn state(shape: Shape, seed: u64) -> State {
+    let Shape {
+        packages,
+        cores,
+        gpus,
+        nvlink,
+        model,
+        unequal_caps,
+    } = shape;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let workers = workers(packages, cores, gpus);
     let links = if nvlink {
         LinkTopology::sxm4_nvlink()
     } else {
@@ -111,23 +139,32 @@ fn state(cpus: usize, gpus: usize, nvlink: bool, model: u32, seed: u64) -> State
 
     let mut footprints = Vec::new();
     distinct_footprints(graph.tasks(), &mut footprints);
-    let node = Node::new(PlatformId::Amd4A100);
-    let perf = match model {
-        0 => {
-            let mut m = PerfModel::new();
-            m.calibrate(&node, &workers, &footprints);
-            m
-        }
+    let mut perf = match model {
+        0 => calibrated(
+            &mut rng,
+            PerfModel::new(),
+            &workers,
+            &footprints,
+            unequal_caps,
+        ),
         1 => {
-            let mut m = PerfModel::new().with_calibration_noise(0.3, seed);
-            m.calibrate(&node, &workers, &footprints);
-            m
+            let m = PerfModel::new().with_calibration_noise(0.3, seed);
+            calibrated(&mut rng, m, &workers, &footprints, unequal_caps)
         }
         _ => observed_at_random(&mut rng, &workers, &footprints),
     };
+    refine(&mut rng, &mut perf, &workers, &footprints);
 
-    // Queue ends from a short list, so completion times often tie.
-    let ends = [0.0, 1e-3, 2e-3, 5e-3];
+    // Queue ends from a short list, so completion times often tie, with
+    // one-ulp neighbours whose completions may round to the same bits.
+    let ends = [
+        0.0,
+        1e-3,
+        f64::from_bits(1e-3f64.to_bits() + 1),
+        2e-3,
+        f64::from_bits(2e-3f64.to_bits() - 1),
+        5e-3,
+    ];
     let free = workers
         .iter()
         .map(|_| Secs(ends[rng.gen_range(0..ends.len())]))
@@ -141,6 +178,65 @@ fn state(cpus: usize, gpus: usize, nvlink: bool, model: u32, seed: u64) -> State
         perf,
         free,
         now,
+    }
+}
+
+/// A model calibrated the way `simulate` does it: the GPUs on the
+/// four-GPU node, each package's cores on a Xeon package whose RAPL cap
+/// is the same for every package, or drawn per package.
+fn calibrated(
+    rng: &mut SmallRng,
+    mut m: PerfModel,
+    workers: &[Worker],
+    fps: &[Footprint],
+    unequal_caps: bool,
+) -> PerfModel {
+    let gpus: Vec<Worker> = workers.iter().copied().filter(Worker::is_gpu).collect();
+    m.calibrate(&Node::new(PlatformId::Amd4A100), &gpus, fps);
+    let caps = [125.0, 100.0, 80.0, 60.0];
+    let shared = caps[rng.gen_range(0..caps.len())];
+    let packages = workers.iter().filter_map(|w| match w.kind {
+        WorkerKind::CpuCore { package, .. } => Some(package),
+        WorkerKind::Gpu { .. } => None,
+    });
+    for package in 0..packages.max().map_or(0, |p| p + 1) {
+        let cap = if unequal_caps {
+            caps[rng.gen_range(0..caps.len())]
+        } else {
+            shared
+        };
+        let mut node = Node::new(PlatformId::Intel2V100);
+        node.cpus_mut()[0].set_power_limit(Watts(cap)).unwrap();
+        // The package's cores, as package 0 of the capped node.
+        let cores: Vec<Worker> = workers
+            .iter()
+            .filter(|w| matches!(w.kind, WorkerKind::CpuCore { package: p, .. } if p == package))
+            .map(|w| Worker {
+                id: w.id,
+                kind: WorkerKind::CpuCore {
+                    package: 0,
+                    core: 0,
+                },
+            })
+            .collect();
+        m.calibrate(&node, &cores, fps);
+    }
+    m
+}
+
+/// Online refinement after calibration, as `simulate` feeds it: a few
+/// entries take one more sample, either at their mean (an exact model's
+/// refinement, which keeps the bits) or elsewhere, which moves the mean
+/// and splits a run of cores.
+fn refine(rng: &mut SmallRng, m: &mut PerfModel, workers: &[Worker], fps: &[Footprint]) {
+    for _ in 0..rng.gen_range(0..4usize) {
+        let fp = fps[rng.gen_range(0..fps.len())];
+        let w = rng.gen_range(0..workers.len());
+        let (Some(t), Some(e)) = (m.expected_time(fp, w), m.expected_energy(fp, w)) else {
+            continue;
+        };
+        let f = [1.0, 0.1, 3.0][rng.gen_range(0..3usize)];
+        m.observe(fp, w, t * f, e * f);
     }
 }
 
@@ -267,25 +363,34 @@ fn bits(c: Choice) -> (usize, Option<u64>, Option<u64>) {
     )
 }
 
+impl State {
+    fn view(&self) -> SchedView<'_> {
+        SchedView {
+            graph: &self.graph,
+            workers: &self.workers,
+            worker_free: &self.free,
+            perf: &self.perf,
+            data: &self.data,
+            links: &self.links,
+            now: self.now,
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn every_costed_choice_matches_the_per_worker_scan(
-        cpus in 1usize..5,
+        packages in 1usize..4,
+        cores in 1usize..32,
         gpus in 1usize..5,
         nvlink in proptest::bool::ANY,
         model in 0u32..3,
+        unequal_caps in proptest::bool::ANY,
         seed in 0u64..1_000_000,
     ) {
-        let s = state(cpus, gpus, nvlink, model, seed);
-        let view = SchedView {
-            graph: &s.graph,
-            workers: &s.workers,
-            worker_free: &s.free,
-            perf: &s.perf,
-            data: &s.data,
-            links: &s.links,
-            now: s.now,
-        };
+        let shape = Shape { packages, cores, gpus, nvlink, model, unequal_caps };
+        let s = state(shape, seed);
+        let view = s.view();
         for task in 0..s.graph.len() {
             for policy in policies(seed) {
                 let got = policy.build().choose(task, &view);
@@ -293,12 +398,56 @@ proptest! {
                 prop_assert_eq!(
                     bits(got),
                     bits(want),
-                    "{} on task {task} ({:?}), {cpus} cores, {gpus} GPUs, nvlink {nvlink}, \
-                     model {model}, seed {seed}: chose {got:?}, the scan {want:?}",
+                    "{} on task {task} ({:?}), {shape:?}, seed {seed}: chose {got:?}, \
+                     the scan {want:?}",
                     policy.name(),
                     s.graph.task(task).kind
                 );
             }
+        }
+    }
+}
+
+/// Distinct queue ends whose completions round to the same bits: 1 and
+/// 1 + 2⁻⁵² plus an execution of 1 both give 2. A per-worker scan takes
+/// the first (or, for dmdas, the last) worker of that completion, which
+/// is not always the one with the earliest queue end.
+#[test]
+fn completions_that_round_together_resolve_like_the_scan() {
+    let one_up = f64::from_bits(1f64.to_bits() + 1);
+    let workers = workers(1, 3, 1);
+    let mut graph = TaskGraph::new();
+    let mut data = DataRegistry::new();
+    let tile = data.register(Bytes(8.0));
+    let task = graph.submit(
+        TaskDesc::new(KernelKind::Gemm, Precision::Double, 960).access(tile, AccessMode::Read),
+    );
+    let fp = graph.task(task).footprint();
+    let mut perf = PerfModel::new();
+    for w in &workers {
+        let t = if w.is_gpu() { 100.0 } else { 1.0 };
+        perf.observe(fp, w.id, Secs(t), Joules(1.0));
+    }
+    for ends in [[one_up, 1.0, 5.0], [1.0, one_up, 5.0], [5.0, one_up, 1.0]] {
+        let s = State {
+            free: ends.iter().chain(&[0.0]).map(|&t| Secs(t)).collect(),
+            workers: workers.clone(),
+            links: LinkTopology::pcie_gen3(),
+            data: data.clone(),
+            graph: graph.clone(),
+            perf: perf.clone(),
+            now: Secs::ZERO,
+        };
+        let view = s.view();
+        for policy in policies(3) {
+            let got = policy.build().choose(task, &view);
+            let want = reference(&view, task, policy);
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{} at queue ends {ends:?}",
+                policy.name()
+            );
         }
     }
 }

@@ -81,7 +81,9 @@ struct ShardShared {
 struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// Reply bytes; those before `sent` are already written.
     wbuf: Vec<u8>,
+    sent: usize,
     /// Next sequence number to assign to an incoming request slot.
     next_seq: u64,
     /// Next sequence number to emit; replies with later numbers park in
@@ -98,6 +100,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
+            sent: 0,
             next_seq: 0,
             next_emit: 0,
             pending: BTreeMap::new(),
@@ -114,7 +117,12 @@ impl Conn {
 
     /// All assigned reply slots have been emitted and flushed.
     fn drained(&self) -> bool {
-        self.next_emit == self.next_seq && self.wbuf.is_empty()
+        self.next_emit == self.next_seq && self.unsent().is_empty()
+    }
+
+    /// Reply bytes not yet written.
+    fn unsent(&self) -> &[u8] {
+        self.wbuf.get(self.sent..).unwrap_or_default()
     }
 
     /// Move in-order pending replies into the write buffer.
@@ -127,18 +135,29 @@ impl Conn {
     }
 
     /// Write as much of the buffer as the socket accepts. `Err` means
-    /// the connection is dead.
+    /// the connection is dead. A write advances `sent`; the written prefix
+    /// is dropped only once it is at least half the buffer, so a reader
+    /// that takes a few bytes at a time costs amortized O(1) per byte, not
+    /// a shift of the whole backlog per write.
     fn flush(&mut self) -> std::io::Result<()> {
-        while !self.wbuf.is_empty() {
-            match self.stream.write(&self.wbuf) {
+        let Conn {
+            stream, wbuf, sent, ..
+        } = self;
+        while let Some(rest) = wbuf.get(*sent..).filter(|r| !r.is_empty()) {
+            match stream.write(rest) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
+                Ok(n) => *sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
+        }
+        if *sent == wbuf.len() {
+            wbuf.clear();
+            *sent = 0;
+        } else if *sent * 2 >= wbuf.len() {
+            wbuf.drain(..*sent);
+            *sent = 0;
         }
         Ok(())
     }
@@ -277,7 +296,7 @@ fn publish_depths(shard_idx: usize, service: &Arc<Service>, conns: &HashMap<u64,
     let open = conns.values(); // lint:allow hash-iteration
     for c in open {
         inflight += c.next_seq - c.next_emit;
-        backlog += c.wbuf.len() as u64;
+        backlog += c.unsent().len() as u64;
     }
     let depths = service.metrics.depth_shard(shard_idx);
     depths.inbox_depth.store(inflight, Ordering::Relaxed);
@@ -521,7 +540,7 @@ fn process_line(
 }
 
 fn update_interest(shared: &Arc<ShardShared>, conn: &mut Conn, token: u64) {
-    let want = if conn.wbuf.is_empty() {
+    let want = if conn.unsent().is_empty() {
         Interest::Read
     } else {
         Interest::ReadWrite
@@ -574,8 +593,11 @@ fn drain_and_close(
         if let Some(conn) = conns.get_mut(&token) {
             conn.pump();
             let _ = conn.stream.set_nonblocking(false);
-            let _ = conn.stream.write_all(&conn.wbuf);
+            let _ = conn
+                .stream
+                .write_all(conn.wbuf.get(conn.sent..).unwrap_or_default());
             conn.wbuf.clear();
+            conn.sent = 0;
         }
         close_conn(shared, service, conns, token);
     }

@@ -354,3 +354,53 @@ fn pipelined_load_on_eight_connections_is_served_from_cache() {
     }
     handle.stop();
 }
+
+/// A reader that lets the server's socket buffers fill and then takes a
+/// few bytes per read leaves most of the replies parked in the server's
+/// write buffer, to go out over many partial writes. It must receive
+/// exactly the byte stream a reader that drains everything at once gets.
+#[test]
+fn a_reader_taking_a_few_bytes_at_a_time_gets_the_same_stream() {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
+
+    let handle = spawn_server(small_options());
+    // Power timelines make each reply about as large as the protocol
+    // allows; a ping between them gives a small slot among the large.
+    let mut requests = String::new();
+    for bins in [4096, 64, 4096, 1, 4096, 4096, 512, 4096].repeat(8) {
+        let run = RunRequest {
+            power_bins: Some(bins),
+            ..RunRequest::new(tiny())
+        };
+        requests.push_str(&encode(&Request::Run(run)));
+        requests.push('\n');
+        requests.push_str(&encode(&Request::Ping));
+        requests.push('\n');
+    }
+    let stream = |pause: Duration, chunk: &dyn Fn(usize) -> usize| {
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(requests.as_bytes()).unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        std::thread::sleep(pause);
+        let (mut got, mut buf) = (Vec::new(), vec![0u8; 1 << 16]);
+        for i in 0.. {
+            let n = s.read(&mut buf[..chunk(i)]).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+        }
+        got
+    };
+    let whole = stream(Duration::ZERO, &|_| 1 << 16);
+    let sizes = [1, 7, 3, 61, 509];
+    let trickled = stream(Duration::from_millis(300), &|i| sizes[i % sizes.len()]);
+    assert_eq!(whole.iter().filter(|&&b| b == b'\n').count(), 128);
+    // More than the loopback socket buffers hold.
+    assert!(whole.len() > 6 << 20, "replies of {} bytes", whole.len());
+    assert!(whole == trickled, "the trickled stream differs");
+    handle.stop();
+}
