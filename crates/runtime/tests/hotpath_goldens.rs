@@ -20,6 +20,9 @@
 //! The last group pins the `random` policy (its seeded draws over
 //! speed weights) and runs on a noise-calibrated history model, captured
 //! from the executor that still costed each candidate worker separately.
+//! The stale-model group, captured from the executor that still kept its
+//! idle-worker resync candidates in a second event heap, runs a model
+//! calibrated at one set of caps after the GPUs were re-capped.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -532,4 +535,66 @@ fn noise_calibrated_model_matches_goldens() {
         })
         .collect();
     check("noisy", &measured, &NOISY_GOLDENS);
+}
+
+const STALE_GOLDENS: [Outcome; 4] = [
+    (0.2450325970878559, 84.01582574503334, 0, 0),
+    (0.2983719579726355, 101.45050163285804, 0, 0),
+    (0.25902775410835155, 67.43176895683365, 0, 0),
+    (0.30488596152094777, 77.79277506367501, 0, 0),
+];
+
+/// A model calibrated at full caps, then run frozen after every GPU is
+/// re-capped to B or L. The history model still predicts the `H` kernel
+/// times while the devices run slower, so each worker's predicted queue
+/// end and its actual drain time part ways. These runs pin the rule that
+/// pulls a prediction back to `now` once its worker has actually gone
+/// idle, and leaves a busy worker's prediction alone: dropping the pull,
+/// or applying it to a worker with tasks still queued, changes them.
+#[test]
+fn stale_model_after_recap_matches_goldens() {
+    let cases = [
+        (26, PlatformId::Amd4A100, "HHHH", "BBBB"),
+        (25, PlatformId::Amd4A100, "HHHH", "LLLL"),
+        (32, PlatformId::Intel2V100, "HH", "BB"),
+        (29, PlatformId::Intel2V100, "HH", "LL"),
+    ];
+    let frozen = SimOptions {
+        refine_models: false,
+        ..SimOptions::default()
+    };
+    let set_caps = |node: &mut Node, letters: &str| {
+        for (g, cap) in letter_caps(node, letters, SMALL.precision)
+            .into_iter()
+            .enumerate()
+        {
+            node.gpu_mut(g).set_power_limit(cap).unwrap();
+        }
+    };
+    let measured: Vec<(String, Outcome)> = cases
+        .iter()
+        .map(|&(seed, platform, calibrated, run_at)| {
+            let mut node = Node::new(platform);
+            let mut reg = DataRegistry::new();
+            let g = random_graph(seed, 120, SMALL, &mut reg);
+            let mut perf = PerfModel::new();
+            set_caps(&mut node, calibrated);
+            simulate_observed(&mut node, &g, &mut reg, frozen, &mut perf, &mut []);
+            set_caps(&mut node, run_at);
+            let mut builder = TraceBuilder::new();
+            simulate_observed(
+                &mut node,
+                &g,
+                &mut reg,
+                frozen,
+                &mut perf,
+                &mut [&mut builder],
+            );
+            (
+                format!("seed {seed} {platform} {calibrated}->{run_at}"),
+                outcome(&builder.into_trace()),
+            )
+        })
+        .collect();
+    check("stale", &measured, &STALE_GOLDENS);
 }
