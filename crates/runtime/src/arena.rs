@@ -2,14 +2,14 @@
 //!
 //! Every `simulate_observed` call needs the same family of working
 //! vectors (worker drain times, ready frontier, in-degree counters, the
-//! event and resync queues, …). Allocating them per run made the DES
+//! event queue, …). Allocating them per run made the DES
 //! core allocation-bound under sweeps, where thousands of short
 //! simulations execute back to back. [`RunArena`] owns all of that
 //! scratch; [`with_run_arena`] checks the thread's arena out, and the
 //! executor resets each field to its run-initial state before use — so
 //! a run observes exactly what a fresh allocation would have held,
-//! while the backing buffers (and the event queue's bucket wheel) are
-//! reused across runs.
+//! while the backing buffers (and the event queue's heap) are reused
+//! across runs.
 //!
 //! Reuse is outcome-neutral by construction: every field is
 //! `clear()`ed/refilled or `reset()` before the run reads it, and the
@@ -21,7 +21,7 @@
 use crate::control::SimEvent;
 use crate::des::EventQueue;
 use crate::task::{Footprint, TaskId};
-use crate::worker::{Worker, WorkerId};
+use crate::worker::Worker;
 use std::cell::RefCell;
 use ugpc_hwsim::Secs;
 
@@ -57,8 +57,6 @@ pub struct RunArena {
     /// The run's event queue: task completions plus control-plane
     /// re-caps and ticks, all in one time-ordered stream.
     pub events: EventQueue<SimEvent>,
-    /// Idle-worker `expected_end` resync candidates.
-    pub resync: EventQueue<WorkerId>,
 }
 
 impl RunArena {
@@ -78,7 +76,6 @@ impl RunArena {
             footprints: Vec::new(),
             missing: Vec::new(),
             events: EventQueue::new(),
-            resync: EventQueue::unmonitored(),
         }
     }
 }

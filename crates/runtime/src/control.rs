@@ -25,11 +25,11 @@
 //!   the kernels launched at or after `t`; kernels already committed
 //!   keep the power they were launched at, with the device ledger split
 //!   at the transition instant ([`ugpc_hwsim::GpuDevice::recap_at`]).
-//! * Tick-only batches leave scheduler state untouched (no resync
-//!   drain, no completion processing), so a **quiescent hook** — one
-//!   that never requests a tick, or ticks but never re-caps — is
-//!   outcome-neutral: the run is bit-identical to one without the hook
-//!   (pinned by `tests/control_differential.rs`).
+//! * Tick-only batches leave scheduler state untouched (no predicted
+//!   queue end is reset, no completion is processed), so a **quiescent
+//!   hook** — one that never requests a tick, or ticks but never
+//!   re-caps — is outcome-neutral: the run is bit-identical to one
+//!   without the hook (pinned by `tests/control_differential.rs`).
 //! * `next_tick` must be strictly in the future; a tick at or before
 //!   `now` would livelock the event loop and is discarded.
 //!

@@ -62,18 +62,13 @@ impl QueueBackend {
 
 /// Min-queue of timed events with FIFO tie-breaking.
 ///
-/// Under the `sanitize` feature, pops on a *monitored* queue assert that
-/// virtual time never moves backwards: once an event at time `t` has
-/// been popped, pushing and popping an event earlier than `t` is an
-/// invariant violation in a discrete-event simulation (the past would
-/// be rewritten). The resync-candidate queue in `sim.rs` legitimately
-/// pushes into the past (stale candidates are re-checked at pop), so it
-/// uses [`EventQueue::unmonitored`].
+/// Under the `sanitize` feature, pops assert that virtual time never
+/// moves backwards: once an event at time `t` has been popped, pushing
+/// and popping an event earlier than `t` is an invariant violation in a
+/// discrete-event simulation (the past would be rewritten).
 pub struct EventQueue<T> {
     heap: BinaryHeap<Event<T>>,
     seq: u64,
-    #[cfg(feature = "sanitize")]
-    monitored: bool,
     #[cfg(feature = "sanitize")]
     last_pop: f64,
 }
@@ -90,22 +85,8 @@ impl<T> EventQueue<T> {
             heap: BinaryHeap::new(),
             seq: 0,
             #[cfg(feature = "sanitize")]
-            monitored: true,
-            #[cfg(feature = "sanitize")]
             last_pop: f64::NEG_INFINITY,
         }
-    }
-
-    /// A queue whose pops are exempt from the sanitize monotone-time
-    /// assertion (for candidate queues that legally push into the past).
-    pub fn unmonitored() -> Self {
-        #[allow(unused_mut)]
-        let mut q = Self::new();
-        #[cfg(feature = "sanitize")]
-        {
-            q.monitored = false;
-        }
-        q
     }
 
     /// Empty the queue for reuse, keeping its allocation. Sequence
@@ -157,9 +138,6 @@ impl<T> EventQueue<T> {
 
     #[cfg(feature = "sanitize")]
     fn check_monotone(&mut self, t: f64) {
-        if !self.monitored {
-            return;
-        }
         assert!(
             t >= self.last_pop,
             "sanitize: virtual time moved backwards: popped {} after {}",
@@ -313,15 +291,5 @@ mod tests {
         q.push(Secs(2.0), 2);
         assert_eq!(q.pop().unwrap().1, 10);
         assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    #[cfg(feature = "sanitize")]
-    fn unmonitored_queue_tolerates_past_pushes() {
-        let mut q = EventQueue::unmonitored();
-        q.push(Secs(5.0), 5);
-        assert_eq!(q.pop().unwrap().1, 5);
-        q.push(Secs(1.0), 1); // in the past — fine, unmonitored
-        assert_eq!(q.pop().unwrap().1, 1);
     }
 }

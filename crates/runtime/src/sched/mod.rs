@@ -83,7 +83,11 @@ impl SchedPolicy {
 pub struct SchedView<'a> {
     pub graph: &'a TaskGraph,
     pub workers: &'a [Worker],
-    /// Virtual time at which each worker's queue drains.
+    /// Model-predicted virtual time at which each worker's queue ends
+    /// (StarPU's `expected_end`). The executor passes its predictions,
+    /// not the actual drain times, so a stale or noisy model misleads
+    /// the policy as it would on a real node. A prediction may lie
+    /// before `now`; policies read it through `max(now, ·)`.
     pub worker_free: &'a [Secs],
     pub perf: &'a PerfModel,
     pub data: &'a DataRegistry,

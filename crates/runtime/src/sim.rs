@@ -162,7 +162,6 @@ fn simulate_in_arena(
         footprints,
         missing,
         events,
-        resync,
     } = arena;
 
     build_workers_into(node.spec(), workers, capable_cores);
@@ -243,12 +242,6 @@ fn simulate_in_arena(
     worker_free.resize(workers.len(), Secs::ZERO);
     worker_expected.clear();
     worker_expected.resize(workers.len(), Secs::ZERO);
-    // Incremental replacement for the old scan-all-workers resync: only
-    // workers whose prediction ran ahead of their actual drain time are
-    // candidates, keyed by the time they actually go idle. Resync pops
-    // are legitimately non-monotone (candidates can sit in the past), so
-    // the queue is constructed unmonitored — see `RunArena::new`.
-    resync.reset();
     h2d_free.clear();
     h2d_free.resize(n_gpus, Secs::ZERO);
     d2h_free.clear();
@@ -320,9 +313,6 @@ fn simulate_in_arena(
                 // Advance the model-predicted queue end for the chosen
                 // worker (what the scheduler believes it just committed).
                 worker_expected[wid] = now.max(worker_expected[wid]) + est;
-                if worker_expected[wid] > worker_free[wid] {
-                    resync.push(worker_free[wid], wid);
-                }
                 let worker = workers[wid];
                 let desc = graph.task(task);
                 let dst = worker.mem_node();
@@ -519,9 +509,6 @@ fn simulate_in_arena(
                     task_end[task] = Some(t_end);
                 }
                 worker_free[wid] = t_end;
-                if worker_expected[wid] > t_end {
-                    resync.push(t_end, wid);
-                }
                 feed(
                     observers,
                     &mut hook,
@@ -603,46 +590,43 @@ fn simulate_in_arena(
                 }
             }
             // Batches without a task completion (ticks / re-caps alone)
-            // must leave scheduler state untouched — no resync drain, no
-            // frontier updates — so a quiescent control plane stays
+            // leave scheduler state untouched — no resync, no frontier
+            // updates — so a quiescent control plane stays
             // outcome-neutral (tests/control_differential.rs).
-            let has_tasks = completed.iter().any(|e| matches!(e, SimEvent::Task(_)));
-            if has_tasks {
+            for ev in completed.iter() {
+                let SimEvent::Task(task) = *ev else { continue };
+                remaining -= 1;
+                let w = task_worker[task];
                 // Resync: a worker that is actually idle has nothing
                 // pending, whatever the model predicted (StarPU refreshes
-                // expected_end when workers go idle). Maintained
-                // incrementally: only the recorded candidates are
-                // examined, not every worker.
-                while resync.peek_time().is_some_and(|at| at <= now) {
-                    let (_, w) = resync.pop().expect("peeked entry exists");
-                    if worker_free[w] <= now && worker_expected[w] > now {
-                        worker_expected[w] = now;
+                // expected_end when workers go idle). A worker goes idle
+                // only in the batch holding its last queued task, and its
+                // prediction stays at or before `now` until its next
+                // assignment, so checking each completed task's worker
+                // reaches every idle worker (DESIGN.md §19).
+                if worker_free[w] <= now && worker_expected[w] > now {
+                    worker_expected[w] = now;
+                }
+                if let WorkerKind::Gpu { device } = workers[w].kind {
+                    for &d in graph.unique_data(task) {
+                        gpu_mem[device].unpin(d);
                     }
                 }
-                // Sanitizer: the candidate queue must be exhaustive —
-                // after draining it, no worker may still qualify.
-                #[cfg(feature = "sanitize")]
-                for w in 0..workers.len() {
-                    assert!(
-                        !(worker_free[w] <= now && worker_expected[w] > now),
-                        "sanitize: resync queue missed idle worker {w} at {now}"
-                    );
-                }
-                for ev in completed.iter() {
-                    let SimEvent::Task(task) = *ev else { continue };
-                    remaining -= 1;
-                    if let WorkerKind::Gpu { device } = workers[task_worker[task]].kind {
-                        for &d in graph.unique_data(task) {
-                            gpu_mem[device].unpin(d);
-                        }
-                    }
-                    for &s in graph.successors(task) {
-                        indeg[s] -= 1;
-                        if indeg[s] == 0 {
-                            ready.push(s);
-                        }
+                for &s in graph.successors(task) {
+                    indeg[s] -= 1;
+                    if indeg[s] == 0 {
+                        ready.push(s);
                     }
                 }
+            }
+            // The per-completion resync must be exhaustive: after this
+            // batch, no idle worker may still predict a later queue end.
+            #[cfg(any(debug_assertions, feature = "sanitize"))]
+            for w in 0..workers.len() {
+                assert!(
+                    !(worker_free[w] <= now && worker_expected[w] > now),
+                    "idle worker {w} still expects its queue to end after {now}"
+                );
             }
             // Ticks run last, after the completions at this instant, so
             // the controller's sensors include them.
