@@ -30,6 +30,7 @@ use std::process::ExitCode;
 use ugpc_analysis::lints::{self, all_rules};
 use ugpc_analysis::model::backpressure::Backpressure;
 use ugpc_analysis::model::controlplane::ControlPlaneModel;
+use ugpc_analysis::model::pool::PoolModel;
 use ugpc_analysis::model::singleflight::SingleFlight;
 use ugpc_analysis::model::{Checker, Model};
 
@@ -90,6 +91,7 @@ fn check_models() -> bool {
         &Backpressure::correct(2, 2, 1),
     );
     ok &= check_model("control-plane(ticks=6)", &ControlPlaneModel::correct(6));
+    ok &= check_model("pool-join(threads=2)", &PoolModel::correct(2));
     ok
 }
 

@@ -39,6 +39,7 @@
 
 pub mod backpressure;
 pub mod controlplane;
+pub mod pool;
 pub mod singleflight;
 
 use std::collections::HashSet;

@@ -168,6 +168,7 @@ fn report_is_independent_of_file_order() {
 fn model_interleaving_counts_are_pinned() {
     use ugpc_analysis::model::backpressure::Backpressure;
     use ugpc_analysis::model::controlplane::ControlPlaneModel;
+    use ugpc_analysis::model::pool::PoolModel;
     use ugpc_analysis::model::singleflight::SingleFlight;
     use ugpc_analysis::model::{CheckOutcome, Checker, Model};
 
@@ -189,4 +190,5 @@ fn model_interleaving_counts_are_pinned() {
     assert_eq!(two, (one.0 * one.0, 2 * one.0 * one.1, one.2 * one.2));
     assert_eq!(counts(&Backpressure::correct(2, 2, 1)), (291, 710, 3));
     assert_eq!(counts(&ControlPlaneModel::correct(6)), (575, 574, 169));
+    assert_eq!(counts(&PoolModel::correct(2)), (4088, 7939, 1));
 }

@@ -17,12 +17,17 @@
 //! self-validates the trace (parses, task count matches the report).
 //! `--scale K` shrinks every task graph by K× (fewer tiles, same tile
 //! size) for quick runs; the default 1 reproduces the paper's sizes.
-//! `--jobs N` fans independent simulations over N worker threads
-//! (default: available cores, also settable via `UGPC_JOBS`); `--jobs 1`
-//! preserves the plain serial path. Output is byte-identical either way
-//! — see `ugpc_experiments::driver`. All experiments of one invocation
-//! share one report memo (`ugpc_experiments::memo`), so a static study
-//! that several of them run simulates once.
+//! `--jobs N` runs the experiments, and every sweep inside them, as one
+//! call tree on one pool of N threads (default: available cores, also
+//! settable via `UGPC_JOBS`); `--jobs 1` preserves the plain serial
+//! path. Each experiment's stdout text and JSON files are collected
+//! while it runs and emitted by the main thread in the order the
+//! experiments were named, so output is byte-identical either way — see
+//! `ugpc_experiments::driver`. The `[EXP done in T s]` line on stderr
+//! is that experiment's own span; with N > 1 the spans overlap, and
+//! they do not add up to the run's wall-clock. All experiments of one
+//! invocation share one report memo (`ugpc_experiments::memo`), so a
+//! static study that several of them run simulates once.
 //! `--json DIR` additionally writes each experiment's raw data as JSON.
 //! `--smoke` runs the cheap CI variant of experiments that have one
 //! (currently `control`); the full-scale committed baselines are left
@@ -287,13 +292,48 @@ fn trace_run(dir: &std::path::Path, scale: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn write_json<T: serde::Serialize>(dir: &Option<PathBuf>, name: &str, value: &T) {
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join(format!("{name}.json"));
-        let data = serde_json::to_string_pretty(value).expect("serialize");
-        std::fs::write(&path, data).expect("write json");
-        eprintln!("wrote {}", path.display());
+/// What one experiment prints and writes. Experiments run together on
+/// the work pool; the main thread emits their outputs in experiment
+/// order, so stdout and the written files do not depend on which
+/// finished first.
+#[derive(Default)]
+struct Output {
+    /// Whether `--json` was given: serialize the JSON files at all.
+    json: bool,
+    stdout: String,
+    /// `--json` files, by name without the extension.
+    files: Vec<(String, String)>,
+    /// The control study, for `BENCH_control.json`.
+    bench_control: Option<String>,
+}
+
+impl Output {
+    fn print(&mut self, text: impl std::fmt::Display) {
+        self.stdout.push_str(&format!("{text}\n"));
+    }
+
+    fn json<T: serde::Serialize>(&mut self, name: &str, value: &T) {
+        if self.json {
+            let data = serde_json::to_string_pretty(value).expect("serialize");
+            self.files.push((name.to_string(), data));
+        }
+    }
+
+    /// Print the stdout text, write the files into `--json DIR`, and
+    /// refresh `BENCH_control.json`.
+    fn emit(self, args: &Args) {
+        print!("{}", self.stdout);
+        if let Some(dir) = &args.json_dir {
+            std::fs::create_dir_all(dir).expect("create json dir");
+            for (name, data) in &self.files {
+                let path = dir.join(format!("{name}.json"));
+                std::fs::write(&path, data).expect("write json");
+                eprintln!("wrote {}", path.display());
+            }
+        }
+        if let Some(data) = &self.bench_control {
+            write_bench_control(data, args.smoke, args.scale);
+        }
     }
 }
 
@@ -303,8 +343,7 @@ fn write_json<T: serde::Serialize>(dir: &Option<PathBuf>, name: &str, value: &T)
 /// committed baseline in `results/bench/`. Smoke or scaled runs never
 /// overwrite the committed file, whose acceptance bar
 /// (`tests/control_bench.rs`) only the full-scale study meets.
-fn write_bench_control(study: &ugpc_experiments::control::ControlStudy, smoke: bool, scale: usize) {
-    let data = serde_json::to_string_pretty(study).expect("serialize control study");
+fn write_bench_control(data: &str, smoke: bool, scale: usize) {
     let path = if let Ok(dir) = std::env::var("UGPC_BENCH_JSON") {
         PathBuf::from(dir).join("BENCH_control.json")
     } else if !smoke && scale == 1 {
@@ -388,133 +427,137 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Run the experiments as one batch on the work pool, then emit their
+/// outputs in the order given.
 fn run_experiments(args: &Args) {
-    for exp in &args.experiments {
+    let outputs = ex::par_map(args.experiments.iter().collect(), |exp| {
         let t0 = std::time::Instant::now();
-        match exp.as_str() {
-            "fig1" => {
-                let fig = ex::fig1::run(GpuModel::A100Sxm4_40, 0.02);
-                println!("{}", ex::fig1::render(&fig));
-                write_json(&args.json_dir, "fig1", &fig);
-            }
-            "table1" => {
-                let t = ex::table1::run();
-                println!("{}", ex::table1::render(&t));
-                write_json(&args.json_dir, "table1", &t);
-            }
-            "table2" => {
-                let t = ex::table2::run();
-                println!("{}", ex::table2::render(&t));
-                write_json(&args.json_dir, "table2", &t);
-            }
-            "fig3" => {
-                let fig = ex::fig34::run(Precision::Double, args.scale);
-                println!("{}", ex::fig34::render_figure(&fig));
-                write_json(&args.json_dir, "fig3", &fig);
-            }
-            "fig4" => {
-                let fig = ex::fig34::run(Precision::Single, args.scale);
-                println!("{}", ex::fig34::render_figure(&fig));
-                write_json(&args.json_dir, "fig4", &fig);
-            }
-            "fig5" => {
-                let fig = ex::fig5::run(args.scale);
-                println!("{}", ex::fig5::render(&fig));
-                write_json(&args.json_dir, "fig5", &fig);
-            }
-            "fig6" => {
-                let fig = ex::fig6::run(args.scale);
-                println!("{}", ex::fig6::render(&fig));
-                write_json(&args.json_dir, "fig6", &fig);
-            }
-            "fig7" => {
-                let fig = ex::fig7::run(args.scale);
-                println!("{}", ex::fig7::render(&fig));
-                write_json(&args.json_dir, "fig7", &fig);
-            }
-            "lu" => {
-                let scale = args.scale.max(1);
-                let nt = (20 / scale).max(4);
-                for precision in [Precision::Double, Precision::Single] {
-                    let l = ex::ext_lu::run(precision, nt, 2880);
-                    println!("{}", ex::ext_lu::render(&l));
-                    write_json(&args.json_dir, &format!("ext_lu_{}", precision.short()), &l);
-                }
-            }
-            "mixed" => {
-                let scale = args.scale.max(1);
-                // Two regimes on the 4×A100 node: CPU-critical-path-bound
-                // (small nt, mixed wins) and GPU-bound (large nt, break-
-                // even on A100 because FP64 tensor ≈ FP32 peak).
-                for (nt, config) in [(6usize, "HHHH"), (6, "BBBB"), (16, "HHHH"), (16, "BBBB")] {
-                    let nt = (nt / scale).max(3);
-                    let s = ex::ext_mixed::run(config, nt, 2880, 2);
-                    println!("{}", ex::ext_mixed::render(&s));
-                    write_json(
-                        &args.json_dir,
-                        &format!("ext_mixed_a100_{config}_nt{nt}"),
-                        &s,
-                    );
-                }
-            }
-            "placements" => {
-                for canonical in ["HHHB", "HHBB"] {
-                    let s = ex::placements::run(canonical, args.scale);
-                    println!("{}", ex::placements::render(&s));
-                    write_json(&args.json_dir, &format!("placements_{canonical}"), &s);
-                }
-            }
-            "models" => {
-                let stale = ex::ext_models::run_stale_ablation(args.scale);
-                println!("{}", ex::ext_models::render("Stale-model ablation", &stale));
-                write_json(&args.json_dir, "ext_models_stale", &stale);
-                let noise = ex::ext_models::run_noise_ablation(args.scale);
-                println!(
-                    "{}",
-                    ex::ext_models::render("Calibration-noise ablation", &noise)
-                );
-                write_json(&args.json_dir, "ext_models_noise", &noise);
-            }
-            "power" => {
-                let s = ex::power_profile::run(args.scale);
-                println!("{}", ex::power_profile::render(&s));
-                write_json(&args.json_dir, "power_profile", &s);
-            }
-            "profile" => {
-                let s = ex::profile::run(args.scale);
-                println!("{}", ex::profile::render(&s));
-                write_json(&args.json_dir, "profile", &s);
-            }
-            "control" => {
-                let (s, journals) = if args.smoke {
-                    ex::control::run_smoke()
-                } else {
-                    ex::control::run_explained(args.scale)
-                };
-                println!("{}", ex::control::render(&s));
-                if args.explain {
-                    println!("{}", ex::control::render_explain(&journals));
-                    write_json(&args.json_dir, "control_explain", &journals);
-                }
-                write_json(&args.json_dir, "control", &s);
-                write_bench_control(&s, args.smoke, args.scale);
-            }
-            "ablation" => {
-                for op in ugpc_hwsim::OpKind::ALL {
-                    let a = ex::ablation::run_scheduler_ablation(op, args.scale);
-                    println!("{}", ex::ablation::render_schedulers(&a));
-                    write_json(
-                        &args.json_dir,
-                        &format!("ablation_sched_{}", op.name().to_lowercase()),
-                        &a,
-                    );
-                }
-                let d = ex::ablation::run_dynamic_ablation();
-                println!("{}", ex::ablation::render_dynamic(&d));
-                write_json(&args.json_dir, "ablation_dynamic", &d);
-            }
-            _ => unreachable!("validated in parse_args"),
-        }
-        eprintln!("[{exp} done in {:.1} s]", t0.elapsed().as_secs_f64());
+        (run_experiment(args, exp), t0.elapsed())
+    });
+    for (exp, (output, elapsed)) in args.experiments.iter().zip(outputs) {
+        output.emit(args);
+        eprintln!("[{exp} done in {:.1} s]", elapsed.as_secs_f64());
     }
+}
+
+fn run_experiment(args: &Args, exp: &str) -> Output {
+    let mut out = Output {
+        json: args.json_dir.is_some(),
+        ..Output::default()
+    };
+    match exp {
+        "fig1" => {
+            let fig = ex::fig1::run(GpuModel::A100Sxm4_40, 0.02);
+            out.print(ex::fig1::render(&fig));
+            out.json("fig1", &fig);
+        }
+        "table1" => {
+            let t = ex::table1::run();
+            out.print(ex::table1::render(&t));
+            out.json("table1", &t);
+        }
+        "table2" => {
+            let t = ex::table2::run();
+            out.print(ex::table2::render(&t));
+            out.json("table2", &t);
+        }
+        "fig3" => {
+            let fig = ex::fig34::run(Precision::Double, args.scale);
+            out.print(ex::fig34::render_figure(&fig));
+            out.json("fig3", &fig);
+        }
+        "fig4" => {
+            let fig = ex::fig34::run(Precision::Single, args.scale);
+            out.print(ex::fig34::render_figure(&fig));
+            out.json("fig4", &fig);
+        }
+        "fig5" => {
+            let fig = ex::fig5::run(args.scale);
+            out.print(ex::fig5::render(&fig));
+            out.json("fig5", &fig);
+        }
+        "fig6" => {
+            let fig = ex::fig6::run(args.scale);
+            out.print(ex::fig6::render(&fig));
+            out.json("fig6", &fig);
+        }
+        "fig7" => {
+            let fig = ex::fig7::run(args.scale);
+            out.print(ex::fig7::render(&fig));
+            out.json("fig7", &fig);
+        }
+        "lu" => {
+            let scale = args.scale.max(1);
+            let nt = (20 / scale).max(4);
+            for precision in [Precision::Double, Precision::Single] {
+                let l = ex::ext_lu::run(precision, nt, 2880);
+                out.print(ex::ext_lu::render(&l));
+                out.json(&format!("ext_lu_{}", precision.short()), &l);
+            }
+        }
+        "mixed" => {
+            let scale = args.scale.max(1);
+            // Two regimes on the 4×A100 node: CPU-critical-path-bound
+            // (small nt, mixed wins) and GPU-bound (large nt, break-
+            // even on A100 because FP64 tensor ≈ FP32 peak).
+            for (nt, config) in [(6usize, "HHHH"), (6, "BBBB"), (16, "HHHH"), (16, "BBBB")] {
+                let nt = (nt / scale).max(3);
+                let s = ex::ext_mixed::run(config, nt, 2880, 2);
+                out.print(ex::ext_mixed::render(&s));
+                out.json(&format!("ext_mixed_a100_{config}_nt{nt}"), &s);
+            }
+        }
+        "placements" => {
+            for canonical in ["HHHB", "HHBB"] {
+                let s = ex::placements::run(canonical, args.scale);
+                out.print(ex::placements::render(&s));
+                out.json(&format!("placements_{canonical}"), &s);
+            }
+        }
+        "models" => {
+            let stale = ex::ext_models::run_stale_ablation(args.scale);
+            out.print(ex::ext_models::render("Stale-model ablation", &stale));
+            out.json("ext_models_stale", &stale);
+            let noise = ex::ext_models::run_noise_ablation(args.scale);
+            out.print(ex::ext_models::render("Calibration-noise ablation", &noise));
+            out.json("ext_models_noise", &noise);
+        }
+        "power" => {
+            let s = ex::power_profile::run(args.scale);
+            out.print(ex::power_profile::render(&s));
+            out.json("power_profile", &s);
+        }
+        "profile" => {
+            let s = ex::profile::run(args.scale);
+            out.print(ex::profile::render(&s));
+            out.json("profile", &s);
+        }
+        "control" => {
+            let (s, journals) = if args.smoke {
+                ex::control::run_smoke()
+            } else {
+                ex::control::run_explained(args.scale)
+            };
+            out.print(ex::control::render(&s));
+            if args.explain {
+                out.print(ex::control::render_explain(&journals));
+                out.json("control_explain", &journals);
+            }
+            out.json("control", &s);
+            out.bench_control =
+                Some(serde_json::to_string_pretty(&s).expect("serialize control study"));
+        }
+        "ablation" => {
+            for op in ugpc_hwsim::OpKind::ALL {
+                let a = ex::ablation::run_scheduler_ablation(op, args.scale);
+                out.print(ex::ablation::render_schedulers(&a));
+                out.json(&format!("ablation_sched_{}", op.name().to_lowercase()), &a);
+            }
+            let d = ex::ablation::run_dynamic_ablation();
+            out.print(ex::ablation::render_dynamic(&d));
+            out.json("ablation_dynamic", &d);
+        }
+        _ => unreachable!("validated in parse_args"),
+    }
+    out
 }

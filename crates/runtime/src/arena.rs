@@ -12,11 +12,11 @@
 //! across runs.
 //!
 //! Reuse is outcome-neutral by construction: every field is
-//! `clear()`ed/refilled or `reset()` before the run reads it, and the
-//! hotpath goldens + backend differentials pin that no run can tell a
-//! recycled arena from a cold one. The arena is thread-local, so the
-//! work-stealing sweep driver gets one per worker thread with no
-//! synchronization on the hot path.
+//! `clear()`ed/refilled or `reset()` before the run reads it, and
+//! `hotpath_goldens`, `observer_differential` and `control_differential`
+//! pin that no run can tell a recycled arena from a cold one. The arena
+//! is thread-local, so each thread of the sweep driver's pool has its
+//! own, with no synchronization on the hot path.
 
 use crate::control::SimEvent;
 use crate::des::EventQueue;

@@ -134,7 +134,7 @@ fn feed(
 /// [`simulate_observed`] against an explicit scratch arena. Every arena
 /// field is reset to its run-initial state before first read, so a
 /// recycled arena is observationally identical to a cold one (pinned by
-/// the hotpath goldens and the queue-backend differentials).
+/// `hotpath_goldens`, `observer_differential` and `control_differential`).
 #[allow(clippy::too_many_arguments)]
 fn simulate_in_arena(
     arena: &mut crate::arena::RunArena,

@@ -1,8 +1,8 @@
 //! Bounded worker pool with backpressure.
 //!
 //! Same job shape as the PR-2 sweep driver (`ugpc_experiments::driver`),
-//! adapted for a long-lived service: instead of a one-shot batch on
-//! work-stealing deques, jobs arrive continuously on one bounded queue
+//! adapted for a long-lived service: instead of one batch tree on a
+//! per-call pool, jobs arrive continuously on one bounded queue
 //! and [`try_submit`](WorkerPool::try_submit) *rejects* when the queue
 //! is full. The caller turns that rejection into a structured
 //! `backpressure` reply — a flood of requests degrades into polite

@@ -1,5 +1,5 @@
 //! Determinism-differential suite: the headline guarantee of the
-//! work-stealing sweep driver is that `--jobs N` produces output
+//! parallel sweep driver is that `--jobs N` produces output
 //! **byte-identical** to the serial `--jobs 1` path. Each test runs one
 //! experiment at reduced scale under jobs = 1, 2 and 4 and compares the
 //! serialized JSON strings — not parsed values, the exact bytes.
