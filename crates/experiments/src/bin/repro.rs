@@ -299,7 +299,7 @@ fn trace_run(dir: &std::path::Path, scale: usize) -> ExitCode {
 #[derive(Default)]
 struct Output {
     /// Whether `--json` was given: serialize the JSON files at all.
-    json: bool,
+    keep_json: bool,
     stdout: String,
     /// `--json` files, by name without the extension.
     files: Vec<(String, String)>,
@@ -313,7 +313,7 @@ impl Output {
     }
 
     fn json<T: serde::Serialize>(&mut self, name: &str, value: &T) {
-        if self.json {
+        if self.keep_json {
             let data = serde_json::to_string_pretty(value).expect("serialize");
             self.files.push((name.to_string(), data));
         }
@@ -442,7 +442,7 @@ fn run_experiments(args: &Args) {
 
 fn run_experiment(args: &Args, exp: &str) -> Output {
     let mut out = Output {
-        json: args.json_dir.is_some(),
+        keep_json: args.json_dir.is_some(),
         ..Output::default()
     };
     match exp {
