@@ -115,8 +115,6 @@ impl GpuDevice {
     }
 
     /// Predict a kernel's run under the current cap without executing it.
-    /// Used by the runtime's performance-model calibration — StarPU's
-    /// calibration runs map to exactly this call.
     pub fn estimate(&self, work: &KernelWork) -> KernelRun {
         run_kernel(&self.spec, work, self.cap)
     }
@@ -124,14 +122,17 @@ impl GpuDevice {
     /// Execute a kernel starting at virtual time `start`; records the busy
     /// interval in the energy ledger and returns the run outcome.
     pub fn execute(&mut self, work: &KernelWork, start: Secs) -> KernelRun {
-        let run = self.memoized_run(work);
+        let run = self.estimate_memoized(work);
         self.ledger.record(start, start + run.time, run.power);
         run
     }
 
-    /// [`run_kernel`] at the current cap, solved once per distinct
-    /// (work, cap) while it stays in the memo.
-    fn memoized_run(&mut self, work: &KernelWork) -> KernelRun {
+    /// [`Self::estimate`], solved once per distinct (work, cap) while it
+    /// stays in the memo that [`Self::execute`] reads too. The runtime's
+    /// performance-model calibration — StarPU's calibration runs — calls
+    /// this, so a run's first execution of a calibrated kernel at the
+    /// same cap is a memo hit.
+    pub fn estimate_memoized(&mut self, work: &KernelWork) -> KernelRun {
         let key = MemoKey::new(work, self.cap);
         if let Some((_, run)) = self.memo.iter().flatten().find(|(k, _)| *k == key) {
             return *run;

@@ -122,14 +122,20 @@ impl DvfsParams {
         }
         // Super-linear branch: bisect the monotone function
         // g(x) = d · V(x)² · x − budget on [knee, 1].
-        let (mut lo, mut hi) = (knee, 1.0);
+        // The step is a pure function of `(lo, hi)`, so once one leaves
+        // both bit-unchanged every later step would too.
+        let (mut lo, mut hi) = (knee, 1.0f64);
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
             let v = self.voltage(mid);
+            let before = (lo.to_bits(), hi.to_bits());
             if d * v * v * mid > budget {
                 hi = mid;
             } else {
                 lo = mid;
+            }
+            if (lo.to_bits(), hi.to_bits()) == before {
+                break;
             }
         }
         let x = 0.5 * (lo + hi);
@@ -177,6 +183,56 @@ mod tests {
         // Knee below x_min: voltage floor never reached in range.
         p.x_min = 0.9;
         assert!(p.validate().is_err());
+    }
+
+    /// The governor with all 64 bisection steps, as it was solved before
+    /// the loop stopped at its first step that moves neither end.
+    fn freq_by_64_steps(p: &DvfsParams, cap: Watts, u: f64) -> f64 {
+        let budget = (cap - p.static_power).value();
+        let d = p.dyn_power.value() * u.max(1e-12);
+        let (mut lo, mut hi) = (p.knee(), 1.0);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            let v = p.voltage(mid);
+            if d * v * v * mid > budget {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        (0.5 * (lo + hi)).clamp(p.x_min, 1.0)
+    }
+
+    #[test]
+    fn early_stopped_bisection_matches_all_64_steps() {
+        use crate::gpu::spec::{GpuModel, GpuSpec};
+        use crate::units::Precision;
+        let mut params = vec![demo()];
+        for model in GpuModel::ALL {
+            for precision in [Precision::Single, Precision::Double] {
+                params.push(GpuSpec::of(model).dvfs.get(precision));
+            }
+        }
+        let mut bisected = 0;
+        for p in &params {
+            for step in 0..=400 {
+                let cap = Watts(50.0 + step as f64);
+                for u in [0.3, 0.71, 0.9, 1.0] {
+                    let x = p.freq_for_cap(cap, u);
+                    let budget = (cap - p.static_power).value();
+                    let d = p.dyn_power.value() * u;
+                    if d > budget && budget / (d * p.vmin * p.vmin) > p.knee() {
+                        bisected += 1;
+                        assert_eq!(
+                            x.to_bits(),
+                            freq_by_64_steps(p, cap, u).to_bits(),
+                            "{p:?} at {cap:?}, u {u}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(bisected > 100, "only {bisected} points reach the bisection");
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub fn build_gemm(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
         }
     }
     debug_assert_eq!(graph.edge_count(), edges, "GEMM nt {nt}");
+    graph.seal();
     GemmOp {
         nt,
         nb,

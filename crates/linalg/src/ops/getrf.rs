@@ -124,6 +124,7 @@ pub fn build_getrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
         }
     }
     debug_assert_eq!(graph.edge_count(), edges, "GETRF nt {nt}");
+    graph.seal();
     GetrfOp {
         nt,
         nb,

@@ -189,6 +189,7 @@ pub fn build_posv(nt: usize, nb: usize, precision: Precision, reg: &mut DataRegi
     }
 
     debug_assert_eq!(graph.edge_count(), edges, "POSV nt {nt}");
+    graph.seal();
     PosvOp {
         nt,
         nb,

@@ -127,6 +127,7 @@ pub fn build_potrf(nt: usize, nb: usize, precision: Precision, reg: &mut DataReg
         }
     }
     debug_assert_eq!(graph.edge_count(), edges, "POTRF nt {nt}");
+    graph.seal();
     PotrfOp {
         nt,
         nb,
@@ -180,6 +181,15 @@ pub fn run_potrf_native<T: Scalar>(
 mod tests {
     use super::*;
     use crate::verify::spd_tiled;
+
+    #[test]
+    #[should_panic(expected = "submit on a sealed task graph")]
+    fn a_built_graph_takes_no_more_submissions() {
+        let mut reg = DataRegistry::new();
+        let mut op = build_potrf(3, 8, Precision::Double, &mut reg);
+        let t = op.graph.task(0).clone();
+        op.graph.submit(t);
+    }
 
     #[test]
     fn task_counts_match_paper_formulas() {

@@ -5,6 +5,13 @@
 //! valid replica — an MSI-like protocol: reads create shared replicas,
 //! writes invalidate all other copies. The scheduler's transfer estimates
 //! and the simulator's DMA engine both consult this state.
+//!
+//! A handle keeps its replica set twice: as a `u64` mask of node bits
+//! ([`MemNode::index`]), which every membership query and the
+//! schedulers' costing read, and as the list of nodes in the order they
+//! gained their replica, which only [`DataRegistry::transfer_source`]
+//! needs (the GPU that has held a replica longest). Every mutator keeps
+//! the two in step, and debug builds check that on each call.
 
 use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
@@ -23,6 +30,38 @@ impl MemNode {
     pub fn is_gpu(self) -> bool {
         matches!(self, MemNode::Gpu(_))
     }
+
+    /// The node's index among memory nodes, and its bit in a replica
+    /// mask: the host is 0, GPU `g` is `g + 1`.
+    pub fn index(self) -> usize {
+        match self {
+            MemNode::Host => 0,
+            MemNode::Gpu(g) => g + 1,
+        }
+    }
+
+    /// The node's replica-mask bit, or 0 for a node past bit 63, which
+    /// no handle can be held at.
+    fn bit(self) -> u64 {
+        match self.index() {
+            i @ 0..=63 => 1 << i,
+            _ => 0,
+        }
+    }
+
+    /// The node's replica-mask bit, for a mutator.
+    ///
+    /// # Panics
+    ///
+    /// If the node is past bit 63 (GPU 63 or later).
+    fn held_bit(self) -> u64 {
+        let bit = self.bit();
+        assert!(
+            bit != 0,
+            "memory node {self:?} is past the 64-node replica mask"
+        );
+        bit
+    }
 }
 
 /// Registry of all data handles of an application run.
@@ -35,11 +74,30 @@ pub struct DataRegistry {
 #[derive(Debug, Clone)]
 pub struct DataState {
     bytes: Bytes,
+    /// The nodes of `valid` as a mask: bit [`MemNode::index`] of each.
+    held: u64,
     /// Memory nodes currently holding a valid replica, in the order they
     /// gained it. Never empty. Held in place up to three nodes (the host
     /// and both GPUs of a two-GPU node), so registering a tile or cloning
     /// a registry allocates nothing per handle.
     valid: InlineVec<MemNode, 3>,
+}
+
+impl DataState {
+    /// The mask `valid` spells, which `held` must equal.
+    fn mask_of_list(&self) -> u64 {
+        self.valid.iter().fold(0, |m, &n| m | n.bit())
+    }
+
+    /// Debug builds: the mask and the list name the same nodes.
+    fn debug_check(&self, id: DataId) {
+        debug_assert_eq!(
+            self.held,
+            self.mask_of_list(),
+            "handle {id}: replica mask disagrees with its list {:?}",
+            self.valid
+        );
+    }
 }
 
 impl DataRegistry {
@@ -58,7 +116,13 @@ impl DataRegistry {
         let id = self.handles.len();
         let mut valid = InlineVec::new();
         valid.push(MemNode::Host);
-        self.handles.push(DataState { bytes, valid });
+        let st = DataState {
+            bytes,
+            held: MemNode::Host.bit(),
+            valid,
+        };
+        st.debug_check(id);
+        self.handles.push(st);
         id
     }
 
@@ -86,7 +150,7 @@ impl DataRegistry {
 
     /// Checked variant of [`Self::is_valid_at`].
     pub fn try_is_valid_at(&self, id: DataId, node: MemNode) -> HwResult<bool> {
-        self.state(id).map(|st| st.valid.contains(&node))
+        self.state(id).map(|st| st.held & node.bit() != 0)
     }
 
     /// Checked variant of [`Self::valid_nodes`].
@@ -117,11 +181,11 @@ impl DataRegistry {
         }
     }
 
-    /// The handle's size and the nodes holding a valid replica, from one
-    /// lookup.
-    pub fn replicas(&self, id: DataId) -> (Bytes, &[MemNode]) {
+    /// The handle's size and its replica mask (bit [`MemNode::index`] of
+    /// each node holding a valid replica), from one lookup.
+    pub(crate) fn held(&self, id: DataId) -> (Bytes, u64) {
         match self.state(id) {
-            Ok(st) => (st.bytes, &st.valid[..]),
+            Ok(st) => (st.bytes, st.held),
             Err(e) => panic!("{e}"),
         }
     }
@@ -134,11 +198,11 @@ impl DataRegistry {
     /// Returns `None` when `dst` already holds a valid copy.
     pub fn transfer_source(&self, id: DataId, dst: MemNode) -> Option<MemNode> {
         let st = &self.handles[id];
-        if st.valid.contains(&dst) {
+        if st.held & dst.bit() != 0 {
             return None;
         }
         debug_assert!(!st.valid.is_empty(), "handle {id} has no valid replica");
-        if st.valid.contains(&MemNode::Host) {
+        if st.held & MemNode::Host.bit() != 0 {
             Some(MemNode::Host)
         } else {
             st.valid.first().copied()
@@ -147,17 +211,23 @@ impl DataRegistry {
 
     /// Record that a replica has been copied to `node` (read sharing).
     pub fn add_replica(&mut self, id: DataId, node: MemNode) {
+        let bit = node.held_bit();
         let st = &mut self.handles[id];
-        if !st.valid.contains(&node) {
+        if st.held & bit == 0 {
             st.valid.push(node);
+            st.held |= bit;
         }
+        st.debug_check(id);
     }
 
     /// Record a write at `node`: all other replicas become invalid.
     pub fn write_at(&mut self, id: DataId, node: MemNode) {
+        let bit = node.held_bit();
         let st = &mut self.handles[id];
         st.valid.clear();
         st.valid.push(node);
+        st.held = bit;
+        st.debug_check(id);
         #[cfg(feature = "sanitize")]
         debug_assert_eq!(
             self.handles[id].valid[..],
@@ -169,8 +239,11 @@ impl DataRegistry {
     /// Drop the replica at `node` (eviction). The handle must remain valid
     /// somewhere else — evicting a sole owner requires a writeback first.
     pub fn invalidate_at(&mut self, id: DataId, node: MemNode) {
+        let bit = node.held_bit();
         let st = &mut self.handles[id];
         st.valid.retain(|&n| n != node);
+        st.held &= !bit;
+        st.debug_check(id);
         assert!(
             !st.valid.is_empty(),
             "evicted the sole replica of handle {id}; write it back first"
@@ -180,24 +253,26 @@ impl DataRegistry {
     /// Is `node` the only holder of a valid replica (eviction needs a
     /// writeback)?
     pub fn is_sole_owner(&self, id: DataId, node: MemNode) -> bool {
-        let st = &self.handles[id];
-        st.valid.len() == 1 && st.valid[0] == node
+        self.handles[id].held == node.bit()
     }
 
     /// Bytes of the task's operands already resident at `node` — the
     /// locality score dmdas uses to break ties.
     pub fn resident_bytes(&self, ids: impl Iterator<Item = DataId>, node: MemNode) -> Bytes {
+        let bit = node.bit();
         let mut total = Bytes::ZERO;
         for id in ids {
-            if self.is_valid_at(id, node) {
-                total += self.bytes(id);
+            let (bytes, held) = self.held(id);
+            if held & bit != 0 {
+                total += bytes;
             }
         }
         total
     }
 
     /// Assert the MSI-like coherence invariants over every handle: the
-    /// valid set is never empty and holds no duplicate nodes. Only
+    /// valid set is never empty, holds no duplicate nodes, and its mask
+    /// names the same nodes as its list. Only
     /// compiled under the `sanitize` feature; the simulator calls it at
     /// checkpoints.
     #[cfg(feature = "sanitize")]
@@ -213,6 +288,12 @@ impl DataRegistry {
                     "sanitize: handle {id} lists replica {a:?} twice"
                 );
             }
+            assert_eq!(
+                st.held,
+                st.mask_of_list(),
+                "sanitize: handle {id}'s replica mask disagrees with its list {:?}",
+                st.valid
+            );
             assert!(
                 st.bytes.is_valid(),
                 "sanitize: handle {id} has invalid byte size {:?}",
@@ -223,9 +304,11 @@ impl DataRegistry {
 
     /// Reset all handles to host-only validity (between measured runs).
     pub fn reset_to_host(&mut self) {
-        for st in &mut self.handles {
+        for (id, st) in self.handles.iter_mut().enumerate() {
             st.valid.clear();
             st.valid.push(MemNode::Host);
+            st.held = MemNode::Host.bit();
+            st.debug_check(id);
         }
     }
 }
@@ -233,6 +316,114 @@ impl DataRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The host, GPUs 0 to 4, and a GPU past the mask.
+    const NODES: [MemNode; 7] = [
+        MemNode::Host,
+        MemNode::Gpu(0),
+        MemNode::Gpu(1),
+        MemNode::Gpu(2),
+        MemNode::Gpu(3),
+        MemNode::Gpu(4),
+        MemNode::Gpu(100),
+    ];
+
+    /// Every query of `reg` against a plain list per handle.
+    fn assert_matches_model(reg: &DataRegistry, model: &[(Bytes, Vec<MemNode>)]) {
+        assert_eq!(reg.len(), model.len());
+        for (id, (bytes, valid)) in model.iter().enumerate() {
+            assert_eq!(reg.valid_nodes(id), &valid[..], "handle {id}");
+            assert_eq!(reg.bytes(id), *bytes);
+            for node in NODES {
+                let source = if valid.contains(&node) {
+                    None
+                } else if valid.contains(&MemNode::Host) {
+                    Some(MemNode::Host)
+                } else {
+                    valid.first().copied()
+                };
+                let at = format!("handle {id} at {node:?}, list {valid:?}");
+                assert_eq!(reg.transfer_source(id, node), source, "{at}");
+                assert_eq!(reg.is_valid_at(id, node), valid.contains(&node), "{at}");
+                assert_eq!(reg.is_sole_owner(id, node), valid[..] == [node], "{at}");
+            }
+        }
+        for node in NODES {
+            let want = model
+                .iter()
+                .filter(|(_, valid)| valid.contains(&node))
+                .fold(Bytes::ZERO, |total, &(b, _)| total + b);
+            assert_eq!(reg.resident_bytes(0..reg.len(), node), want, "{node:?}");
+        }
+    }
+
+    proptest! {
+        /// Random sequences of the five mutators over up to four GPUs, so
+        /// a replica list spills past its three inline slots.
+        #[test]
+        fn replica_masks_track_the_ordered_lists(
+            ops in proptest::collection::vec((0u8..5, 0usize..4, 0usize..5), 1..80),
+        ) {
+            let mut reg = DataRegistry::new();
+            let mut model: Vec<(Bytes, Vec<MemNode>)> = Vec::new();
+            for (op, pick, node) in ops {
+                let node = NODES[node];
+                let id = pick % (model.len() + 1);
+                match op {
+                    _ if id == model.len() || op == 0 => {
+                        let bytes = Bytes(8.0 * (model.len() + 1) as f64);
+                        prop_assert_eq!(reg.register(bytes), model.len());
+                        model.push((bytes, vec![MemNode::Host]));
+                    }
+                    1 => {
+                        reg.add_replica(id, node);
+                        if !model[id].1.contains(&node) {
+                            model[id].1.push(node);
+                        }
+                    }
+                    2 => {
+                        reg.write_at(id, node);
+                        model[id].1 = vec![node];
+                    }
+                    // The sole replica cannot be evicted.
+                    3 if model[id].1[..] != [node] => {
+                        reg.invalidate_at(id, node);
+                        model[id].1.retain(|&n| n != node);
+                    }
+                    3 => {}
+                    _ => {
+                        reg.reset_to_host();
+                        for (_, valid) in &mut model {
+                            *valid = vec![MemNode::Host];
+                        }
+                    }
+                }
+                assert_matches_model(&reg, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn gpu_62_is_the_last_node_the_mask_holds() {
+        let mut reg = DataRegistry::new();
+        let id = reg.register(Bytes(8.0));
+        reg.write_at(id, MemNode::Gpu(62));
+        assert!(reg.is_sole_owner(id, MemNode::Gpu(62)));
+        assert!(!reg.is_valid_at(id, MemNode::Gpu(63)));
+        assert_eq!(
+            reg.transfer_source(id, MemNode::Gpu(63)),
+            Some(MemNode::Gpu(62))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 64-node replica mask")]
+    fn gpu_63_panics() {
+        let mut reg = DataRegistry::new();
+        let id = reg.register(Bytes(8.0));
+        reg.add_replica(id, MemNode::Gpu(63));
+    }
 
     #[test]
     fn register_starts_host_valid() {

@@ -197,7 +197,10 @@ pub struct TaskGraph {
     /// Per-task distinct operands, sorted ascending — precomputed once at
     /// submission for the executors' per-occurrence loops.
     unique_data: Csr,
+    /// Read only by `submit`; [`Self::seal`] frees it.
     hazards: Hazards,
+    /// Set by [`Self::seal`]: `submit` then panics.
+    sealed: bool,
 }
 
 impl TaskGraph {
@@ -226,12 +229,31 @@ impl TaskGraph {
                 reads: Vec::with_capacity(2 * tasks),
                 scratch: Vec::new(),
             },
+            sealed: false,
         }
+    }
+
+    /// Close the graph to submissions and free what only `submit` reads:
+    /// each datum's last writer and its readers since. The tiled builders
+    /// seal the graphs they return, so a graph kept for reuse does not
+    /// hold that state for life. Explicit edge edits still work.
+    pub fn seal(&mut self) {
+        self.hazards = Hazards::default();
+        self.sealed = true;
     }
 
     /// Submit a task; dependencies on earlier tasks are inferred from its
     /// data accesses. Returns the new task's id.
+    ///
+    /// # Panics
+    ///
+    /// If the graph is [sealed](Self::seal).
     pub fn submit(&mut self, task: TaskDesc) -> TaskId {
+        assert!(
+            !self.sealed,
+            "submit on a sealed task graph: its builder has finished, and \
+             the per-datum state that infers dependencies is gone"
+        );
         let id = self.tasks.len();
         let h = &mut self.hazards;
         if let Some(max) = task.data.iter().map(|&(d, _)| d).max() {
@@ -506,6 +528,19 @@ mod tests {
             t = t.access(d, m);
         }
         t
+    }
+
+    #[test]
+    #[should_panic(expected = "submit on a sealed task graph")]
+    fn submit_after_seal_panics() {
+        let mut g = TaskGraph::new();
+        let w = g.submit(gemm_on(&[(0, AccessMode::Write)]));
+        let r = g.submit(gemm_on(&[(0, AccessMode::Read)]));
+        g.seal();
+        // Reads and edge edits still work on a sealed graph.
+        assert_eq!(g.predecessors(r), &[w]);
+        g.add_edge(w, r);
+        g.submit(gemm_on(&[(0, AccessMode::Read)]));
     }
 
     #[test]

@@ -378,15 +378,17 @@ impl PerfModel {
     /// every capable worker *at the current power caps* and record the
     /// observations. In the simulation, a calibration run is a device
     /// estimate (deterministic), so this is exact — on real hardware it
-    /// would be noisy but unbiased. Every core of a package runs alike, so
-    /// its estimate is solved once per package and footprint; the noise
-    /// draws still go footprint by footprint, worker by worker, sample by
-    /// sample. Without noise the samples are equal, so an entry with no
+    /// would be noisy but unbiased. A GPU solves it through the memo its
+    /// executions read, so the run's first launch of each calibrated
+    /// kernel at the same cap is a hit. Every core of a package runs
+    /// alike, so its estimate is solved once per package and footprint;
+    /// the noise draws still go footprint by footprint, worker by worker,
+    /// sample by sample. Without noise the samples are equal, so an entry with no
     /// history is filled in one step, bit-identical to `min_samples`
     /// pushes (`Stats::repeated`); an entry that already holds samples
     /// still takes them one by one, since its mean moves. Each row's runs
     /// are rebuilt once, after its footprint's last sample.
-    pub fn calibrate(&mut self, node: &Node, workers: &[Worker], footprints: &[Footprint]) {
+    pub fn calibrate(&mut self, node: &mut Node, workers: &[Worker], footprints: &[Footprint]) {
         let mut package_runs: Vec<Option<(Secs, Joules)>> = Vec::new();
         for &fp in footprints {
             let work = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb).kernel_work();
@@ -401,7 +403,7 @@ impl PerfModel {
                         if !fp.kind.gpu_capable() {
                             continue;
                         }
-                        let run = node.gpu(device).estimate(&work);
+                        let run = node.gpu_mut(device).estimate_memoized(&work);
                         (run.time, run.energy())
                     }
                     WorkerKind::CpuCore { package, .. } => *package_runs[package]
@@ -537,11 +539,11 @@ mod tests {
 
     #[test]
     fn calibration_covers_capable_workers() {
-        let node = Node::new(PlatformId::Intel2V100);
+        let mut node = Node::new(PlatformId::Intel2V100);
         let (workers, _) = build_workers(&PlatformSpec::of(PlatformId::Intel2V100));
         let mut m = PerfModel::new();
         let fps = [fp(KernelKind::Gemm, 2880), fp(KernelKind::Potrf, 2880)];
-        m.calibrate(&node, &workers, &fps);
+        m.calibrate(&mut node, &workers, &fps);
         let gpu_worker = workers.iter().find(|w| w.is_gpu()).unwrap().id;
         let cpu_worker = workers.iter().find(|w| !w.is_gpu()).unwrap().id;
         // GEMM on both; POTRF only on CPU (no cuBLAS implementation).
@@ -569,12 +571,12 @@ mod tests {
         let gpu0 = workers.iter().find(|w| w.is_gpu()).unwrap().id;
 
         let mut before = PerfModel::new();
-        before.calibrate(&node, &workers, &fps);
+        before.calibrate(&mut node, &workers, &fps);
         let t_free = before.expected_time(fps[0], gpu0).unwrap();
 
         node.gpu_mut(0).set_power_limit(Watts(216.0)).unwrap();
         let mut after = PerfModel::new();
-        after.calibrate(&node, &workers, &fps);
+        after.calibrate(&mut node, &workers, &fps);
         let t_capped = after.expected_time(fps[0], gpu0).unwrap();
 
         assert!(t_capped.value() > t_free.value() * 1.1);
@@ -658,7 +660,7 @@ mod tests {
                             m.observe(fps[2], cpu, Secs(9.0), Joules(40.0));
                         }
                     }
-                    filled.calibrate(&node, &workers, &fps);
+                    filled.calibrate(&mut node, &workers, &fps);
                     calibrate_by_pushes(&mut pushed, &node, &workers, &fps);
                     assert_same_bits(&filled, &pushed);
                     assert!(filled.is_calibrated(fps[0], gpu));
@@ -699,11 +701,11 @@ mod tests {
         // 64-AMD-2-A100: 62 cores in two packages (two words of the
         // bitset), then two GPUs.
         let platform = PlatformId::Amd2A100;
-        let node = Node::new(platform);
+        let mut node = Node::new(platform);
         let (workers, _) = build_workers(&PlatformSpec::of(platform));
         let f = fp(KernelKind::Gemm, 2880);
         let mut m = PerfModel::new();
-        m.calibrate(&node, &workers, &[f]);
+        m.calibrate(&mut node, &workers, &[f]);
         assert_runs_match_scan(&m, f);
         // Both packages at equal caps: one run over every core.
         assert_eq!(m.row(f).run_end(0), 62);
@@ -738,7 +740,7 @@ mod tests {
         // A noisy calibration leaves every entry its own run; an
         // unknown footprint has no runs at all.
         let mut noisy = PerfModel::new().with_calibration_noise(0.1, 7);
-        noisy.calibrate(&node, &workers, &[f]);
+        noisy.calibrate(&mut node, &workers, &[f]);
         assert_runs_match_scan(&noisy, f);
         assert_eq!(noisy.row(f).run_end(0), 1);
         assert_eq!(m.row(fp(KernelKind::Trsm, 64)).run_end(5), 6);
@@ -746,17 +748,17 @@ mod tests {
 
     #[test]
     fn noise_perturbs_calibration_reproducibly() {
-        let node = Node::new(PlatformId::Intel2V100);
+        let mut node = Node::new(PlatformId::Intel2V100);
         let (workers, _) = build_workers(&PlatformSpec::of(PlatformId::Intel2V100));
         let fps = [fp(KernelKind::Gemm, 2880)];
         let exact = {
             let mut m = PerfModel::new();
-            m.calibrate(&node, &workers, &fps);
+            m.calibrate(&mut node, &workers, &fps);
             m.expected_time(fps[0], workers.len() - 1).unwrap()
         };
-        let noisy = |seed: u64| {
+        let mut noisy = |seed: u64| {
             let mut m = PerfModel::new().with_calibration_noise(0.2, seed);
-            m.calibrate(&node, &workers, &fps);
+            m.calibrate(&mut node, &workers, &fps);
             m.expected_time(fps[0], workers.len() - 1).unwrap()
         };
         // Same seed: identical. Different seed: (almost surely) different.
@@ -770,7 +772,7 @@ mod tests {
         );
         // Zero sigma is exact.
         let mut m = PerfModel::new().with_calibration_noise(0.0, 3);
-        m.calibrate(&node, &workers, &fps);
+        m.calibrate(&mut node, &workers, &fps);
         assert_eq!(m.expected_time(fps[0], workers.len() - 1).unwrap(), exact);
     }
 

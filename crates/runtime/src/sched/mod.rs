@@ -8,11 +8,13 @@
 //!
 //! A policy that costs candidates does it through its `Costing` scratch:
 //! one pass over the task's operands fills every memory node's transfer
-//! total (and, for dmdas, its resident operand bytes), then each class of
-//! identical workers — a run of host cores whose history entries hold
-//! bit-equal means, or one GPU — is costed once, from its expected time
-//! and its members' earliest queue end. The policy compares classes and
-//! resolves a member only inside the class it chose (DESIGN.md §18).
+//! total (and, for dmdas, its resident operand bytes), reading each
+//! operand's replica set as a node bit mask (DESIGN.md §21), then each
+//! class of identical workers — a run of host cores whose history entries
+//! hold bit-equal means, or one GPU — is costed once, from its expected
+//! time and its members' earliest queue end, a scan that stops at the
+//! first member already idle. The policy compares classes and resolves a
+//! member only inside the class it chose (DESIGN.md §18).
 //! `random` reads each capable worker's expected time directly. The
 //! policy hands the chosen worker's estimate back in its [`Choice`], so
 //! the executor recomputes only what the policy did not cost.
@@ -31,7 +33,7 @@ pub use eager::EagerScheduler;
 pub use energy::EnergyAwareScheduler;
 pub use random::RandomScheduler;
 
-use crate::data::{DataId, DataRegistry, MemNode};
+use crate::data::{DataId, DataRegistry};
 use crate::graph::TaskGraph;
 use crate::perfmodel::{PerfModel, PerfRow};
 use crate::task::{AccessMode, TaskId};
@@ -212,7 +214,7 @@ pub(crate) struct Class {
     /// The members are `first..end`, in worker order.
     pub(crate) first: WorkerId,
     end: WorkerId,
-    /// Index of the members' memory node: the host is 0, GPU `g` is `g + 1`.
+    /// The members' memory node, as a [`crate::data::MemNode::index`].
     node: usize,
     /// Expected transfer time ([`SchedView::transfer_estimate`]); zero
     /// under [`Rule::Dm`].
@@ -267,13 +269,6 @@ pub(crate) struct Costing {
     layout: Option<(usize, usize)>,
 }
 
-fn node_index(node: MemNode) -> usize {
-    match node {
-        MemNode::Host => 0,
-        MemNode::Gpu(g) => g + 1,
-    }
-}
-
 /// Assert the layout [`crate::worker::build_workers_into`] gives, which
 /// classes rely on: ids equal indices; host cores come first, in package
 /// order; GPU `g` follows them at index `cores + g`, its own memory node,
@@ -306,9 +301,10 @@ impl Costing {
     /// [`SchedView::transfer_estimate`] and [`SchedView::resident_bytes`]
     /// bit for bit. A class's completion is its members' earliest:
     /// `max` and each addition are monotone, so it is the completion at
-    /// the earliest queue end. An unobserved history entry, and a worker
-    /// past the row, is a class of its own and falls back to the cubic
-    /// extrapolation, then to `UNKNOWN_TIME`, as
+    /// the earliest queue end, and the scan for that end stops at the
+    /// first member idle by `now`. An unobserved history entry, and a
+    /// worker past the row, is a class of its own and falls back to the
+    /// cubic extrapolation, then to `UNKNOWN_TIME`, as
     /// [`SchedView::exec_estimate`] does.
     ///
     /// # Panics
@@ -369,10 +365,16 @@ impl Costing {
             Secs::ZERO
         };
         let exec = exec_in(row, first);
-        let free = view.worker_free[first..end]
-            .iter()
-            .copied()
-            .fold(Secs(f64::INFINITY), Secs::min);
+        // The earliest queue end, or the first one not after `now`: past
+        // that member, `max(now, ·)` of the minimum is `now` whatever
+        // the rest hold.
+        let mut free = Secs(f64::INFINITY);
+        for &f in &view.worker_free[first..end] {
+            free = free.min(f);
+            if f <= view.now {
+                break;
+            }
+        }
         self.classes.push(Class {
             first,
             end,
@@ -388,43 +390,41 @@ impl Costing {
     /// transfer model: host-held data crosses one host-to-device link,
     /// GPU-only data is copied back to the host or across to another
     /// GPU), and, for [`Rule::Dmdas`], its bytes to every node holding
-    /// one.
+    /// one. Both walk the set bits of the operand's replica mask or of
+    /// its complement, so each node still adds its terms in operand
+    /// order.
     fn fill_nodes(&mut self, view: &SchedView, operands: &[(DataId, AccessMode)], nodes: usize) {
         let residency = self.rule == Rule::Dmdas;
         self.transfer.clear();
         self.transfer.resize(nodes, Secs::ZERO);
         self.resident.clear();
         self.resident.resize(nodes, Bytes::ZERO);
+        // `check_layout` bounds `nodes` to 1..=64.
+        let all = u64::MAX >> (64 - nodes);
         for &(d, mode) in operands {
-            let (bytes, valid) = view.data.replicas(d);
-            // A node past the mask holds no worker (`check_layout`).
-            let held = valid.iter().fold(0u64, |m, &n| {
-                m | 1u64.checked_shl(node_index(n) as u32).unwrap_or(0)
-            });
+            let (bytes, held) = view.data.held(d);
             if residency {
-                for (i, r) in self.resident.iter_mut().enumerate() {
-                    if held & (1 << i) != 0 {
-                        *r += bytes;
-                    }
+                for i in set_bits(held & all) {
+                    self.resident[i] += bytes;
                 }
             }
             if !mode.reads() {
                 continue;
             }
+            // Bit and node 0 are the host.
             let on_host = held & 1 != 0;
             if !on_host {
                 self.transfer[0] += view.links.d2h_time(bytes);
             }
-            let mut to_gpu = None;
-            for (i, total) in self.transfer.iter_mut().enumerate().skip(1) {
-                if held & (1 << i) == 0 {
-                    *total += *to_gpu.get_or_insert_with(|| {
-                        if on_host {
-                            view.links.h2d_time(bytes)
-                        } else {
-                            view.links.d2d_time(bytes)
-                        }
-                    });
+            let lacking = !held & all & !1;
+            if lacking != 0 {
+                let to_gpu = if on_host {
+                    view.links.h2d_time(bytes)
+                } else {
+                    view.links.d2d_time(bytes)
+                };
+                for i in set_bits(lacking) {
+                    self.transfer[i] += to_gpu;
                 }
             }
         }
@@ -596,6 +596,15 @@ impl Costing {
             self.rule
         );
     }
+}
+
+/// The indices of `mask`'s set bits, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(i)
+    })
 }
 
 /// Expected execution time of `worker` from its footprint's row.

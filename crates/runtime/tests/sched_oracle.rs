@@ -192,7 +192,7 @@ fn calibrated(
     unequal_caps: bool,
 ) -> PerfModel {
     let gpus: Vec<Worker> = workers.iter().copied().filter(Worker::is_gpu).collect();
-    m.calibrate(&Node::new(PlatformId::Amd4A100), &gpus, fps);
+    m.calibrate(&mut Node::new(PlatformId::Amd4A100), &gpus, fps);
     let caps = [125.0, 100.0, 80.0, 60.0];
     let shared = caps[rng.gen_range(0..caps.len())];
     let packages = workers.iter().filter_map(|w| match w.kind {
@@ -219,7 +219,7 @@ fn calibrated(
                 },
             })
             .collect();
-        m.calibrate(&node, &cores, fps);
+        m.calibrate(&mut node, &cores, fps);
     }
     m
 }
@@ -440,6 +440,57 @@ fn completions_that_round_together_resolve_like_the_scan() {
         };
         let view = s.view();
         for policy in policies(3) {
+            let got = policy.build().choose(task, &view);
+            let want = reference(&view, task, policy);
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{} at queue ends {ends:?}",
+                policy.name()
+            );
+        }
+    }
+}
+
+/// A class of four cores where idle members sit behind busy ones. The
+/// class's earliest queue end is found at the first member idle by
+/// `now`, but the member a per-worker scan picks may be a busy one: a
+/// queue end one ulp past `now` = 1, plus an execution of 1, rounds to
+/// the idle members' completion of 2.
+#[test]
+fn idle_members_behind_busy_ones_resolve_like_the_scan() {
+    let one_up = f64::from_bits(1f64.to_bits() + 1);
+    let workers = workers(1, 4, 1);
+    let mut graph = TaskGraph::new();
+    let mut data = DataRegistry::new();
+    let tile = data.register(Bytes(8.0));
+    let task = graph.submit(
+        TaskDesc::new(KernelKind::Gemm, Precision::Double, 960).access(tile, AccessMode::Read),
+    );
+    let fp = graph.task(task).footprint();
+    let mut perf = PerfModel::new();
+    for w in &workers {
+        let t = if w.is_gpu() { 100.0 } else { 1.0 };
+        perf.observe(fp, w.id, Secs(t), Joules(1.0));
+    }
+    for ends in [
+        [5.0, one_up, 0.5, 1.0],
+        [one_up, 5.0, 1.0, 0.5],
+        [5.0, 5.0, one_up, 1.0],
+        [5.0, 0.5, one_up, 0.25],
+        [5.0, 3.0, one_up, 0.5],
+    ] {
+        let s = State {
+            free: ends.iter().chain(&[0.0]).map(|&t| Secs(t)).collect(),
+            workers: workers.clone(),
+            links: LinkTopology::pcie_gen3(),
+            data: data.clone(),
+            graph: graph.clone(),
+            perf: perf.clone(),
+            now: Secs(1.0),
+        };
+        let view = s.view();
+        for policy in [SchedPolicy::Dm, SchedPolicy::Dmda, SchedPolicy::Dmdas] {
             let got = policy.build().choose(task, &view);
             let want = reference(&view, task, policy);
             assert_eq!(
