@@ -16,21 +16,26 @@
 //! Prepared graphs: the task graph depends only on the run's
 //! `GraphShape` — `(op, nt, nb, precision)` — and the simulator reads
 //! it through `&TaskGraph`; the only per-run mutable state is the
-//! [`DataRegistry`]. So each thread keeps its last built graph, with the
-//! registry its build left, in a one-entry slot keyed by the shape. A
-//! run whose shape matches clones only the registry; a miss empties the
-//! slot before building, so outside nested studies a thread never holds
-//! two graphs. A graph
-//! over `MAX_KEPT_TASKS` tasks is used once and dropped. The sweep
+//! [`DataRegistry`]. So a built graph, with the registry its build left,
+//! is kept and reused by every later run of its shape, which clones only
+//! the registry. Where it is kept depends on its size. A graph of at
+//! most `MAX_SHARED_TASKS` tasks — every served paper-space shape — goes
+//! into one process-wide table of at most `SHARED_TASK_BUDGET` tasks,
+//! least recently used evicted first, so a served miss on any thread
+//! reuses a shape any thread built. A larger graph, up to
+//! `MAX_KEPT_TASKS`, stays in its thread's one-entry slot: the sweep
 //! driver hands each worker adjacent rows of one ladder, which differ
-//! only in their caps, so most sweep runs hit. Like the executor's
-//! per-thread `RunArena`, the slot needs no lock and no eviction policy,
-//! and a run cannot tell a kept graph from a fresh build.
+//! only in their caps, so most sweep runs hit it without a lock. A
+//! lookup reads the slot, then the table, and builds only if both miss;
+//! a build empties the slot first, so outside nested studies a thread
+//! never holds two large graphs. A graph over `MAX_KEPT_TASKS` is used
+//! once and dropped. A run cannot tell a kept graph from a fresh build.
 
 use crate::{InvalidConfig, RunConfig, RunReport};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::rc::Rc;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 use ugpc_control::{ControlPlane, ControllerSpec, DecisionRecord, TickRecord};
 use ugpc_hwsim::{OpKind, Precision};
 use ugpc_linalg::{build_gemm, build_potrf};
@@ -42,7 +47,7 @@ use ugpc_runtime::{
 /// Everything [`RunConfig::build_graph`] reads: the key of a prepared
 /// graph. The builder reads only these fields, so a new input to the
 /// graph must be added here, and then it is part of the key too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct GraphShape {
     op: OpKind,
     nt: usize,
@@ -74,33 +79,110 @@ impl GraphShape {
 /// GEMM at nt 64 (262 144 tasks) is built, used and dropped.
 const MAX_KEPT_TASKS: usize = 1 << 16;
 
+/// The largest graph, in tasks, the process-wide table shares. The
+/// largest served paper-space graph, GEMM nt 8, has 512 tasks.
+const MAX_SHARED_TASKS: usize = 1 << 9;
+
+/// Tasks the process-wide table holds in total, whatever shapes clients
+/// ask for.
+const SHARED_TASK_BUDGET: usize = 1 << 13;
+
 /// A built graph and the registry state its build left, before any run.
 struct Prepared {
     graph: TaskGraph,
     registry: DataRegistry,
 }
 
-thread_local! {
-    /// This thread's last prepared graph and its shape.
-    static PREPARED: Cell<Option<(GraphShape, Rc<Prepared>)>> = const { Cell::new(None) };
+impl Prepared {
+    fn build(shape: GraphShape) -> Self {
+        let mut registry = DataRegistry::new();
+        let graph = shape.build(&mut registry);
+        Prepared { graph, registry }
+    }
 }
 
-/// The prepared graph of `shape`: the thread's kept one on a match,
-/// else a fresh build, kept unless it is over [`MAX_KEPT_TASKS`].
-fn prepared(shape: GraphShape) -> Rc<Prepared> {
-    match PREPARED.take() {
-        Some((key, kept)) if key == shape => {
-            PREPARED.set(Some((key, Rc::clone(&kept))));
-            return kept;
-        }
-        // Dropped here, before the build: one graph per thread at a time.
-        _ => {}
+/// Small prepared graphs any thread may reuse, by shape, each with the
+/// tick of its last use.
+#[derive(Default)]
+struct SharedGraphs {
+    graphs: HashMap<GraphShape, (Arc<Prepared>, u64)>,
+    tasks: usize,
+    clock: u64,
+}
+
+impl SharedGraphs {
+    fn get(&mut self, shape: GraphShape) -> Option<Arc<Prepared>> {
+        let (prepared, used) = self.graphs.get_mut(&shape)?;
+        self.clock += 1;
+        *used = self.clock;
+        Some(Arc::clone(prepared))
     }
-    let mut registry = DataRegistry::new();
-    let graph = shape.build(&mut registry);
-    let fresh = Rc::new(Prepared { graph, registry });
-    if fresh.graph.len() <= MAX_KEPT_TASKS {
-        PREPARED.set(Some((shape, Rc::clone(&fresh))));
+
+    /// Keep `prepared`, a graph of at most [`MAX_SHARED_TASKS`] tasks,
+    /// evicting least recently used graphs until it fits the budget.
+    fn insert(&mut self, shape: GraphShape, prepared: &Arc<Prepared>) {
+        let tasks = prepared.graph.len();
+        debug_assert!(tasks <= MAX_SHARED_TASKS, "{tasks} tasks to share");
+        if self.graphs.contains_key(&shape) {
+            return;
+        }
+        while self.tasks + tasks > SHARED_TASK_BUDGET {
+            // Ticks are unique, so the map's order cannot change the pick.
+            let oldest = self
+                .graphs
+                .iter() // lint:allow hash-iteration
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(&shape, _)| shape);
+            let Some((evicted, _)) = oldest.and_then(|shape| self.graphs.remove(&shape)) else {
+                break;
+            };
+            self.tasks -= evicted.graph.len();
+        }
+        self.clock += 1;
+        self.graphs
+            .insert(shape, (Arc::clone(prepared), self.clock));
+        self.tasks += tasks;
+    }
+}
+
+/// Every update leaves the table's count equal to its graphs' tasks, so
+/// a table a panicking thread left behind is still valid.
+fn lock(shared: &Mutex<SharedGraphs>) -> MutexGuard<'_, SharedGraphs> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+static SHARED: LazyLock<Mutex<SharedGraphs>> = LazyLock::new(Default::default);
+
+thread_local! {
+    /// This thread's last prepared large graph and its shape.
+    static PREPARED: Cell<Option<(GraphShape, Arc<Prepared>)>> = const { Cell::new(None) };
+}
+
+/// The prepared graph of `shape`: the thread's kept one, else the
+/// process-wide table's, else a fresh build.
+fn prepared(shape: GraphShape) -> Arc<Prepared> {
+    prepared_from(&SHARED, shape)
+}
+
+/// [`prepared`] with `shared` as the process-wide table.
+fn prepared_from(shared: &Mutex<SharedGraphs>, shape: GraphShape) -> Arc<Prepared> {
+    let slot = PREPARED.take();
+    let hit = match &slot {
+        Some((key, kept)) if *key == shape => Some(Arc::clone(kept)),
+        _ => lock(shared).get(shape),
+    };
+    if let Some(hit) = hit {
+        PREPARED.set(slot);
+        return hit;
+    }
+    // Dropped before the build: one large graph per thread at a time.
+    drop(slot);
+    let fresh = Arc::new(Prepared::build(shape));
+    let tasks = fresh.graph.len();
+    if tasks <= MAX_SHARED_TASKS {
+        lock(shared).insert(shape, &fresh);
+    } else if tasks <= MAX_KEPT_TASKS {
+        PREPARED.set(Some((shape, Arc::clone(&fresh))));
     }
     fresh
 }
@@ -196,6 +278,16 @@ pub fn try_run_study_with(
     cfg: &RunConfig,
     options: StudyOptions<'_>,
 ) -> Result<Study, InvalidConfig> {
+    study_on(cfg, options, prepared)
+}
+
+/// [`try_run_study_with`] on the graph `prepare` returns for the run's
+/// shape, asked for once the configuration is known to be valid.
+fn study_on(
+    cfg: &RunConfig,
+    options: StudyOptions<'_>,
+    prepare: impl FnOnce(GraphShape) -> Arc<Prepared>,
+) -> Result<Study, InvalidConfig> {
     let StudyOptions {
         controller,
         caps_w,
@@ -209,7 +301,7 @@ pub fn try_run_study_with(
         }
         None => None,
     };
-    let prepared = prepared(GraphShape::of(cfg));
+    let prepared = prepare(GraphShape::of(cfg));
     let mut reg = prepared.registry.clone();
     let mut builder = TraceBuilder::new();
     let mut stats = StatsCollector::new();
@@ -359,14 +451,45 @@ mod tests {
         assert!(control.journal.iter().any(|d| d.outcome.is_some()));
     }
 
-    /// `cfg`'s report from a thread that has run nothing else.
-    fn on_fresh_thread(cfg: &RunConfig) -> RunReport {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || run_study(&cfg)).join().unwrap()
+    /// `cfg`'s report on a graph built for this run alone.
+    fn fresh(cfg: &RunConfig) -> RunReport {
+        let build = |shape| Arc::new(Prepared::build(shape));
+        study_on(cfg, StudyOptions::default(), build)
+            .unwrap()
+            .report
+    }
+
+    /// `cfg`'s report with `shared` as the process-wide table.
+    fn study_in(shared: &Mutex<SharedGraphs>, cfg: &RunConfig) -> RunReport {
+        let lookup = |shape| prepared_from(shared, shape);
+        study_on(cfg, StudyOptions::default(), lookup)
+            .unwrap()
+            .report
     }
 
     fn potrf() -> RunConfig {
         RunConfig::paper(PlatformId::Amd4A100, OpKind::Potrf, Precision::Single).scaled_down(8)
+    }
+
+    /// GEMM nt 13, 2 197 tasks: a graph the slot keeps, not the table.
+    fn large() -> RunConfig {
+        RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)
+    }
+
+    /// GEMM nt 12, 1 728 tasks: another shape for the slot.
+    fn large_b() -> RunConfig {
+        let mut cfg = large();
+        cfg.n = 12 * cfg.nb;
+        cfg
+    }
+
+    fn gemm(nt: usize, nb: usize) -> GraphShape {
+        GraphShape {
+            op: OpKind::Gemm,
+            nt,
+            nb,
+            precision: Precision::Double,
+        }
     }
 
     #[test]
@@ -375,7 +498,7 @@ mod tests {
         let a = cfg();
         let b = potrf();
         assert_ne!(GraphShape::of(&a), GraphShape::of(&b));
-        let runs = [
+        let small = [
             a.clone(),
             a.clone().with_gpu_config("BBBB".parse().unwrap()),
             b.clone().with_scheduler(SchedPolicy::Dmda),
@@ -385,20 +508,99 @@ mod tests {
             a.clone().with_scheduler(SchedPolicy::Dmda),
             a.with_gpu_config("LLBB".parse().unwrap()),
         ];
-        for run in &runs {
-            assert_eq!(run_study(run), on_fresh_thread(run), "{run:?}");
+        let slot = [
+            large(),
+            large().with_gpu_config("LLBB".parse().unwrap()),
+            large_b().with_scheduler(SchedPolicy::Dmda),
+            large(),
+        ];
+        for run in &small {
+            assert!(Prepared::build(GraphShape::of(run)).graph.len() <= MAX_SHARED_TASKS);
         }
+        let shared = Mutex::new(SharedGraphs::default());
+        // This thread builds each small shape once, then reads the table;
+        // the large ones come from its slot after their first build.
+        for run in small.iter().chain(&slot) {
+            assert_eq!(study_in(&shared, run), fresh(run), "{run:?}");
+        }
+        // Another thread finds every small shape in the table.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for run in &small {
+                    assert!(lock(&shared).graphs.contains_key(&GraphShape::of(run)));
+                    assert_eq!(study_in(&shared, run), fresh(run), "{run:?}");
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn a_shape_built_on_one_thread_is_served_to_another() {
+        let shared = Mutex::new(SharedGraphs::default());
+        let shape = GraphShape::of(&cfg());
+        let on_new_thread =
+            || std::thread::scope(|s| s.spawn(|| prepared_from(&shared, shape)).join().unwrap());
+        let built = on_new_thread();
+        let served = on_new_thread();
+        assert!(
+            Arc::ptr_eq(&built, &served),
+            "the second thread built again"
+        );
+    }
+
+    #[test]
+    fn the_table_keeps_its_budget_and_evicts_least_recently_used_first() {
+        let mut table = SharedGraphs::default();
+        let at = |nb: usize| {
+            let shape = gemm(8, 64 * nb);
+            (shape, Arc::new(Prepared::build(shape)))
+        };
+        let graphs: Vec<_> = (1..=17).map(at).collect();
+        assert_eq!(graphs[0].1.graph.len(), MAX_SHARED_TASKS);
+        let held = |table: &SharedGraphs, i: usize| table.graphs.contains_key(&graphs[i].0);
+        for (shape, graph) in &graphs[..16] {
+            table.insert(*shape, graph);
+        }
+        assert_eq!(table.tasks, SHARED_TASK_BUDGET);
+        assert!((0..16).all(|i| held(&table, i)));
+        // Touch the oldest; the next insert evicts the second oldest.
+        assert!(table.get(graphs[0].0).is_some());
+        table.insert(graphs[16].0, &graphs[16].1);
+        assert_eq!(table.tasks, SHARED_TASK_BUDGET);
+        assert!(held(&table, 0) && !held(&table, 1) && held(&table, 16));
+        // A 27-task graph evicts one more, again the least recently used.
+        let tiny = gemm(3, 64);
+        table.insert(tiny, &Arc::new(Prepared::build(tiny)));
+        assert!(!held(&table, 2) && held(&table, 3));
+        assert_eq!(table.tasks, 15 * MAX_SHARED_TASKS + 27);
+        let sum: usize = table.graphs.values().map(|(g, _)| g.graph.len()).sum();
+        assert_eq!(table.tasks, sum);
+        // Re-inserting a held shape changes nothing.
+        table.insert(graphs[16].0, &graphs[16].1);
+        assert_eq!(table.tasks, sum);
+    }
+
+    #[test]
+    fn graphs_over_the_shared_bound_never_enter_the_table() {
+        let shared = Mutex::new(SharedGraphs::default());
+        let over = prepared_from(&shared, gemm(9, 64));
+        assert!(over.graph.len() > MAX_SHARED_TASKS);
+        assert!(lock(&shared).graphs.is_empty());
+        // The slot keeps it instead.
+        assert!(Arc::ptr_eq(&over, &prepared_from(&shared, gemm(9, 64))));
+        prepared_from(&shared, gemm(8, 64));
+        assert_eq!(lock(&shared).tasks, MAX_SHARED_TASKS);
     }
 
     #[test]
     fn a_thread_keeps_one_graph() {
-        let a = GraphShape::of(&cfg());
-        run_study(&cfg());
+        let a = GraphShape::of(&large());
         let kept = prepared(a);
-        assert!(Rc::ptr_eq(&kept, &prepared(a)), "same shape, same graph");
-        let weak = Rc::downgrade(&kept);
+        assert!(kept.graph.len() > MAX_SHARED_TASKS);
+        assert!(Arc::ptr_eq(&kept, &prepared(a)), "same shape, same graph");
+        let weak = Arc::downgrade(&kept);
         drop(kept);
-        run_study(&potrf());
+        run_study(&large_b());
         assert!(weak.upgrade().is_none(), "shape A outlived a run of B");
     }
 
@@ -408,7 +610,7 @@ mod tests {
         big.n = 41 * big.nb;
         let graph = prepared(GraphShape::of(&big));
         assert!(graph.graph.len() > MAX_KEPT_TASKS);
-        assert_eq!(Rc::strong_count(&graph), 1, "the slot kept it");
+        assert_eq!(Arc::strong_count(&graph), 1, "the slot kept it");
         assert!(PREPARED.take().is_none());
     }
 
@@ -426,9 +628,9 @@ mod tests {
 
     #[test]
     fn studies_nested_in_an_observer_match_standalone_runs() {
-        // Both orders: the inner shape replaces the outer one in the
-        // slot while the outer run still reads its graph.
-        for (outer, inner) in [(cfg(), potrf()), (potrf(), cfg())] {
+        // The inner shape replaces the outer one in the slot while the
+        // outer run still reads its graph, or comes from the table.
+        for (outer, inner) in [(large(), large_b()), (large(), cfg()), (cfg(), large())] {
             let mut nested = Nested {
                 cfg: inner.clone(),
                 report: None,
@@ -438,8 +640,8 @@ mod tests {
                 ..Default::default()
             };
             let report = try_run_study_with(&outer, options).unwrap().report;
-            assert_eq!(report, on_fresh_thread(&outer));
-            assert_eq!(nested.report.unwrap(), on_fresh_thread(&inner));
+            assert_eq!(report, fresh(&outer));
+            assert_eq!(nested.report.unwrap(), fresh(&inner));
         }
     }
 

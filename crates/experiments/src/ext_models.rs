@@ -52,7 +52,7 @@ fn run_once(
             .iter()
             .map(|t| t.footprint())
             .collect();
-        perf.calibrate(&mut node, &workers, &fps[..1]);
+        perf.calibrate(&node, &workers, &fps[..1]);
     }
     apply_gpu_caps(&mut node, &caps, OpKind::Gemm, Precision::Double).expect("valid caps");
 

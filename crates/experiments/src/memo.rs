@@ -21,24 +21,33 @@
 //! `--jobs 2`/`4`, and under a global memo the later runs would only
 //! read the first run's reports. [`crate::driver::par_map`] hands the
 //! caller's session to its pool threads. The lock is never held while a
-//! study runs; two threads that miss the same key both simulate and
-//! store equal reports.
+//! study runs: the map holds one cell per key, and the first caller
+//! fills it while a second caller of the same key waits for that report
+//! instead of simulating it again. A study calls no `par_map`, so the
+//! thread filling a cell never waits on the pool, and a waiter cannot
+//! deadlock it.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use ugpc_core::{try_run_study_with, RunConfig, RunReport, StudyOptions};
+
+/// One study's report, filled once by whichever caller asked first.
+type ReportCell = Arc<OnceLock<RunReport>>;
 
 /// The reports of one session, by exact study key.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
-    reports: Mutex<HashMap<Vec<u8>, RunReport>>,
+    reports: Mutex<HashMap<Vec<u8>, ReportCell>>,
+    /// Studies this session simulated.
+    #[cfg(test)]
+    simulated: std::sync::atomic::AtomicUsize,
 }
 
 impl Memo {
-    /// Every update is one insert of a finished report, so a map a
-    /// panicking thread left behind is still valid.
-    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<u8>, RunReport>> {
+    /// Every update is one insert of a cell, so a map a panicking thread
+    /// left behind is still valid.
+    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<u8>, ReportCell>> {
         self.reports.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -115,20 +124,22 @@ fn memoized(cfg: &RunConfig, caps_w: Option<&[f64]>) -> RunReport {
     let Some(memo) = active() else {
         return simulate();
     };
-    let key = key(cfg, caps_w);
-    let hit = memo.lock().get(&key).cloned();
-    if let Some(report) = hit {
-        return report;
-    }
-    let report = simulate();
-    memo.lock().entry(key).or_insert_with(|| report.clone());
-    report
+    let cell = Arc::clone(memo.lock().entry(key(cfg, caps_w)).or_default());
+    // A panicking study leaves the cell empty for the next caller.
+    cell.get_or_init(|| {
+        #[cfg(test)]
+        memo.simulated
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        simulate()
+    })
+    .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{par_map, tests::with_jobs};
+    use std::sync::atomic::Ordering;
     use ugpc_hwsim::{OpKind, PlatformId, Precision};
 
     fn cfg() -> RunConfig {
@@ -152,10 +163,31 @@ mod tests {
                 makespan_s: -1.0,
                 ..fresh.clone()
             };
-            *memo.lock().values_mut().next().unwrap() = doctored.clone();
+            *memo.lock().values_mut().next().unwrap() = Arc::new(OnceLock::from(doctored.clone()));
             for _ in 0..5 {
                 assert_eq!(run_study(&cfg()), doctored);
             }
+            assert_eq!(entries(), 1);
+        });
+    }
+
+    #[test]
+    fn racing_pool_jobs_simulate_a_key_once() {
+        session(|| {
+            let memo = active().unwrap();
+            // The jobs meet at the barrier, so they run on two threads and
+            // look the key up microseconds apart, while a study of 2 197
+            // tasks takes milliseconds: the second finds it running.
+            let large = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double);
+            let rendezvous = std::sync::Barrier::new(2);
+            let reports = with_jobs(2, || {
+                par_map(vec![0u32, 1], |_| {
+                    rendezvous.wait();
+                    run_study(&large)
+                })
+            });
+            assert_eq!(reports[0], reports[1]);
+            assert_eq!(memo.simulated.load(Ordering::Relaxed), 1);
             assert_eq!(entries(), 1);
         });
     }

@@ -6,12 +6,14 @@ use crate::error::{HwError, HwResult};
 use crate::gpu::kernel::{run_kernel, KernelRun, KernelWork};
 use crate::gpu::spec::{GpuModel, GpuSpec};
 use crate::units::{Joules, Precision, Secs, Watts};
+use std::cell::{Cell, OnceCell};
 
-/// Distinct (kernel, cap) outcomes [`GpuDevice::execute`] remembers. A run
-/// launches a handful of kernel shapes per device (three GEMM-family
-/// kernels at one tile size and precision), times the caps a control
-/// plane moves it through.
-const MEMO_SLOTS: usize = 8;
+/// Slots of each thread's table of governor solves. A run launches a
+/// handful of kernel shapes (four POTRF-family kernels at one tile size
+/// and precision) at the one to three caps of its letter levels: all
+/// 4 752 served paper-space configurations need 68 distinct solves, and
+/// a control plane's re-caps add a few per tick.
+const SOLVE_SLOTS: usize = 1 << 10;
 
 /// What [`run_kernel`] depends on besides the fixed spec, as exact bit
 /// patterns: equal keys give bit-identical runs.
@@ -32,6 +34,37 @@ impl MemoKey {
             cap: cap.value().to_bits(),
         }
     }
+
+    /// The slot of `(model, self)` in a thread's table.
+    fn slot(&self, model: GpuModel) -> usize {
+        let tag = (model as u64) << 1 | self.precision as u64;
+        let word = self.flops ^ self.bytes.rotate_left(21) ^ self.cap.rotate_left(42) ^ tag;
+        // The product's top bits depend on every bit of the word.
+        let hash = word.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> (u64::BITS - SOLVE_SLOTS.trailing_zeros())) as usize
+    }
+}
+
+/// One remembered [`run_kernel`] result. A device's spec is
+/// `GpuSpec::of` its model, so the model and the key decide the run.
+#[derive(Clone, Copy)]
+struct Solve {
+    model: GpuModel,
+    key: MemoKey,
+    run: KernelRun,
+}
+
+thread_local! {
+    /// This thread's governor solves, direct-mapped by [`MemoKey::slot`]:
+    /// a new solve replaces whatever its slot held. Every device and
+    /// every node the thread simulates reads it, so a run reuses the
+    /// solves of the runs before it.
+    static SOLVES: OnceCell<Box<[Cell<Option<Solve>>]>> = const { OnceCell::new() };
+}
+
+/// `f` of the calling thread's table, allocated on its first use.
+fn with_solves<R>(f: impl FnOnce(&[Cell<Option<Solve>>]) -> R) -> R {
+    SOLVES.with(|solves| f(solves.get_or_init(|| vec![Cell::new(None); SOLVE_SLOTS].into())))
 }
 
 /// One GPU of a simulated node. Executes kernels serially (the runtime
@@ -43,10 +76,6 @@ pub struct GpuDevice {
     spec: GpuSpec,
     cap: Watts,
     ledger: EnergyLedger,
-    /// Recent [`run_kernel`] results, replaced round-robin. `run_kernel`
-    /// is pure, so a hit is exactly the result a fresh solve would give.
-    memo: [Option<(MemoKey, KernelRun)>; MEMO_SLOTS],
-    memo_next: usize,
 }
 
 impl GpuDevice {
@@ -59,8 +88,6 @@ impl GpuDevice {
             spec,
             cap,
             ledger: EnergyLedger::new(idle).aggregates_only(),
-            memo: [None; MEMO_SLOTS],
-            memo_next: 0,
         }
     }
 
@@ -127,20 +154,27 @@ impl GpuDevice {
         run
     }
 
-    /// [`Self::estimate`], solved once per distinct (work, cap) while it
-    /// stays in the memo that [`Self::execute`] reads too. The runtime's
+    /// [`Self::estimate`], solved once per distinct (model, work, cap)
+    /// while it stays in the calling thread's table of solves, which
+    /// [`Self::execute`] reads too. `run_kernel` is pure, so a hit is
+    /// exactly the result a fresh solve would give. The runtime's
     /// performance-model calibration — StarPU's calibration runs — calls
     /// this, so a run's first execution of a calibrated kernel at the
-    /// same cap is a memo hit.
-    pub fn estimate_memoized(&mut self, work: &KernelWork) -> KernelRun {
+    /// same cap is a hit.
+    pub fn estimate_memoized(&self, work: &KernelWork) -> KernelRun {
+        let model = self.spec.model;
         let key = MemoKey::new(work, self.cap);
-        if let Some((_, run)) = self.memo.iter().flatten().find(|(k, _)| *k == key) {
-            return *run;
+        let slot = key.slot(model);
+        // Two short thread-local accesses, not one around the solve:
+        // a short closure keeps each access inlined on the hit path.
+        match with_solves(|solves| solves[slot].get()) {
+            Some(solve) if solve.model == model && solve.key == key => solve.run,
+            _ => {
+                let run = run_kernel(&self.spec, work, self.cap);
+                with_solves(|solves| solves[slot].set(Some(Solve { model, key, run })));
+                run
+            }
         }
-        let run = run_kernel(&self.spec, work, self.cap);
-        self.memo[self.memo_next] = Some((key, run));
-        self.memo_next = (self.memo_next + 1) % MEMO_SLOTS;
-        run
     }
 
     /// Total energy consumed in `[0, until]`, busy intervals at kernel
@@ -272,6 +306,17 @@ mod tests {
         )
     }
 
+    /// The run the calling thread's table holds for `d` running `w` at
+    /// its current cap, if any.
+    fn solved(d: &GpuDevice, w: &KernelWork) -> Option<KernelRun> {
+        let key = MemoKey::new(w, d.power_limit());
+        let model = d.model();
+        match with_solves(|solves| solves[key.slot(model)].get()) {
+            Some(s) if s.model == model && s.key == key => Some(s.run),
+            _ => None,
+        }
+    }
+
     #[test]
     fn memo_hit_is_bitwise_run_kernel() {
         let mut d = GpuDevice::new(0, GpuModel::A100Sxm4_40);
@@ -279,6 +324,7 @@ mod tests {
         let w = KernelWork::gemm_tile(2880, Precision::Double);
         let fresh = run_kernel(d.spec(), &w, Watts(216.0));
         let miss = d.execute(&w, Secs(0.0));
+        assert_eq!(solved(&d, &w).map(|r| bits(&r)), Some(bits(&fresh)));
         let hit = d.execute(&w, miss.time);
         assert_eq!(bits(&miss), bits(&fresh));
         assert_eq!(bits(&hit), bits(&fresh));
@@ -306,21 +352,69 @@ mod tests {
     #[test]
     fn memo_overflow_stays_exact() {
         let mut d = GpuDevice::new(0, GpuModel::V100Pcie32);
-        let kernels: Vec<KernelWork> = (1..=3 * MEMO_SLOTS)
-            .map(|i| KernelWork::gemm_tile(320 * i, Precision::Single))
+        // Twice as many keys as slots: slots must be shared.
+        let kernels: Vec<KernelWork> = (1..=2 * SOLVE_SLOTS)
+            .map(|i| KernelWork::gemm_tile(32 * i, Precision::Single))
             .collect();
         let mut t = Secs::ZERO;
-        for _ in 0..3 {
+        for _ in 0..2 {
             for w in &kernels {
                 let got = d.execute(w, t);
                 assert_eq!(bits(&got), bits(&run_kernel(d.spec(), w, d.power_limit())));
                 t += got.time;
             }
         }
+        let evicted = kernels.iter().filter(|w| solved(&d, w).is_none()).count();
+        assert!(evicted >= SOLVE_SLOTS, "{evicted} evicted");
     }
 
     #[test]
-    fn clones_keep_independent_memos() {
+    fn models_at_one_cap_keep_their_own_runs() {
+        // Both models' TDP is 250 W: the same work at the same cap.
+        let w = KernelWork::gemm_tile(4096, Precision::Double);
+        let mut v100 = GpuDevice::new(0, GpuModel::V100Pcie32);
+        let mut a100 = GpuDevice::new(0, GpuModel::A100Pcie40);
+        assert_eq!(v100.power_limit(), a100.power_limit());
+        let own = |d: &GpuDevice| bits(&run_kernel(d.spec(), &w, Watts(250.0)));
+        for _ in 0..2 {
+            let rv = v100.execute(&w, v100.last_end());
+            let ra = a100.execute(&w, a100.last_end());
+            assert_eq!(bits(&rv), own(&v100));
+            assert_eq!(bits(&ra), own(&a100));
+            assert_ne!(bits(&rv), bits(&ra));
+        }
+        // The hash keeps these two keys in different slots; put the V100
+        // entry in the A100's slot, where only the entry's model tells
+        // them apart.
+        let key = MemoKey::new(&w, Watts(250.0));
+        let run = run_kernel(v100.spec(), &w, Watts(250.0));
+        let foreign = Solve {
+            model: v100.model(),
+            key,
+            run,
+        };
+        with_solves(|solves| solves[key.slot(a100.model())].set(Some(foreign)));
+        assert_eq!(bits(&a100.execute(&w, a100.last_end())), own(&a100));
+    }
+
+    #[test]
+    fn a_second_node_reuses_the_first_nodes_solves() {
+        use crate::platform::{Node, PlatformId};
+        let w = KernelWork::gemm_tile(5760, Precision::Double);
+        let mut first = Node::new(PlatformId::Amd4A100);
+        first.gpu_mut(0).set_power_limit(Watts(216.0)).unwrap();
+        first.gpu_mut(0).execute(&w, Secs::ZERO);
+        let mut second = Node::new(PlatformId::Amd4A100);
+        let gpu = second.gpu_mut(3);
+        gpu.set_power_limit(Watts(216.0)).unwrap();
+        let kept = solved(gpu, &w).expect("the first node's solve is in the table");
+        let hit = gpu.execute(&w, Secs::ZERO);
+        assert_eq!(bits(&hit), bits(&kept));
+        assert_eq!(bits(&hit), bits(&run_kernel(gpu.spec(), &w, Watts(216.0))));
+    }
+
+    #[test]
+    fn clones_share_solves_but_keep_their_caps() {
         let w = KernelWork::gemm_tile(4096, Precision::Double);
         let mut a = GpuDevice::new(0, GpuModel::A100Pcie40);
         let t = a.execute(&w, Secs(0.0)).time;

@@ -6,6 +6,7 @@ use crate::gpu::dvfs::DvfsParams;
 use crate::units::{Bandwidth, Bytes, FlopRate, Flops, Precision, Secs, Watts};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A value that differs between single- and double-precision kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,11 +119,22 @@ pub struct GpuSpec {
 }
 
 impl GpuSpec {
-    /// Build the calibrated spec for one of the paper's GPU models.
+    /// The calibrated spec of one of the paper's GPU models, built once
+    /// per process: every `Node` of every run, and every served request's
+    /// validation, asks for it.
     ///
     /// Panics only if the built-in calibration constants are unphysical,
     /// which is covered by tests — the catalog is static data.
     pub fn of(model: GpuModel) -> Self {
+        static SPECS: [OnceLock<GpuSpec>; GpuModel::ALL.len()] =
+            [const { OnceLock::new() }; GpuModel::ALL.len()];
+        SPECS[model as usize]
+            .get_or_init(|| Self::build(model))
+            .clone()
+    }
+
+    /// Fit the DVFS parameters of `model` and assemble its spec.
+    fn build(model: GpuModel) -> Self {
         let (tdp, min_cap, idle, x_min) = match model {
             GpuModel::V100Pcie32 => (Watts(250.0), Watts(100.0), Watts(40.0), 0.10),
             GpuModel::A100Pcie40 => (Watts(250.0), Watts(150.0), Watts(45.0), 0.15),
@@ -206,6 +218,16 @@ mod tests {
                 );
                 assert!(spec.idle_power < spec.min_cap, "{model}");
             }
+        }
+    }
+
+    #[test]
+    fn kept_specs_equal_fresh_builds() {
+        for model in GpuModel::ALL {
+            let kept = GpuSpec::of(model);
+            assert_eq!(kept.model, model);
+            assert_eq!(kept, GpuSpec::build(model));
+            assert_eq!(kept, GpuSpec::of(model));
         }
     }
 

@@ -378,17 +378,18 @@ impl PerfModel {
     /// every capable worker *at the current power caps* and record the
     /// observations. In the simulation, a calibration run is a device
     /// estimate (deterministic), so this is exact — on real hardware it
-    /// would be noisy but unbiased. A GPU solves it through the memo its
-    /// executions read, so the run's first launch of each calibrated
-    /// kernel at the same cap is a hit. Every core of a package runs
-    /// alike, so its estimate is solved once per package and footprint;
-    /// the noise draws still go footprint by footprint, worker by worker,
+    /// would be noisy but unbiased. A GPU solves it through the thread's
+    /// table of governor solves its executions read, so the run's first
+    /// launch of each calibrated kernel at the same cap is a hit. Every
+    /// core of a package runs alike, so its estimate is solved once per
+    /// package and footprint; the noise draws still go footprint by
+    /// footprint, worker by worker,
     /// sample by sample. Without noise the samples are equal, so an entry with no
     /// history is filled in one step, bit-identical to `min_samples`
     /// pushes (`Stats::repeated`); an entry that already holds samples
     /// still takes them one by one, since its mean moves. Each row's runs
     /// are rebuilt once, after its footprint's last sample.
-    pub fn calibrate(&mut self, node: &mut Node, workers: &[Worker], footprints: &[Footprint]) {
+    pub fn calibrate(&mut self, node: &Node, workers: &[Worker], footprints: &[Footprint]) {
         let mut package_runs: Vec<Option<(Secs, Joules)>> = Vec::new();
         for &fp in footprints {
             let work = crate::task::TaskDesc::new(fp.kind, fp.precision, fp.nb).kernel_work();
@@ -403,7 +404,7 @@ impl PerfModel {
                         if !fp.kind.gpu_capable() {
                             continue;
                         }
-                        let run = node.gpu_mut(device).estimate_memoized(&work);
+                        let run = node.gpu(device).estimate_memoized(&work);
                         (run.time, run.energy())
                     }
                     WorkerKind::CpuCore { package, .. } => *package_runs[package]
@@ -543,7 +544,7 @@ mod tests {
         let (workers, _) = build_workers(&PlatformSpec::of(PlatformId::Intel2V100));
         let mut m = PerfModel::new();
         let fps = [fp(KernelKind::Gemm, 2880), fp(KernelKind::Potrf, 2880)];
-        m.calibrate(&mut node, &workers, &fps);
+        m.calibrate(&node, &workers, &fps);
         let gpu_worker = workers.iter().find(|w| w.is_gpu()).unwrap().id;
         let cpu_worker = workers.iter().find(|w| !w.is_gpu()).unwrap().id;
         // GEMM on both; POTRF only on CPU (no cuBLAS implementation).
@@ -571,12 +572,12 @@ mod tests {
         let gpu0 = workers.iter().find(|w| w.is_gpu()).unwrap().id;
 
         let mut before = PerfModel::new();
-        before.calibrate(&mut node, &workers, &fps);
+        before.calibrate(&node, &workers, &fps);
         let t_free = before.expected_time(fps[0], gpu0).unwrap();
 
         node.gpu_mut(0).set_power_limit(Watts(216.0)).unwrap();
         let mut after = PerfModel::new();
-        after.calibrate(&mut node, &workers, &fps);
+        after.calibrate(&node, &workers, &fps);
         let t_capped = after.expected_time(fps[0], gpu0).unwrap();
 
         assert!(t_capped.value() > t_free.value() * 1.1);
@@ -660,7 +661,7 @@ mod tests {
                             m.observe(fps[2], cpu, Secs(9.0), Joules(40.0));
                         }
                     }
-                    filled.calibrate(&mut node, &workers, &fps);
+                    filled.calibrate(&node, &workers, &fps);
                     calibrate_by_pushes(&mut pushed, &node, &workers, &fps);
                     assert_same_bits(&filled, &pushed);
                     assert!(filled.is_calibrated(fps[0], gpu));
@@ -705,7 +706,7 @@ mod tests {
         let (workers, _) = build_workers(&PlatformSpec::of(platform));
         let f = fp(KernelKind::Gemm, 2880);
         let mut m = PerfModel::new();
-        m.calibrate(&mut node, &workers, &[f]);
+        m.calibrate(&node, &workers, &[f]);
         assert_runs_match_scan(&m, f);
         // Both packages at equal caps: one run over every core.
         assert_eq!(m.row(f).run_end(0), 62);
@@ -740,7 +741,7 @@ mod tests {
         // A noisy calibration leaves every entry its own run; an
         // unknown footprint has no runs at all.
         let mut noisy = PerfModel::new().with_calibration_noise(0.1, 7);
-        noisy.calibrate(&mut node, &workers, &[f]);
+        noisy.calibrate(&node, &workers, &[f]);
         assert_runs_match_scan(&noisy, f);
         assert_eq!(noisy.row(f).run_end(0), 1);
         assert_eq!(m.row(fp(KernelKind::Trsm, 64)).run_end(5), 6);
@@ -753,12 +754,12 @@ mod tests {
         let fps = [fp(KernelKind::Gemm, 2880)];
         let exact = {
             let mut m = PerfModel::new();
-            m.calibrate(&mut node, &workers, &fps);
+            m.calibrate(&node, &workers, &fps);
             m.expected_time(fps[0], workers.len() - 1).unwrap()
         };
         let mut noisy = |seed: u64| {
             let mut m = PerfModel::new().with_calibration_noise(0.2, seed);
-            m.calibrate(&mut node, &workers, &fps);
+            m.calibrate(&node, &workers, &fps);
             m.expected_time(fps[0], workers.len() - 1).unwrap()
         };
         // Same seed: identical. Different seed: (almost surely) different.
@@ -772,7 +773,7 @@ mod tests {
         );
         // Zero sigma is exact.
         let mut m = PerfModel::new().with_calibration_noise(0.0, 3);
-        m.calibrate(&mut node, &workers, &fps);
+        m.calibrate(&node, &workers, &fps);
         assert_eq!(m.expected_time(fps[0], workers.len() - 1).unwrap(), exact);
     }
 

@@ -192,7 +192,7 @@ fn calibrated(
     unequal_caps: bool,
 ) -> PerfModel {
     let gpus: Vec<Worker> = workers.iter().copied().filter(Worker::is_gpu).collect();
-    m.calibrate(&mut Node::new(PlatformId::Amd4A100), &gpus, fps);
+    m.calibrate(&Node::new(PlatformId::Amd4A100), &gpus, fps);
     let caps = [125.0, 100.0, 80.0, 60.0];
     let shared = caps[rng.gen_range(0..caps.len())];
     let packages = workers.iter().filter_map(|w| match w.kind {
@@ -219,7 +219,7 @@ fn calibrated(
                 },
             })
             .collect();
-        m.calibrate(&mut node, &cores, fps);
+        m.calibrate(&node, &cores, fps);
     }
     m
 }
